@@ -2,114 +2,58 @@
 
 Builds sector portfolios with three allocators (Monte-Carlo mean-variance,
 hierarchical risk parity, hierarchical equal risk contribution) and evaluates
-them on held-out price data.
+them on held-out price data.  ``__all__`` is the library API; the rest is
+reached through the submodules.
 """
 
 from portopt.market_data import (
     DataError,
-    PriceTable,
-    ReturnMatrix,
     daily_returns,
     load_price_table,
-    load_wide_csv,
     split_train_test,
-    write_wide_csv,
 )
 from portopt.riskstats import (
-    CorrMatrix,
-    CovMatrix,
-    DistanceMatrix,
-    ExpectedReturns,
-    PerfMetrics,
+    StatsError,
     corr_to_distance,
     correlation,
     covariance,
     expected_returns,
-    portfolio_metrics,
-    portfolio_variance,
 )
-from portopt.hierclust import (
-    ClusterAssignment,
-    LinkageTree,
-    Merge,
-    agglomerate,
-    cut_k,
-    dendrogram_export,
-    gap_optimal_k,
-    quasi_diagonalize,
-)
+from portopt.hierclust import ClusterError, agglomerate
 from portopt.allocators import (
     AllocationError,
-    FrontierSample,
     HercParams,
-    MvpResult,
-    WeightVector,
-    cluster_variance,
     herc_allocate,
     hrp_allocate,
-    ivp_weights,
     mvp_optimize,
 )
-from portopt.backtest import (
-    BacktestReport,
-    SummaryTable,
-    cumulative_series,
-    evaluate,
-    portfolio_return_series,
-    summarize,
-)
-from portopt.config import ConfigError, RunConfig, load_config
-from portopt.pipeline import RunManifest, run_pipeline
+from portopt.backtest import BacktestError, evaluate, summarize
+from portopt.config import ConfigError, load_config
+from portopt.pipeline import run_pipeline
 
 from portopt._version import __version__  # noqa: F401
 
 __all__ = [
     "AllocationError",
-    "BacktestReport",
-    "ClusterAssignment",
+    "BacktestError",
+    "ClusterError",
     "ConfigError",
-    "CorrMatrix",
-    "CovMatrix",
     "DataError",
-    "DistanceMatrix",
-    "ExpectedReturns",
-    "FrontierSample",
     "HercParams",
-    "LinkageTree",
-    "Merge",
-    "MvpResult",
-    "PerfMetrics",
-    "PriceTable",
-    "ReturnMatrix",
-    "RunConfig",
-    "RunManifest",
-    "SummaryTable",
-    "WeightVector",
+    "StatsError",
     "agglomerate",
-    "cluster_variance",
     "corr_to_distance",
     "correlation",
     "covariance",
-    "cumulative_series",
-    "cut_k",
     "daily_returns",
-    "dendrogram_export",
     "evaluate",
     "expected_returns",
-    "gap_optimal_k",
     "herc_allocate",
     "hrp_allocate",
-    "ivp_weights",
     "load_config",
     "load_price_table",
-    "load_wide_csv",
     "mvp_optimize",
-    "portfolio_metrics",
-    "portfolio_return_series",
-    "portfolio_variance",
-    "quasi_diagonalize",
     "run_pipeline",
     "split_train_test",
     "summarize",
-    "write_wide_csv",
 ]

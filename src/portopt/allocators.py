@@ -5,12 +5,12 @@ HRP recursive bisection, and HERC top-down risk-contribution allocation.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from portopt._io import write_text
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
 from portopt.riskstats import sharpe_ratio
 
@@ -77,7 +77,8 @@ class HercParams:
 
     cluster_weighting='inverse' gives the lower-risk subtree the larger
     weight (W1 = 1 - R1/(R1+R2)); 'paper_literal' uses W1 = R1/(R1+R2).
-    k='auto' selects the cluster count with the gap statistic.
+    k='auto' selects the cluster count with the gap statistic, clustering
+    under linkage_rule (the rule the HERC tree was built with).
     """
 
     k: int | str = "auto"
@@ -86,6 +87,7 @@ class HercParams:
     gap_k_max: int | None = None
     gap_b_refs: int = 100
     gap_seed: int = 0
+    linkage_rule: str = "ward"
 
     def __post_init__(self):
         if self.k != "auto" and (not isinstance(self.k, int) or self.k < 1):
@@ -190,6 +192,7 @@ def herc_allocate(cov, tree, params=None, returns=None):
             k_max=params.gap_k_max,
             b_refs=params.gap_b_refs,
             seed=params.gap_seed,
+            linkage_rule=params.linkage_rule,
         )
     else:
         k = params.k
@@ -286,7 +289,7 @@ def write_weights_csv(weights, path):
     lines = ["ticker,weight"]
     for ticker, w in zip(weights.tickers, weights.weights):
         lines.append(f"{ticker},{format(w, '.12g')}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def read_weights_csv(path):
@@ -320,10 +323,4 @@ def write_frontier_csv(result, path):
             f"{format(s.annual_return, '.12g')},"
             f"{format(s.annual_volatility, '.12g')},{sharpe}"
         )
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _atomic_write(path, text):
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    write_text(path, "\n".join(lines) + "\n")

@@ -1,20 +1,19 @@
 """Fixed-weight portfolio evaluation and cross-method comparison tables.
 
-Weights are set at the start of a period and applied to daily returns with no
-rebalancing or drift modeling: the portfolio's daily return is the weighted
-sum of asset returns at the original weights.
+The portfolio is a daily-rebalanced constant mix: every day's return is the
+weighted sum of that day's asset returns at the original weights, as if the
+holdings were reset to those weights each day.  Buy-and-hold drift (weights
+moving with relative prices) is not modeled.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from portopt._io import write_json
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
@@ -194,7 +193,4 @@ def report_to_dict(report):
 
 
 def write_report_json(report, path):
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    write_json(path, report_to_dict(report))

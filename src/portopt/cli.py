@@ -22,38 +22,27 @@ import os
 import sys
 from pathlib import Path
 
+from portopt._io import write_json
 from portopt._version import __version__
-from portopt.allocators import (
-    AllocationError,
-    read_weights_csv,
-    write_frontier_csv,
-    write_weights_csv,
-)
-from portopt.backtest import (
-    BacktestError,
-    evaluate,
-    summarize,
-    summary_to_csv,
-    summary_winners_dict,
-    write_report_json,
-)
+from portopt.allocators import read_weights_csv
+from portopt.backtest import BacktestError, write_report_json
 from portopt.config import KNOWN_METHODS, ConfigError, load_config
-from portopt.hierclust import ClusterError, dendrogram_export
-from portopt.market_data import (
-    DataError,
-    daily_returns,
-    load_price_table,
-    split_train_test,
-    write_wide_csv,
-)
+from portopt.hierclust import dendrogram_export
+from portopt.market_data import DataError, write_wide_csv
 from portopt.pipeline import (
+    MANIFEST_NAME,
     METHOD_LABELS,
-    fit_method,
+    PERIODS,
+    SECTOR_ERRORS,
+    evaluate_periods,
+    mvp_sample_count,
     prepare_sector,
     run_pipeline,
+    run_sector,
     sector_prices,
+    write_summaries,
 )
-from portopt.riskstats import PerfMetrics, StatsError
+from portopt.riskstats import PerfMetrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,6 +106,8 @@ def _load_config(args):
     if args.out:
         cfg.output_dir = Path(args.out)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: expected an int >= 0, got {args.seed}")
         for params in cfg.methods.values():
             params["seed"] = args.seed
     return cfg
@@ -135,7 +126,7 @@ def _cmd_run(cfg, args):
     manifest = run_pipeline(cfg)
     for sector, message in sorted(manifest.failures.items()):
         print(f"sector {sector!r} failed: {message}", file=sys.stderr)
-    print(f"manifest: {manifest.manifest_path}")
+    print(f"manifest: {Path(cfg.output_dir) / MANIFEST_NAME}")
     return EXIT_PARTIAL if manifest.failures else EXIT_OK
 
 
@@ -143,52 +134,33 @@ def _cmd_ingest(cfg, args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for sector in _sectors(cfg, args):
-        table = sector_prices(cfg, sector)
+        table = sector_prices(cfg, cfg.sectors[sector])
         path = out / f"{sector}_prices.csv"
         write_wide_csv(table, path, date_column=cfg.date_column)
         print(f"{sector}: {table.n_dates} dates x {len(table.tickers)} tickers -> {path}")
     return EXIT_OK
 
 
+def _enable(cfg, args, method):
+    """Fit a method the config does not list, with default parameters."""
+    if method not in cfg.methods:
+        cfg.methods[method] = {} if args.seed is None else {"seed": args.seed}
+
+
 def _cmd_optimize(cfg, args):
-    if args.method not in cfg.methods:
-        cfg.methods[args.method] = {}
-        if args.seed is not None:
-            cfg.methods[args.method]["seed"] = args.seed
-    out = Path(cfg.output_dir)
+    _enable(cfg, args, args.method)
     for sector in _sectors(cfg, args):
-        data = prepare_sector(cfg, sector)
-        weights, _ = fit_method(cfg, args.method, data)
-        sector_dir = out / sector
-        sector_dir.mkdir(parents=True, exist_ok=True)
-        path = sector_dir / f"{args.method}_weights.csv"
-        write_weights_csv(weights, path)
-        print(f"{sector}/{args.method}: {path}")
+        outputs, _ = run_sector(cfg, sector, [args.method], cfg.output_dir, ["weights"])
+        print(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
     return EXIT_OK
 
 
 def _cmd_backtest(cfg, args):
     weights = read_weights_csv(args.weights)
-    sources = {t: Path(cfg.data_dir) / f"{t}.csv" for t in weights.tickers}
-    table = load_price_table(
-        sources,
-        date_column=cfg.date_column,
-        close_column=cfg.close_column,
-        align=cfg.align,
-        require_start=cfg.train_start,
-    ).restrict(cfg.train_start, cfg.test_end)
-    train, test = split_train_test(table, cfg.train_end)
+    data = prepare_sector(cfg, weights.tickers)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for period, prices in (("train", train), ("test", test)):
-        report = evaluate(
-            weights,
-            daily_returns(prices),
-            cfg.risk_free_rate,
-            portfolio=args.label,
-            period=period,
-            annualization_days=cfg.annualization_days,
-        )
+    for period, report in evaluate_periods(cfg, weights, data, args.label).items():
         path = out / f"{args.label}_{period}_report.json"
         write_report_json(report, path)
         sharpe = "undefined" if report.metrics.sharpe is None else f"{report.metrics.sharpe:.4f}"
@@ -200,35 +172,35 @@ def _cmd_backtest(cfg, args):
 
 
 def _cmd_frontier(cfg, args):
-    if "mvp" not in cfg.methods:
-        cfg.methods["mvp"] = {}
-        if args.seed is not None:
-            cfg.methods["mvp"]["seed"] = args.seed
-    out = Path(cfg.output_dir)
+    _enable(cfg, args, "mvp")
     for sector in _sectors(cfg, args):
-        data = prepare_sector(cfg, sector)
-        _, result = fit_method(cfg, "mvp", data)
-        sector_dir = out / sector
-        sector_dir.mkdir(parents=True, exist_ok=True)
-        path = sector_dir / "mvp_frontier.csv"
-        write_frontier_csv(result, path)
-        print(f"{sector}: {len(result.samples)} samples -> {path}")
+        outputs, _ = run_sector(cfg, sector, ["mvp"], cfg.output_dir, ["frontier"])
+        path = outputs["mvp"]["frontier"]
+        print(f"{sector}: {mvp_sample_count(cfg)} samples -> {path}")
     return EXIT_OK
 
 
 def _cmd_dendrogram(cfg, args):
     out = Path(cfg.output_dir)
     for sector in _sectors(cfg, args):
-        data = prepare_sector(cfg, sector)
+        data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True)
         sector_dir = out / sector
         sector_dir.mkdir(parents=True, exist_ok=True)
         path = sector_dir / "dendrogram.json"
-        payload = dendrogram_export(data.tree, data.train_returns.tickers)
-        tmp = Path(str(path) + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        os.replace(tmp, path)
+        write_json(path, dendrogram_export(data.tree, data.train_returns.tickers))
         print(f"{sector}: {path}")
     return EXIT_OK
+
+
+def _read_metrics(path):
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except OSError:
+        raise DataError(f"missing report file: {path}") from None
+    m = payload["metrics"]
+    return PerfMetrics(
+        m["annual_return"], m["annual_volatility"], m["sharpe"], m.get("risk_free_rate", 0.0)
+    )
 
 
 def _cmd_report(cfg, args):
@@ -236,37 +208,18 @@ def _cmd_report(cfg, args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     methods = list(cfg.methods)
-    order = tuple(METHOD_LABELS[m] for m in methods)
-    for period in ("train", "test"):
-        metrics = {}
-        for sector in sorted(cfg.sectors):
-            metrics[sector] = {}
-            for method in methods:
-                path = reports_dir / sector / f"{method}_{period}_report.json"
-                try:
-                    payload = json.loads(path.read_text(encoding="utf-8"))
-                except OSError:
-                    raise DataError(f"missing report file: {path}") from None
-                m = payload["metrics"]
-                metrics[sector][METHOD_LABELS[method]] = PerfMetrics(
-                    m["annual_return"],
-                    m["annual_volatility"],
-                    m["sharpe"],
-                    m.get("risk_free_rate", 0.0),
+    for period in PERIODS:
+        metrics = {
+            sector: {
+                METHOD_LABELS[method]: _read_metrics(
+                    reports_dir / sector / f"{method}_{period}_report.json"
                 )
-        table = summarize(metrics, order)
-        csv_path = out / f"summary_{period}.csv"
-        tmp = Path(str(csv_path) + ".tmp")
-        tmp.write_text(summary_to_csv(table), encoding="utf-8")
-        os.replace(tmp, csv_path)
-        winners_path = out / f"summary_{period}_winners.json"
-        tmp = Path(str(winners_path) + ".tmp")
-        tmp.write_text(
-            json.dumps(summary_winners_dict(table), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, winners_path)
-        print(f"{period}: {csv_path}")
+                for method in methods
+            }
+            for sector in sorted(cfg.sectors)
+        }
+        paths = write_summaries({period: metrics}, methods, out)
+        print(f"{period}: {paths[period]['table']}")
     return EXIT_OK
 
 
@@ -290,7 +243,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, AllocationError, ClusterError, StatsError, BacktestError) as exc:
+    except (*SECTOR_ERRORS, BacktestError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -12,7 +12,7 @@ Schema (all dates ISO YYYY-MM-DD):
       hrp:  {}
       herc: {k: auto | int, risk_measure: std_dev | variance,
              cluster_weighting: inverse | paper_literal,
-             gap_b_refs: 100, seed: 0}
+             gap_b_refs: 100, gap_k_max: int (<= smallest sector), seed: 0}
     annualization_days: 252     # optional
     risk_free_rate: 0.0         # optional
     linkage_rule: ward | single # optional
@@ -43,6 +43,18 @@ _METHOD_PARAM_KEYS = {
 
 class ConfigError(Exception):
     """Configuration file is missing, malformed, or violates an invariant."""
+
+
+def _check_int(value, key, low=1, high=None):
+    """Reject anything but an int in [low, high]; a bool is not an int here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigError(f"{key}: expected an int {bound}, got {value!r}")
 
 
 @dataclass
@@ -87,10 +99,17 @@ class RunConfig:
                 raise ConfigError(
                     f"methods.{method}: unknown parameter(s) {sorted(unknown)}"
                 )
+            if "seed" in params:
+                _check_int(params["seed"], f"methods.{method}.seed", low=0)
         herc = self.methods.get("herc", {})
         k = herc.get("k", "auto")
-        if k != "auto" and (not isinstance(k, int) or k < 1):
-            raise ConfigError(f"methods.herc.k: expected 'auto' or positive int, got {k!r}")
+        if k != "auto":
+            _check_int(k, "methods.herc.k")
+        if "gap_b_refs" in herc:
+            _check_int(herc["gap_b_refs"], "methods.herc.gap_b_refs")
+        if herc.get("gap_k_max") is not None:
+            fewest = min(len(t) for t in self.sectors.values())
+            _check_int(herc["gap_k_max"], "methods.herc.gap_k_max", high=fewest)
         if herc.get("risk_measure", "std_dev") not in RISK_MEASURES:
             raise ConfigError(
                 f"methods.herc.risk_measure: expected one of {RISK_MEASURES}"
@@ -99,11 +118,8 @@ class RunConfig:
             raise ConfigError(
                 f"methods.herc.cluster_weighting: expected one of {CLUSTER_WEIGHTINGS}"
             )
-        mvp = self.methods.get("mvp", {})
-        if "n_samples" in mvp and (
-            not isinstance(mvp["n_samples"], int) or mvp["n_samples"] < 1
-        ):
-            raise ConfigError("methods.mvp.n_samples: expected a positive int")
+        if "n_samples" in self.methods.get("mvp", {}):
+            _check_int(self.methods["mvp"]["n_samples"], "methods.mvp.n_samples")
         if self.linkage_rule not in LINKAGE_RULES:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ("intersect", "ffill"):

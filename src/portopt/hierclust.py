@@ -160,11 +160,6 @@ def agglomerate(dist, linkage_rule="ward"):
     return LinkageTree(n, tuple(merges))
 
 
-def tree_from_returns(r, linkage_rule="ward"):
-    """Convenience path: returns -> correlation -> distance -> linkage tree."""
-    return agglomerate(corr_to_distance(correlation(r)), linkage_rule)
-
-
 def quasi_diagonalize(tree):
     """Dendrogram leaf order: expand each merge into its children, left first."""
     order = tree.leaves_under(tree.root) if tree.n_leaves > 1 else [0]

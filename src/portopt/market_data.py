@@ -1,10 +1,11 @@
 """Price panel ingestion, cleaning, train/test splitting, and daily returns.
 
-Input data is one CSV per ticker (date column plus a close column) or a single
-wide CSV (date column plus one close column per ticker). After loading, all
-tickers share one calendar: by default the intersection of each ticker's
-dates; a forward-fill mode is available for callers that prefer to carry the
-last known price across gaps.
+Input data is one CSV per ticker (date column plus a close column; a UTF-8
+byte-order mark and CRLF line ends are accepted).  After loading, all tickers
+share one calendar: by default the intersection of each ticker's dates; a
+forward-fill mode is available for callers that prefer to carry the last known
+price across gaps.  A cleaned panel can be exported as one wide CSV (date
+column plus one close column per ticker); nothing reads that format back.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
+
+from portopt._io import write_text
 
 
 class DataError(Exception):
@@ -127,7 +129,7 @@ def _read_close_series(path, date_column, close_column):
     """Parse one per-ticker CSV into an ordered {date: close} mapping."""
     path = Path(path)
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"{path}: cannot read file: {exc}") from None
     series = {}
@@ -226,55 +228,12 @@ def load_price_table(
     return PriceTable(tuple(dates), tuple(tickers), closes)
 
 
-def load_wide_csv(path, *, date_column="Date"):
-    """Load a wide CSV (date column plus one close column per ticker)."""
-    path = Path(path)
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read file: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file (header row required)") from None
-        if not header or header[0] != date_column:
-            raise DataError(
-                f"{path}: first column must be {date_column!r}, got {header[:1]}"
-            )
-        tickers = tuple(header[1:])
-        if not tickers:
-            raise DataError(f"{path}: no ticker columns")
-        dates, rows = [], []
-        for row in reader:
-            line_no = reader.line_num
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {line_no}: expected {len(header)} cells, "
-                    f"got {len(row)}"
-                )
-            dates.append(_parse_date(row[0], path, line_no, date_column))
-            rows.append(
-                [
-                    _parse_price(cell, path, line_no, ticker)
-                    for cell, ticker in zip(row[1:], tickers)
-                ]
-            )
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return PriceTable(tuple(dates), tickers, np.array(rows))
-
-
 def write_wide_csv(table, path, *, date_column="Date"):
     """Export a PriceTable as a wide CSV; output is bit-identical across runs."""
     lines = [",".join([date_column, *table.tickers])]
     for date, row in zip(table.dates, table.closes):
         lines.append(",".join([date.isoformat(), *(format(x, ".12g") for x in row)]))
-    text = "\n".join(lines) + "\n"
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def split_train_test(table, boundary):

@@ -5,16 +5,20 @@ cross-sector summary tables plus a JSON manifest of every artifact.
 Sectors are processed independently: a failure in one sector is recorded in
 the manifest and does not abort the run.  All outputs are written atomically
 (temp file + rename) and are byte-identical across reruns for fixed seeds.
+
+Every subcommand that fits a method drives run_sector with a selection of
+methods and artifacts, so each artifact has one code path.  Layers are called
+through the names this module imports, so wrapping one of those attributes
+(as bench/tracer.py does) sees every call the pipeline makes.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+from portopt._io import write_json, write_text
 from portopt._version import __version__
 from portopt.allocators import (
     AllocationError,
@@ -51,15 +55,23 @@ METHOD_LABELS = {"mvp": "MVP", "hrp": "HRP", "herc": "HERC"}
 
 SECTOR_ERRORS = (AllocationError, ClusterError, DataError, StatsError)
 
+# artifact kinds run_sector can write; run writes all of them
+ARTIFACTS = ("weights", "frontier", "dendrogram", "reports")
+# methods that allocate along the linkage tree
+TREE_METHODS = ("hrp", "herc")
+
+PERIODS = ("train", "test")
+
+MANIFEST_NAME = "manifest.json"
+
 
 class SectorData(NamedTuple):
     """Per-sector inputs shared by every allocator."""
 
-    prices: object
     train_returns: object
     test_returns: object
     cov: object
-    tree: object
+    tree: object  # None unless prepare_sector was asked for it
 
 
 @dataclass
@@ -72,22 +84,10 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     summaries: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
-    manifest_path: str | None = None
-
-    def to_dict(self):
-        return {
-            "version": self.version,
-            "config": self.config,
-            "seeds": self.seeds,
-            "outputs": self.outputs,
-            "summaries": self.summaries,
-            "failures": self.failures,
-        }
 
 
-def sector_prices(cfg, sector):
-    """Load and clean the price panel for one sector over the study window."""
-    tickers = cfg.sectors[sector]
+def sector_prices(cfg, tickers):
+    """Load and clean the price panel for tickers over the study window."""
     sources = {t: Path(cfg.data_dir) / f"{t}.csv" for t in tickers}
     table = load_price_table(
         sources,
@@ -99,19 +99,28 @@ def sector_prices(cfg, sector):
     return table.restrict(cfg.train_start, cfg.test_end)
 
 
-def prepare_sector(cfg, sector):
-    """Load prices, split train/test, and precompute shared statistics."""
-    prices = sector_prices(cfg, sector)
+def prepare_sector(cfg, tickers, with_tree=False):
+    """Load prices, split train/test, and precompute shared statistics.
+
+    The linkage tree is built only when with_tree is true.
+    """
+    prices = sector_prices(cfg, tickers)
     train, test = split_train_test(prices, cfg.train_end)
     train_returns = daily_returns(train)
     test_returns = daily_returns(test)
     cov = covariance(train_returns)
-    tree = agglomerate(corr_to_distance(correlation(train_returns)), cfg.linkage_rule)
-    return SectorData(prices, train_returns, test_returns, cov, tree)
+    tree = None
+    if with_tree:
+        tree = agglomerate(corr_to_distance(correlation(train_returns)), cfg.linkage_rule)
+    return SectorData(train_returns, test_returns, cov, tree)
 
 
 def method_seed(cfg, method):
     return int(cfg.methods.get(method, {}).get("seed", 0))
+
+
+def mvp_sample_count(cfg):
+    return int(cfg.methods.get("mvp", {}).get("n_samples", 10000))
 
 
 def fit_method(cfg, method, data):
@@ -125,7 +134,7 @@ def fit_method(cfg, method, data):
         result = mvp_optimize(
             mu,
             data.cov,
-            n_samples=int(params.get("n_samples", 10000)),
+            n_samples=mvp_sample_count(cfg),
             risk_free_rate=cfg.risk_free_rate,
             seed=method_seed(cfg, "mvp"),
         )
@@ -140,16 +149,81 @@ def fit_method(cfg, method, data):
             gap_k_max=params.get("gap_k_max"),
             gap_b_refs=int(params.get("gap_b_refs", 100)),
             gap_seed=method_seed(cfg, "herc"),
+            linkage_rule=cfg.linkage_rule,
         )
         return herc_allocate(data.cov, data.tree, herc, data.train_returns), None
     raise AllocationError(f"unknown method {method!r}")
 
 
-def _write_json(path, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def evaluate_periods(cfg, weights, data, portfolio):
+    """Backtest fixed weights on the train and test returns: {period: report}."""
+    return {
+        period: evaluate(
+            weights,
+            returns,
+            cfg.risk_free_rate,
+            portfolio=portfolio,
+            period=period,
+            annualization_days=cfg.annualization_days,
+        )
+        for period, returns in zip(PERIODS, (data.train_returns, data.test_returns))
+    }
+
+
+def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS):
+    """Fit methods on one sector and write the selected artifacts under
+    out_dir/<sector>/.
+
+    Returns (outputs, metrics): {method: {artifact: path}} and
+    {period: {method label: PerfMetrics}}.  Errors propagate; the caller
+    decides whether a failed sector aborts.
+    """
+    with_tree = any(m in TREE_METHODS for m in methods)
+    data = prepare_sector(cfg, cfg.sectors[sector], with_tree)
+    sector_dir = Path(out_dir) / sector
+    sector_dir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    metrics = {period: {} for period in PERIODS}
+    for method in methods:
+        weights, mvp_result = fit_method(cfg, method, data)
+        paths = {}
+        if "weights" in artifacts:
+            path = sector_dir / f"{method}_weights.csv"
+            write_weights_csv(weights, path)
+            paths["weights"] = str(path)
+        if method == "mvp" and "frontier" in artifacts:
+            path = sector_dir / "mvp_frontier.csv"
+            write_frontier_csv(mvp_result, path)
+            paths["frontier"] = str(path)
+        if method in TREE_METHODS and "dendrogram" in artifacts:
+            path = sector_dir / f"{method}_dendrogram.json"
+            write_json(path, dendrogram_export(data.tree, data.train_returns.tickers))
+            paths["dendrogram"] = str(path)
+        if "reports" in artifacts:
+            label = METHOD_LABELS[method]
+            reports = evaluate_periods(cfg, weights, data, f"{sector}/{label}")
+            for period, report in reports.items():
+                path = sector_dir / f"{method}_{period}_report.json"
+                write_report_json(report, path)
+                paths[f"{period}_report"] = str(path)
+                metrics[period][label] = report.metrics
+        outputs[method] = paths
+    return outputs, metrics
+
+
+def write_summaries(metrics_by_period, methods, out_root):
+    """Write summary_<period>.csv and summary_<period>_winners.json for each
+    period of {period: {sector: {label: PerfMetrics}}}; return their paths."""
+    order = tuple(METHOD_LABELS[m] for m in methods)
+    paths = {}
+    for period, metrics in metrics_by_period.items():
+        table = summarize(metrics, order)
+        csv_path = Path(out_root) / f"summary_{period}.csv"
+        write_text(csv_path, summary_to_csv(table))
+        winners_path = Path(out_root) / f"summary_{period}_winners.json"
+        write_json(winners_path, summary_winners_dict(table))
+        paths[period] = {"table": str(csv_path), "winners": str(winners_path)}
+    return paths
 
 
 def run_pipeline(cfg):
@@ -163,81 +237,19 @@ def run_pipeline(cfg):
         config=cfg.echo(),
         seeds={m: method_seed(cfg, m) for m in methods},
     )
-    train_metrics = {}
-    test_metrics = {}
-
+    metrics_by_period = {period: {} for period in PERIODS}
     for sector in sorted(cfg.sectors):
-        sector_dir = out_root / sector
         try:
-            data = prepare_sector(cfg, sector)
-            sector_dir.mkdir(parents=True, exist_ok=True)
-            sector_out = {}
-            sector_train = {}
-            sector_test = {}
-            for method in methods:
-                label = METHOD_LABELS[method]
-                weights, mvp_result = fit_method(cfg, method, data)
-                paths = {}
-
-                weights_path = sector_dir / f"{method}_weights.csv"
-                write_weights_csv(weights, weights_path)
-                paths["weights"] = str(weights_path)
-
-                if method == "mvp":
-                    frontier_path = sector_dir / "mvp_frontier.csv"
-                    write_frontier_csv(mvp_result, frontier_path)
-                    paths["frontier"] = str(frontier_path)
-                else:
-                    dendro_path = sector_dir / f"{method}_dendrogram.json"
-                    _write_json(
-                        dendro_path,
-                        dendrogram_export(data.tree, data.train_returns.tickers),
-                    )
-                    paths["dendrogram"] = str(dendro_path)
-
-                for period, returns in (
-                    ("train", data.train_returns),
-                    ("test", data.test_returns),
-                ):
-                    report = evaluate(
-                        weights,
-                        returns,
-                        cfg.risk_free_rate,
-                        portfolio=f"{sector}/{label}",
-                        period=period,
-                        annualization_days=cfg.annualization_days,
-                    )
-                    report_path = sector_dir / f"{method}_{period}_report.json"
-                    write_report_json(report, report_path)
-                    paths[f"{period}_report"] = str(report_path)
-                    if period == "train":
-                        sector_train[label] = report.metrics
-                    else:
-                        sector_test[label] = report.metrics
-
-                sector_out[method] = paths
-            manifest.outputs[sector] = sector_out
-            train_metrics[sector] = sector_train
-            test_metrics[sector] = sector_test
+            outputs, metrics = run_sector(cfg, sector, methods, out_root)
         except SECTOR_ERRORS as exc:
             manifest.failures[sector] = str(exc)
+            continue
+        manifest.outputs[sector] = outputs
+        for period in PERIODS:
+            metrics_by_period[period][sector] = metrics[period]
 
-    if train_metrics:
-        order = tuple(METHOD_LABELS[m] for m in methods)
-        for period, metrics in (("train", train_metrics), ("test", test_metrics)):
-            table = summarize(metrics, order)
-            csv_path = out_root / f"summary_{period}.csv"
-            tmp = Path(str(csv_path) + ".tmp")
-            tmp.write_text(summary_to_csv(table), encoding="utf-8")
-            os.replace(tmp, csv_path)
-            winners_path = out_root / f"summary_{period}_winners.json"
-            _write_json(winners_path, summary_winners_dict(table))
-            manifest.summaries[period] = {
-                "table": str(csv_path),
-                "winners": str(winners_path),
-            }
+    if manifest.outputs:
+        manifest.summaries = write_summaries(metrics_by_period, methods, out_root)
 
-    manifest_path = out_root / "manifest.json"
-    _write_json(manifest_path, manifest.to_dict())
-    manifest.manifest_path = str(manifest_path)
+    write_json(out_root / MANIFEST_NAME, asdict(manifest))
     return manifest

@@ -8,9 +8,7 @@ returns scale linearly, daily volatility scales by the square root.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -209,14 +207,3 @@ def portfolio_metrics(
     sharpe = sharpe_ratio(annual_return, annual_volatility, risk_free_rate)
     return PerfMetrics(annual_return, annual_volatility, sharpe, risk_free_rate)
 
-
-def write_matrix_csv(tickers, values, path):
-    """Export a ticker-labeled square matrix as CSV with 12 significant digits."""
-    values = np.asarray(values, dtype=float)
-    lines = [",".join(["", *tickers])]
-    for ticker, row in zip(tickers, values):
-        lines.append(",".join([ticker, *(format(x, ".12g") for x in row)]))
-    text = "\n".join(lines) + "\n"
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from portopt import allocators
 from portopt.allocators import (
     AllocationError,
     HercParams,
@@ -16,7 +17,9 @@ from portopt.allocators import (
     write_frontier_csv,
     write_weights_csv,
 )
-from portopt.hierclust import LinkageTree, Merge
+from portopt.config import load_config
+from portopt.hierclust import LinkageTree, Merge, gap_optimal_k
+from portopt.pipeline import fit_method, prepare_sector
 from portopt.riskstats import CovMatrix, ExpectedReturns
 from reference_impls import make_returns
 from portopt.riskstats import covariance, expected_returns
@@ -150,6 +153,22 @@ class TestHercAllocate:
             HercParams(cluster_weighting="equal")
         with pytest.raises(AllocationError, match="k must be"):
             HercParams(k=0)
+
+    def test_gap_statistic_uses_configured_linkage_rule(
+        self, synthetic_fixture, monkeypatch
+    ):
+        cfg = load_config(synthetic_fixture / "config.yaml")
+        cfg.linkage_rule = "single"
+        data = prepare_sector(cfg, cfg.sectors["alpha"], with_tree=True)
+        rules = []
+
+        def recording_gap(*args, **kwargs):
+            rules.append(kwargs.get("linkage_rule"))
+            return gap_optimal_k(*args, **kwargs)
+
+        monkeypatch.setattr(allocators, "gap_optimal_k", recording_gap)
+        fit_method(cfg, "herc", data)
+        assert rules == ["single"]
 
 
 class TestMvpOptimize:

@@ -56,6 +56,40 @@ class TestRun:
         assert manifest["seeds"] == {"mvp": 99, "hrp": 99, "herc": 99}
 
 
+class TestSharedPipeline:
+    def test_subcommands_match_run_artifacts(self, synthetic_fixture, tmp_path):
+        def sub(*argv, out):
+            assert main([*argv, *_cfg(synthetic_fixture), "--out", str(tmp_path / out)]) == 0
+            return tmp_path / out
+
+        run = sub("run", out="run")
+        optimize = sub("optimize", "--method", "herc", out="optimize")
+        frontier = sub("frontier", out="frontier")
+        dendrogram = sub("dendrogram", out="dendrogram")
+        for sector in ("alpha", "beta"):
+            ran = run / sector
+            for got, want in (
+                (optimize / sector / "herc_weights.csv", ran / "herc_weights.csv"),
+                (frontier / sector / "mvp_frontier.csv", ran / "mvp_frontier.csv"),
+                (dendrogram / sector / "dendrogram.json", ran / "hrp_dendrogram.json"),
+            ):
+                assert got.read_bytes() == want.read_bytes(), got
+
+            backtest = sub("backtest", "--weights", str(ran / "hrp_weights.csv"),
+                           out=f"backtest_{sector}")
+            # the weights CSV keeps 12 significant digits, so the backtest
+            # matches run's reports to that precision, not bit for bit
+            for period in ("train", "test"):
+                got = json.loads((backtest / f"portfolio_{period}_report.json").read_text())
+                want = json.loads((ran / f"hrp_{period}_report.json").read_text())
+                assert got["metrics"] == pytest.approx(want["metrics"], rel=1e-10)
+                assert got["dates"] == want["dates"]
+                np.testing.assert_allclose(
+                    got["cumulative_series"], want["cumulative_series"], rtol=1e-10
+                )
+        assert not list(tmp_path.rglob("*.tmp"))
+
+
 class TestExitCodes:
     def test_no_config_exits_1(self, capsys):
         assert main(["run"]) == 1
@@ -65,6 +99,12 @@ class TestExitCodes:
         path = tmp_path / "config.yaml"
         path.write_text("data_dir: d\n", encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 1
+
+    def test_negative_seed_exits_1(self, synthetic_fixture, tmp_path, capsys):
+        code = main(["run", *_cfg(synthetic_fixture), "--out", str(tmp_path), "--seed", "-1"])
+        assert code == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_unknown_sector_exits_1(self, synthetic_fixture, tmp_path, capsys):
         code = main(

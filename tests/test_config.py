@@ -43,11 +43,12 @@ class TestLoadConfig:
     def test_method_params_pass_through(self, tmp_path):
         text = MINIMAL + (
             "methods:\n  mvp: {n_samples: 500, seed: 3}\n"
-            "  herc: {k: 2, risk_measure: variance}\n"
+            "  herc: {k: 2, risk_measure: variance, gap_b_refs: 1, gap_k_max: 2, seed: 0}\n"
         )
         cfg = load_config(_write(tmp_path, text))
         assert cfg.methods["mvp"] == {"n_samples": 500, "seed": 3}
         assert cfg.methods["herc"]["k"] == 2
+        assert cfg.methods["herc"]["gap_k_max"] == 2  # the sector's ticker count
 
     def test_missing_key_is_named(self, tmp_path):
         with pytest.raises(ConfigError, match="test_end"):
@@ -74,6 +75,30 @@ class TestLoadConfig:
     def test_bad_herc_k_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="methods.herc.k"):
             load_config(_write(tmp_path, MINIMAL + "methods:\n  herc: {k: -2}\n"))
+
+    @pytest.mark.parametrize(
+        "method, params, key",
+        [
+            ("herc", "{gap_b_refs: 0}", "methods.herc.gap_b_refs"),
+            ("herc", "{gap_b_refs: true}", "methods.herc.gap_b_refs"),
+            ("herc", "{gap_b_refs: 2.5}", "methods.herc.gap_b_refs"),
+            ("herc", "{gap_k_max: 0}", "methods.herc.gap_k_max"),
+            ("herc", "{gap_k_max: 3}", "methods.herc.gap_k_max"),  # sector has 2
+            ("herc", "{gap_k_max: 99}", "methods.herc.gap_k_max"),
+            ("herc", "{gap_k_max: true}", "methods.herc.gap_k_max"),
+            ("herc", "{seed: -2}", "methods.herc.seed"),
+            ("herc", "{seed: false}", "methods.herc.seed"),
+            ("herc", "{k: true}", "methods.herc.k"),
+            ("mvp", "{seed: -1}", "methods.mvp.seed"),
+            ("mvp", "{seed: '3'}", "methods.mvp.seed"),
+            ("mvp", "{n_samples: true}", "methods.mvp.n_samples"),
+            ("mvp", "{n_samples: 0}", "methods.mvp.n_samples"),
+        ],
+    )
+    def test_bad_method_param_rejected_by_name(self, tmp_path, method, params, key):
+        text = MINIMAL + f"methods:\n  {method}: {params}\n"
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write(tmp_path, text))
 
     def test_empty_sector_rejected(self, tmp_path):
         bad = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: []")

@@ -13,9 +13,8 @@ from portopt.hierclust import (
     dendrogram_export,
     gap_optimal_k,
     quasi_diagonalize,
-    tree_from_returns,
 )
-from portopt.riskstats import DistanceMatrix
+from portopt.riskstats import DistanceMatrix, corr_to_distance, correlation
 from reference_impls import (
     block_return_panel,
     naive_linkage,
@@ -196,7 +195,7 @@ class TestDendrogramExport:
 
 def test_tree_from_returns_groups_correlated_assets():
     r = block_return_panel(3, n_blocks=2, per_block=2, t=400)
-    tree = tree_from_returns(r)
+    tree = agglomerate(corr_to_distance(correlation(r)), "ward")
     order = quasi_diagonalize(tree)
     # block members must be adjacent in the leaf order
     assert {tuple(sorted(order[:2])), tuple(sorted(order[2:]))} == {(0, 1), (2, 3)}

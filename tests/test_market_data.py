@@ -8,7 +8,6 @@ from portopt.market_data import (
     PriceTable,
     daily_returns,
     load_price_table,
-    load_wide_csv,
     split_train_test,
     write_wide_csv,
 )
@@ -109,6 +108,24 @@ class TestLoadPriceTable:
         with pytest.raises(DataError, match="cannot read"):
             load_price_table({"A": tmp_path / "nope.csv"})
 
+    def test_bom_crlf_copy_loads_like_the_original(self, synthetic_fixture, tmp_path):
+        # spreadsheet exports: UTF-8 byte-order mark, CRLF line ends, a
+        # trailing blank line
+        originals = {t: synthetic_fixture / "data" / f"{t}.csv" for t in ("AAA", "AAB")}
+        copies = {}
+        for ticker, path in originals.items():
+            text = path.read_text(encoding="utf-8")
+            copies[ticker] = tmp_path / f"{ticker}.csv"
+            copies[ticker].write_bytes(
+                b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode() + b"\r\n"
+            )
+        assert copies["AAA"].read_bytes().startswith(b"\xef\xbb\xbfDate,Close\r\n")
+        expected = load_price_table(originals)
+        loaded = load_price_table(copies)
+        assert loaded.dates == expected.dates
+        assert loaded.tickers == expected.tickers
+        np.testing.assert_array_equal(loaded.closes, expected.closes)
+
 
 class TestPriceTable:
     def test_restrict_is_inclusive_on_both_ends(self):
@@ -164,20 +181,17 @@ class TestDailyReturns:
 
 
 class TestWideCsv:
-    def test_round_trip_and_byte_stability(self, tmp_path):
-        table = _table(D[:3], ["A", "B"], [[1.5, 2.25], [1.625, 2.5], [1.75, 2.75]])
+    def test_exact_bytes_and_rewrite_stability(self, tmp_path):
+        table = _table(D[:3], ["A", "B"], [[1.5, 2.25], [1.625, 2.5], [1 / 3, 2.75]])
         path = tmp_path / "wide.csv"
         write_wide_csv(table, path)
         first = path.read_bytes()
-        loaded = load_wide_csv(path)
-        assert loaded.dates == table.dates
-        assert loaded.tickers == table.tickers
-        np.testing.assert_array_equal(loaded.closes, table.closes)
-        write_wide_csv(loaded, path)
+        assert first == (
+            b"Date,A,B\n"
+            b"2021-01-01,1.5,2.25\n"
+            b"2021-01-02,1.625,2.5\n"
+            b"2021-01-03,0.333333333333,2.75\n"
+        )
+        write_wide_csv(table, path)
         assert path.read_bytes() == first
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "wide.csv"
-        path.write_text("Date,A,B\n2021-01-01,1\n", encoding="utf-8")
-        with pytest.raises(DataError, match="line 2"):
-            load_wide_csv(path)
+        assert not list(tmp_path.glob("*.tmp"))

@@ -16,7 +16,6 @@ from portopt.riskstats import (
     portfolio_metrics,
     portfolio_variance,
     sharpe_ratio,
-    write_matrix_csv,
 )
 from reference_impls import make_returns
 
@@ -152,11 +151,3 @@ class TestMatrixTypes:
         with pytest.raises(StatsError, match="symmetric"):
             CovMatrix(("A", "B"), np.array([[1e-4, 1e-5], [2e-5, 1e-4]]))
 
-
-def test_write_matrix_csv_is_deterministic(tmp_path):
-    values = np.array([[1.0, 0.123456789012345], [0.123456789012345, 1.0]])
-    p1, p2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
-    write_matrix_csv(("A", "B"), values, p1)
-    write_matrix_csv(("A", "B"), values, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert p1.read_text().splitlines()[0] == ",A,B"
