@@ -12,7 +12,6 @@ import numpy as np
 
 from portopt._io import write_text
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
-from portopt.riskstats import sharpe_ratio
 
 RISK_MEASURES = ("std_dev", "variance")
 CLUSTER_WEIGHTINGS = ("inverse", "paper_literal")
@@ -63,12 +62,18 @@ class FrontierSample:
 
 @dataclass(frozen=True)
 class MvpResult:
-    """All Monte-Carlo samples plus the max-Sharpe, min-vol, and Pareto subset."""
+    """Monte-Carlo samples as arrays (row i of the read-only samples matrix
+    scores annual_return[i], annual_volatility[i], sharpe[i], nan where
+    undefined), the max-Sharpe and min-vol samples, and the sorted indices of
+    the Pareto-nondominated frontier."""
 
-    samples: tuple
+    samples: np.ndarray
+    annual_return: np.ndarray
+    annual_volatility: np.ndarray
+    sharpe: np.ndarray
     max_sharpe: FrontierSample
     min_vol: FrontierSample
-    frontier: tuple
+    frontier: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,18 @@ class HercParams:
             )
 
 
+def _variances(cov, members):
+    """Diagonal of cov over members; a zero variance is an error naming its ticker."""
+    variances = cov.values[members, members]
+    for idx, v in zip(members, variances):
+        if v <= 0.0:
+            raise AllocationError(f"ticker {cov.tickers[idx]!r} has zero variance")
+    return variances
+
+
 def ivp_weights(cov):
     """Inverse-variance weights w_i = (1/s_i^2) / sum_j (1/s_j^2)."""
-    variances = np.diag(cov.values)
-    for ticker, v in zip(cov.tickers, variances):
-        if v <= 0.0:
-            raise AllocationError(f"ticker {ticker!r} has zero variance")
-    inv = 1.0 / variances
+    inv = 1.0 / _variances(cov, list(range(len(cov.tickers))))
     return WeightVector(cov.tickers, inv / inv.sum())
 
 
@@ -116,11 +126,7 @@ def cluster_variance(cov, members):
     if not members:
         raise AllocationError("empty member set")
     sub = cov.values[np.ix_(members, members)]
-    variances = np.diag(sub)
-    for idx, v in zip(members, variances):
-        if v <= 0.0:
-            raise AllocationError(f"ticker {cov.tickers[idx]!r} has zero variance")
-    inv = 1.0 / variances
+    inv = 1.0 / _variances(cov, members)
     w = inv / inv.sum()
     return float(w @ sub @ w)
 
@@ -157,14 +163,6 @@ def hrp_allocate(cov, tree):
     return WeightVector(cov.tickers, weights / weights.sum())
 
 
-def _member_risks(cov, risk_measure):
-    variances = np.diag(cov.values)
-    for ticker, v in zip(cov.tickers, variances):
-        if v <= 0.0:
-            raise AllocationError(f"ticker {ticker!r} has zero risk")
-    return np.sqrt(variances) if risk_measure == "std_dev" else variances.copy()
-
-
 def herc_allocate(cov, tree, params=None, returns=None):
     """Hierarchical equal risk contribution allocation.
 
@@ -199,7 +197,8 @@ def herc_allocate(cov, tree, params=None, returns=None):
     if not 1 <= k <= n:
         raise AllocationError(f"k={k} out of range 1..{n}")
 
-    risks = _member_risks(cov, params.risk_measure)
+    variances = _variances(cov, list(range(n)))
+    risks = np.sqrt(variances) if params.risk_measure == "std_dev" else variances
     node_risk = {i: float(risks[i]) for i in range(n)}
     for m, merge in enumerate(tree.merges):
         node_risk[n + m] = node_risk[merge.left] + node_risk[merge.right]
@@ -244,44 +243,37 @@ def mvp_optimize(mu, cov, n_samples=10000, risk_free_rate=0.0, seed=0):
     rng = np.random.default_rng(seed)
     draws = rng.random((n_samples, n))
     weights = draws / draws.sum(axis=1, keepdims=True)
+    if not (np.all(np.isfinite(weights)) and weights.min() >= 0.0
+            and np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9):
+        raise AllocationError("sample weights must be finite, non-negative and sum to 1")
+    weights.setflags(write=False)
 
     rets = weights @ mu.mu_annual
     daily_var = np.einsum("ij,jk,ik->i", weights, cov.values, weights)
     vols = np.sqrt(mu.annualization_days * np.maximum(daily_var, 0.0))
+    # sharpe_ratio's rule on arrays: 0/0 is 0.0, any other x/0 undefined (nan)
+    excess = rets - risk_free_rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharpe = np.where(vols == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / vols)
 
-    samples = tuple(
-        FrontierSample(
-            WeightVector(mu.tickers, w),
-            float(r),
-            float(v),
-            sharpe_ratio(float(r), float(v), risk_free_rate),
-        )
-        for w, r, v in zip(weights, rets, vols)
-    )
-
-    sharpe_keys = np.array(
-        [-math.inf if s.sharpe is None else s.sharpe for s in samples]
-    )
-    max_sharpe = samples[int(np.argmax(sharpe_keys))]
-    min_vol = samples[int(np.argmin(vols))]
+    def sample(i):
+        s = None if np.isnan(sharpe[i]) else float(sharpe[i])
+        w = WeightVector(mu.tickers, weights[i])
+        return FrontierSample(w, float(rets[i]), float(vols[i]), s)
 
     # Pareto scan: dominated iff another sample has strictly lower volatility
-    # and strictly higher return
-    order = sorted(range(n_samples), key=lambda i: (vols[i], i))
-    frontier_idx = []
-    best_below = -math.inf
-    pos = 0
-    while pos < len(order):
-        group = [order[pos]]
-        while pos + 1 < len(order) and vols[order[pos + 1]] == vols[group[0]]:
-            pos += 1
-            group.append(order[pos])
-        frontier_idx += [i for i in group if rets[i] >= best_below]
-        best_below = max(best_below, max(rets[i] for i in group))
-        pos += 1
-    frontier = tuple(samples[i] for i in sorted(frontier_idx))
+    # and strictly higher return.  In volatility order, a sample is kept iff
+    # its return is at least the best return before its equal-volatility group.
+    order = np.argsort(vols, kind="stable")
+    v, r = vols[order], rets[order]
+    best = np.maximum.accumulate(r)
+    group_start = np.searchsorted(v, v, side="left")
+    best_below = np.where(group_start > 0, best[group_start - 1], -np.inf)
+    frontier = np.sort(order[r >= best_below])
 
-    return MvpResult(samples, max_sharpe, min_vol, frontier)
+    max_sharpe = sample(int(np.argmax(np.where(np.isnan(sharpe), -np.inf, sharpe))))
+    min_vol = sample(int(np.argmin(vols)))
+    return MvpResult(weights, rets, vols, sharpe, max_sharpe, min_vol, frontier)
 
 
 def write_weights_csv(weights, path):
@@ -315,12 +307,16 @@ def read_weights_csv(path):
 
 
 def write_frontier_csv(result, path):
-    """Export MVP samples as 'return,volatility,sharpe' CSV (one row per sample)."""
+    """Export MVP samples as 'return,volatility,sharpe' CSV (one row per sample).
+
+    An undefined Sharpe ratio is written as an empty cell.
+    """
     lines = ["return,volatility,sharpe"]
-    for s in result.samples:
-        sharpe = "" if s.sharpe is None else format(s.sharpe, ".12g")
-        lines.append(
-            f"{format(s.annual_return, '.12g')},"
-            f"{format(s.annual_volatility, '.12g')},{sharpe}"
-        )
+    for ret, vol, sharpe in zip(
+        result.annual_return.tolist(),
+        result.annual_volatility.tolist(),
+        result.sharpe.tolist(),
+    ):
+        sharpe = "" if math.isnan(sharpe) else format(sharpe, ".12g")
+        lines.append(f"{format(ret, '.12g')},{format(vol, '.12g')},{sharpe}")
     write_text(path, "\n".join(lines) + "\n")

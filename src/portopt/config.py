@@ -13,8 +13,9 @@ Schema (all dates ISO YYYY-MM-DD):
       herc: {k: auto | int, risk_measure: std_dev | variance,
              cluster_weighting: inverse | paper_literal,
              gap_b_refs: 100, gap_k_max: int (<= smallest sector), seed: 0}
-    annualization_days: 252     # optional
-    risk_free_rate: 0.0         # optional
+             (a fixed k may not exceed the smallest sector either)
+    annualization_days: 252     # optional, int >= 1
+    risk_free_rate: 0.0         # optional, finite number
     linkage_rule: ward | single # optional
     close_column: Close         # optional
     date_column: Date           # optional
@@ -24,6 +25,7 @@ Schema (all dates ISO YYYY-MM-DD):
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +81,9 @@ class RunConfig:
         for name, tickers in self.sectors.items():
             if not tickers:
                 raise ConfigError(f"sectors.{name}: empty ticker list")
+            repeated = sorted({t for t in tickers if tickers.count(t) > 1})
+            if repeated:
+                raise ConfigError(f"sectors.{name}: duplicate ticker(s) {repeated}")
         if not any(len(t) >= 2 for t in self.sectors.values()):
             raise ConfigError("sectors: at least one sector needs >= 2 tickers")
         if not self.train_start < self.train_end < self.test_end:
@@ -94,6 +99,10 @@ class RunConfig:
                     f"methods.{method}: unknown method (expected one of "
                     f"{', '.join(KNOWN_METHODS)})"
                 )
+            if not isinstance(params, dict):
+                raise ConfigError(
+                    f"methods.{method}: expected a mapping of parameters, got {params!r}"
+                )
             unknown = set(params) - _METHOD_PARAM_KEYS[method]
             if unknown:
                 raise ConfigError(
@@ -102,13 +111,13 @@ class RunConfig:
             if "seed" in params:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
         herc = self.methods.get("herc", {})
+        fewest = min(len(t) for t in self.sectors.values())
         k = herc.get("k", "auto")
         if k != "auto":
-            _check_int(k, "methods.herc.k")
+            _check_int(k, "methods.herc.k", high=fewest)
         if "gap_b_refs" in herc:
             _check_int(herc["gap_b_refs"], "methods.herc.gap_b_refs")
         if herc.get("gap_k_max") is not None:
-            fewest = min(len(t) for t in self.sectors.values())
             _check_int(herc["gap_k_max"], "methods.herc.gap_k_max", high=fewest)
         if herc.get("risk_measure", "std_dev") not in RISK_MEASURES:
             raise ConfigError(
@@ -124,8 +133,12 @@ class RunConfig:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ("intersect", "ffill"):
             raise ConfigError("align: expected 'intersect' or 'ffill'")
-        if self.annualization_days < 1:
-            raise ConfigError("annualization_days: expected a positive int")
+        _check_int(self.annualization_days, "annualization_days")
+        rate = self.risk_free_rate
+        finite = isinstance(rate, (int, float)) and math.isfinite(rate)
+        if isinstance(rate, bool) or not finite:
+            raise ConfigError(f"risk_free_rate: expected a finite number, got {rate!r}")
+        self.risk_free_rate = float(rate)
         return self
 
     def echo(self):
@@ -176,6 +189,9 @@ def load_config(path, base_dir=None):
     for key in ("sectors", "data_dir", "output_dir", "train_start", "train_end", "test_end"):
         if key not in raw:
             raise ConfigError(f"{key}: required key missing")
+    for key in ("data_dir", "output_dir"):
+        if not isinstance(raw[key], str):
+            raise ConfigError(f"{key}: expected a path string, got {raw[key]!r}")
 
     sectors = raw["sectors"]
     if not isinstance(sectors, dict) or not all(
@@ -202,8 +218,8 @@ def load_config(path, base_dir=None):
         train_end=_parse_date(raw["train_end"], "train_end"),
         test_end=_parse_date(raw["test_end"], "test_end"),
         methods=methods,
-        annualization_days=int(raw.get("annualization_days", 252)),
-        risk_free_rate=float(raw.get("risk_free_rate", 0.0)),
+        annualization_days=raw.get("annualization_days", 252),
+        risk_free_rate=raw.get("risk_free_rate", 0.0),
         linkage_rule=str(raw.get("linkage_rule", "ward")),
         close_column=str(raw.get("close_column", "Close")),
         date_column=str(raw.get("date_column", "Date")),

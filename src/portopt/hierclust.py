@@ -104,6 +104,12 @@ class ClusterAssignment:
         object.__setattr__(self, "labels", labels)
 
 
+def _py_square(x):
+    """x**2 elementwise with the bits of Python's float power (libm pow),
+    which can differ from x * x in the last place."""
+    return np.power(x.astype(object), 2).astype(float)
+
+
 def agglomerate(dist, linkage_rule="ward"):
     """Cluster a DistanceMatrix bottom-up under ward or single linkage.
 
@@ -116,44 +122,30 @@ def agglomerate(dist, linkage_rule="ward"):
     if n < 2:
         raise ClusterError("need at least 2 items to cluster")
 
-    d = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[(i, j)] = float(dist.values[i, j])
-    sizes = {i: 1 for i in range(n)}
-    active = sorted(sizes)
+    # one symmetric matrix indexed by node id; the diagonal and retired nodes
+    # hold inf, so the row-major argmin is the lowest (height, left, right)
+    size = 2 * n - 1
+    d = np.full((size, size), np.inf)
+    iu = np.triu_indices(n, 1)
+    d[iu] = d[iu[::-1]] = dist.values[iu]
+    sizes = np.ones(size, dtype=int)
     merges = []
 
     for step in range(n - 1):
-        best = None
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                a, b = active[ai], active[bi]
-                key = (d[(a, b)], a, b)
-                if best is None or key < best:
-                    best = key
-        height, a, b = best
+        a, b = divmod(int(np.argmin(d)), size)
+        height = float(d[a, b])
         node = n + step
-        sa, sb = sizes[a], sizes[b]
-        for k in active:
-            if k in (a, b):
-                continue
-            dak = d.pop((min(a, k), max(a, k)))
-            dbk = d.pop((min(b, k), max(b, k)))
-            if linkage_rule == "ward":
-                sk = sizes[k]
-                new = math.sqrt(
-                    max(
-                        ((sa + sk) * dak**2 + (sb + sk) * dbk**2 - sk * height**2)
-                        / (sa + sb + sk),
-                        0.0,
-                    )
-                )
-            else:
-                new = min(dak, dbk)
-            d[(k, node)] = new
-        del d[(a, b)]
-        active = [x for x in active if x not in (a, b)] + [node]
+        sa, sb = int(sizes[a]), int(sizes[b])
+        ks = np.flatnonzero(np.isfinite(d[a] + d[b]))  # active nodes other than a, b
+        if linkage_rule == "ward":
+            sk = sizes[ks]
+            dak2, dbk2 = _py_square(d[a, ks]), _py_square(d[b, ks])
+            ward2 = ((sa + sk) * dak2 + (sb + sk) * dbk2 - sk * height**2) / (sa + sb + sk)
+            new = np.sqrt(np.maximum(ward2, 0.0))
+        else:
+            new = np.minimum(d[a, ks], d[b, ks])
+        d[ks, node] = d[node, ks] = new
+        d[[a, b], :] = d[:, [a, b]] = np.inf
         sizes[node] = sa + sb
         merges.append(Merge(a, b, height, sa + sb))
 
@@ -178,34 +170,20 @@ def cut_k(tree, k):
     if not 1 <= k <= n:
         raise ClusterError(f"k={k} out of range 1..{n}")
 
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def rep(node):
-        # any leaf under the node stands in for it in the union-find
-        return node if node < n else tree.leaves_under(node)[0]
-
-    # keep the first n-k merges; the last k-1 are removed
-    for merge in tree.merges[: n - k]:
-        la, lb = find(rep(merge.left)), find(rep(merge.right))
-        parent[lb] = la
-
+    # expand only the top k-1 merge nodes (ids >= 2n-k), left first; each
+    # subtree left over is one cluster
     labels = [-1] * n
     next_label = 0
-    component_label = {}
-    for leaf in quasi_diagonalize(tree):
-        comp = find(leaf)
-        if comp not in component_label:
-            component_label[comp] = next_label
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node >= 2 * n - k:
+            merge = tree.merges[node - n]
+            stack += [merge.right, merge.left]
+        else:
+            for leaf in tree.leaves_under(node):
+                labels[leaf] = next_label
             next_label += 1
-        labels[leaf] = component_label[comp]
-    if next_label != k:
-        raise ClusterError("internal error: cut produced the wrong cluster count")
     return ClusterAssignment(k, tuple(labels))
 
 

@@ -56,6 +56,16 @@ def naive_linkage(values, rule):
     return merges
 
 
+def naive_cut(tree, k):
+    """Flat k-cluster partition as a set of frozensets of leaf ids: union the
+    member lists of the first n-k merges, with no tree walk."""
+    n = tree.n_leaves
+    members = {i: [i] for i in range(n)}
+    for step, merge in enumerate(tree.merges[: n - k]):
+        members[n + step] = members.pop(merge.left) + members.pop(merge.right)
+    return {frozenset(m) for m in members.values()}
+
+
 def random_distance_matrix(rng, n):
     m = rng.random((n, n))
     values = (m + m.T) / 2.0

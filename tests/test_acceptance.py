@@ -207,11 +207,8 @@ def test_criterion_05_mvp_dominance_and_pareto_frontier():
         r = make_returns(rows)
         res = mvp_optimize(expected_returns(r), covariance(r), n_samples=10000, seed=trial)
 
-        rets = np.array([s.annual_return for s in res.samples])
-        vols = np.array([s.annual_volatility for s in res.samples])
-        sharpes = np.array(
-            [-np.inf if s.sharpe is None else s.sharpe for s in res.samples]
-        )
+        rets, vols = res.annual_return, res.annual_volatility
+        sharpes = np.where(np.isnan(res.sharpe), -np.inf, res.sharpe)
         assert res.max_sharpe.sharpe >= sharpes.max()
         assert res.min_vol.annual_volatility <= vols.min()
 
@@ -223,8 +220,7 @@ def test_criterion_05_mvp_dominance_and_pareto_frontier():
                 (rets[None, :] > rets[lo:hi, None]) & (vols[None, :] < vols[lo:hi, None]),
                 axis=1,
             )
-        index_of = {id(s): i for i, s in enumerate(res.samples)}
-        frontier_idx = sorted(index_of[id(s)] for s in res.frontier)
+        frontier_idx = res.frontier.tolist()
         expected_idx = sorted(np.flatnonzero(~dominated).tolist())
         assert frontier_idx == expected_idx
     _verdict(5, "mvp dominance and pareto frontier", True, "20 instances x 10000 samples")

@@ -18,11 +18,11 @@ from portopt.allocators import (
     write_weights_csv,
 )
 from portopt.config import load_config
-from portopt.hierclust import LinkageTree, Merge, gap_optimal_k
+from portopt.hierclust import LinkageTree, Merge, agglomerate, gap_optimal_k
 from portopt.pipeline import fit_method, prepare_sector
 from portopt.riskstats import CovMatrix, ExpectedReturns
 from reference_impls import make_returns
-from portopt.riskstats import covariance, expected_returns
+from portopt.riskstats import corr_to_distance, correlation, covariance, expected_returns
 
 
 def _cov(values, labels=None):
@@ -183,38 +183,55 @@ class TestMvpOptimize:
         a = mvp_optimize(mu, cov, n_samples=200, seed=42)
         b = mvp_optimize(mu, cov, n_samples=200, seed=42)
         np.testing.assert_array_equal(a.max_sharpe.weights.weights, b.max_sharpe.weights.weights)
-        assert [s.annual_volatility for s in a.frontier] == [
-            s.annual_volatility for s in b.frontier
-        ]
+        np.testing.assert_array_equal(
+            a.annual_volatility[a.frontier], b.annual_volatility[b.frontier]
+        )
 
     def test_selected_samples_are_extremal(self):
         mu, cov = self._instance(1)
         res = mvp_optimize(mu, cov, n_samples=500, seed=1)
-        sharpes = [s.sharpe for s in res.samples if s.sharpe is not None]
-        vols = [s.annual_volatility for s in res.samples]
-        assert res.max_sharpe.sharpe == max(sharpes)
-        assert res.min_vol.annual_volatility == min(vols)
+        assert res.max_sharpe.sharpe == np.nanmax(res.sharpe)
+        assert res.min_vol.annual_volatility == res.annual_volatility.min()
 
     def test_min_vol_sample_is_on_the_frontier(self):
         mu, cov = self._instance(2)
         res = mvp_optimize(mu, cov, n_samples=500, seed=2)
-        assert any(s is res.min_vol for s in res.frontier)
+        i = int(np.argmin(res.annual_volatility))
+        assert res.min_vol.annual_volatility == res.annual_volatility[i]
+        assert i in res.frontier.tolist()
 
     def test_frontier_is_monotone_in_return(self):
         mu, cov = self._instance(3)
         res = mvp_optimize(mu, cov, n_samples=500, seed=3)
-        by_vol = sorted(res.frontier, key=lambda s: s.annual_volatility)
+        by_vol = sorted(res.frontier.tolist(), key=lambda i: res.annual_volatility[i])
         for a, b in zip(by_vol, by_vol[1:]):
-            if b.annual_volatility > a.annual_volatility:
-                assert b.annual_return >= a.annual_return
+            if res.annual_volatility[b] > res.annual_volatility[a]:
+                assert res.annual_return[b] >= res.annual_return[a]
 
     def test_sample_count_and_simplex(self):
         mu, cov = self._instance(4)
         res = mvp_optimize(mu, cov, n_samples=64, seed=4)
-        assert len(res.samples) == 64
-        for s in res.samples:
-            assert abs(s.weights.weights.sum() - 1.0) <= 1e-9
-            assert s.weights.weights.min() >= 0.0
+        assert res.samples.shape == (64, 4)
+        assert not res.samples.flags.writeable
+        assert np.max(np.abs(res.samples.sum(axis=1) - 1.0)) <= 1e-9
+        assert res.samples.min() >= 0.0
+
+    def test_single_ticker_puts_every_sample_on_the_frontier(self):
+        mu, cov = self._instance(7, n=1)
+        res = mvp_optimize(mu, cov, n_samples=50, seed=7)
+        assert res.frontier.tolist() == list(range(50))
+
+    def test_zero_variance_pair_has_undefined_sharpe(self, tmp_path):
+        mu = ExpectedReturns(("A", "B"), np.array([1e-4, 2e-4]), np.array([0.0252, 0.0504]))
+        res = mvp_optimize(mu, _cov(np.zeros((2, 2)), ("A", "B")), n_samples=40, seed=8)
+        assert res.max_sharpe.sharpe is None
+        assert np.isnan(res.sharpe).all()
+        assert res.frontier.tolist() == list(range(40))
+        path = tmp_path / "frontier.csv"
+        write_frontier_csv(res, path)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 40
+        assert all(row.endswith(",") and row.count(",") == 2 for row in rows)
 
     def test_ticker_mismatch_rejected(self):
         mu = ExpectedReturns(("A", "B"), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
@@ -225,6 +242,42 @@ class TestMvpOptimize:
         mu, cov = self._instance(5)
         with pytest.raises(AllocationError, match="n_samples"):
             mvp_optimize(mu, cov, n_samples=0)
+
+
+def _hrp_herc(rows, k):
+    r = make_returns(rows)
+    cov = covariance(r)
+    tree = agglomerate(corr_to_distance(correlation(r)), "ward")
+    return hrp_allocate(cov, tree).weights, herc_allocate(cov, tree, HercParams(k=k)).weights
+
+
+class TestInvariants:
+    """Seeded random instances.  HRP is deliberately absent from the
+    permutation test: merge children are ordered by node id, so its bisection
+    order follows the input order of the tickers."""
+
+    def _instance(self, rng):
+        n = int(rng.integers(3, 13))
+        rows = rng.normal(0.0005, 0.01, size=(250, n)) * rng.uniform(0.5, 2.0, size=n)
+        return rows, int(rng.integers(1, n + 1))
+
+    def test_herc_weights_follow_a_ticker_permutation(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            rows, k = self._instance(rng)
+            perm = rng.permutation(rows.shape[1])
+            _, herc = _hrp_herc(rows, k)
+            _, herc_perm = _hrp_herc(rows[:, perm], k)
+            np.testing.assert_allclose(herc_perm, herc[perm], rtol=1e-9, atol=0)
+
+    def test_scaling_returns_leaves_weights_unchanged(self):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            rows, k = self._instance(rng)
+            hrp, herc = _hrp_herc(rows, k)
+            hrp_half, herc_half = _hrp_herc(0.5 * rows, k)
+            np.testing.assert_allclose(hrp_half, hrp, rtol=1e-9, atol=0)
+            np.testing.assert_allclose(herc_half, herc, rtol=1e-9, atol=0)
 
 
 class TestWeightsCsv:

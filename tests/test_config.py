@@ -100,6 +100,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(_write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("test_end", "annualization_days: abc\ntest_end", "annualization_days"),
+            ("test_end", "annualization_days: true\ntest_end", "annualization_days"),
+            ("test_end", "annualization_days: 2.7\ntest_end", "annualization_days"),
+            ("test_end", "annualization_days: 0\ntest_end", "annualization_days"),
+            ("test_end", "risk_free_rate: abc\ntest_end", "risk_free_rate"),
+            ("test_end", "risk_free_rate: .nan\ntest_end", "risk_free_rate"),
+            ("test_end", "risk_free_rate: .inf\ntest_end", "risk_free_rate"),
+            ("test_end", "risk_free_rate: true\ntest_end", "risk_free_rate"),
+            ("test_end", "methods:\n  hrp: 5\ntest_end", "methods.hrp"),
+            ("test_end", "methods:\n  mvp: [n_samples]\ntest_end", "methods.mvp"),
+            ("data_dir: data", "data_dir: null", "data_dir"),
+            ("data_dir: data", "data_dir: 5", "data_dir"),
+            ("output_dir: out", "output_dir: [out]", "output_dir"),
+            ("test_end", "methods:\n  herc: {k: 3}\ntest_end", "methods.herc.k"),  # sector has 2
+            ("test_end", "methods:\n  herc: {k: 99}\ntest_end", "methods.herc.k"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, AAB, AAA]", "sectors.alpha"),
+        ],
+    )
+    def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):
+        text = MINIMAL.replace(old, new, 1)
+        assert text != MINIMAL
+        with pytest.raises(ConfigError, match=key):
+            load_config(_write(tmp_path, text))
+
     def test_empty_sector_rejected(self, tmp_path):
         bad = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: []")
         with pytest.raises(ConfigError, match="sectors.alpha"):

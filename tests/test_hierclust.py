@@ -17,6 +17,7 @@ from portopt.hierclust import (
 from portopt.riskstats import DistanceMatrix, corr_to_distance, correlation
 from reference_impls import (
     block_return_panel,
+    naive_cut,
     naive_linkage,
     random_distance_matrix,
     random_tree,
@@ -64,13 +65,25 @@ class TestAgglomerate:
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            n = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 31))
             dist = random_distance_matrix(rng, n)
             for rule in ("ward", "single"):
                 tree = agglomerate(dist, rule)
                 for merge, (a, b, h, size) in zip(tree.merges, naive_linkage(dist.values, rule)):
                     assert (merge.left, merge.right, merge.size) == (a, b, size)
                     assert merge.height == pytest.approx(h, abs=1e-9)
+
+    def test_tie_heavy_single_linkage_matches_naive_reference(self):
+        # distances quantized to {1/4, 1/2, 3/4, 1}: most steps have tied
+        # nearest pairs, so the lowest-pair tie-break decides the merges
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(2, 31))
+            upper = np.triu(np.ceil(rng.random((n, n)) * 4) / 4, 1)
+            values = upper + upper.T
+            tree = agglomerate(_dist(values), "single")
+            expected = naive_linkage(values, "single")
+            assert [(m.left, m.right, m.height, m.size) for m in tree.merges] == expected
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ClusterError, match="linkage rule"):
@@ -147,6 +160,16 @@ class TestCutK:
                     if labels[leaf] not in seen:
                         seen.append(labels[leaf])
                 assert seen == list(range(k))
+
+    def test_partition_matches_naive_cut(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            n = int(rng.integers(2, 25))
+            tree = random_tree(rng, n)
+            for k in range(1, n + 1):
+                labels = np.array(cut_k(tree, k).labels)
+                clusters = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(k)}
+                assert clusters == naive_cut(tree, k)
 
     def test_k_out_of_range(self):
         tree = LinkageTree(2, (Merge(0, 1, 0.5, 2),))

@@ -43,6 +43,23 @@ class TestLoadPriceTable:
         assert table.dates == (D[0], D[1], D[2])
         assert table.closes[:, 1].tolist() == [20.0, 20.0, 21.0]
 
+    def test_ffill_equals_intersect_on_gap_free_data(self, tmp_path):
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            days = np.flatnonzero(rng.random(60) < 0.7)
+            dates = [dt.date(2021, 1, 1) + dt.timedelta(days=int(d)) for d in days]
+            sources = {}
+            for j in range(int(rng.integers(1, 6))):
+                closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, len(dates))))
+                path = tmp_path / f"T{trial}_{j}.csv"
+                _write_csv(path, [f"{d.isoformat()},{c!r}" for d, c in zip(dates, closes.tolist())])
+                sources[f"T{j}"] = path
+            intersect = load_price_table(sources)
+            ffill = load_price_table(sources, align="ffill")
+            assert ffill.dates == intersect.dates == tuple(dates)
+            assert ffill.tickers == intersect.tickers
+            np.testing.assert_array_equal(ffill.closes, intersect.closes)
+
     def test_ffill_rejects_ticker_starting_late(self, tmp_path):
         _write_csv(tmp_path / "A.csv", ["2021-01-01,10", "2021-01-02,11"])
         _write_csv(tmp_path / "B.csv", ["2021-01-02,20"])
