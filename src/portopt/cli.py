@@ -35,6 +35,7 @@ from portopt.pipeline import (
     PERIODS,
     SECTOR_ERRORS,
     evaluate_periods,
+    iter_sectors,
     mvp_sample_count,
     prepare_sector,
     run_pipeline,
@@ -133,8 +134,8 @@ def _cmd_run(cfg, args):
 def _cmd_ingest(cfg, args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for sector in _sectors(cfg, args):
-        table = sector_prices(cfg, cfg.sectors[sector])
+    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+        table = sector_prices(cfg, cfg.sectors[sector], parsed)
         path = out / f"{sector}_prices.csv"
         write_wide_csv(table, path, date_column=cfg.date_column)
         print(f"{sector}: {table.n_dates} dates x {len(table.tickers)} tickers -> {path}")
@@ -145,12 +146,15 @@ def _enable(cfg, args, method):
     """Fit a method the config does not list, with default parameters."""
     if method not in cfg.methods:
         cfg.methods[method] = {} if args.seed is None else {"seed": args.seed}
+        cfg.validate()
 
 
 def _cmd_optimize(cfg, args):
     _enable(cfg, args, args.method)
-    for sector in _sectors(cfg, args):
-        outputs, _ = run_sector(cfg, sector, [args.method], cfg.output_dir, ["weights"])
+    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+        outputs, _ = run_sector(
+            cfg, sector, [args.method], cfg.output_dir, ["weights"], parsed
+        )
         print(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
     return EXIT_OK
 
@@ -173,8 +177,8 @@ def _cmd_backtest(cfg, args):
 
 def _cmd_frontier(cfg, args):
     _enable(cfg, args, "mvp")
-    for sector in _sectors(cfg, args):
-        outputs, _ = run_sector(cfg, sector, ["mvp"], cfg.output_dir, ["frontier"])
+    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+        outputs, _ = run_sector(cfg, sector, ["mvp"], cfg.output_dir, ["frontier"], parsed)
         path = outputs["mvp"]["frontier"]
         print(f"{sector}: {mvp_sample_count(cfg)} samples -> {path}")
     return EXIT_OK
@@ -182,8 +186,8 @@ def _cmd_frontier(cfg, args):
 
 def _cmd_dendrogram(cfg, args):
     out = Path(cfg.output_dir)
-    for sector in _sectors(cfg, args):
-        data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True)
+    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+        data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True, parsed=parsed)
         sector_dir = out / sector
         sector_dir.mkdir(parents=True, exist_ok=True)
         path = sector_dir / "dendrogram.json"

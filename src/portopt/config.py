@@ -6,7 +6,7 @@ Schema (all dates ISO YYYY-MM-DD):
     data_dir: path to per-ticker CSVs (<ticker>.csv)
     output_dir: where weights/reports/summaries are written
     train_start / train_end / test_end: study boundaries
-    sectors: {name: [tickers...]}
+    sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
     methods:
       mvp:  {n_samples: 10000, seed: 0}
       hrp:  {}
@@ -110,6 +110,13 @@ class RunConfig:
                 )
             if "seed" in params:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
+        tree_methods = [m for m in ("hrp", "herc") if m in self.methods]
+        for name, tickers in self.sectors.items():
+            if tree_methods and len(tickers) < 2:
+                raise ConfigError(
+                    f"sectors.{name}: {'/'.join(tree_methods)} clustering needs "
+                    f"at least 2 tickers, got {len(tickers)}"
+                )
         herc = self.methods.get("herc", {})
         fewest = min(len(t) for t in self.sectors.values())
         k = herc.get("k", "auto")

@@ -192,13 +192,13 @@ def _pairwise_sq_dists(points):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _euclidean_distance_matrix(points):
-    sq = _pairwise_sq_dists(points)
+def _euclidean_distance_matrix(sq):
+    """DistanceMatrix of the points whose pairwise squared distances are sq."""
     values = np.sqrt(np.maximum(sq, 0.0))
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
     scale = values.max()
-    labels = tuple(str(i) for i in range(points.shape[0]))
+    labels = tuple(str(i) for i in range(sq.shape[0]))
     # DistanceMatrix requires entries in [0, 1]; rescale (clustering shape
     # and the dispersion statistic are computed on the raw points)
     if scale > 0:
@@ -222,8 +222,8 @@ _LOG_FLOOR = 1e-12
 
 
 def _dispersion_curve(points, k_max, linkage_rule):
-    tree = agglomerate(_euclidean_distance_matrix(points), linkage_rule)
     sq = _pairwise_sq_dists(points)
+    tree = agglomerate(_euclidean_distance_matrix(sq), linkage_rule)
     return [
         math.log(max(_within_dispersion(sq, cut_k(tree, k).labels, k), _LOG_FLOOR))
         for k in range(1, k_max + 1)

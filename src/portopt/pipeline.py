@@ -7,9 +7,11 @@ the manifest and does not abort the run.  All outputs are written atomically
 (temp file + rename) and are byte-identical across reruns for fixed seeds.
 
 Every subcommand that fits a method drives run_sector with a selection of
-methods and artifacts, so each artifact has one code path.  Layers are called
-through the names this module imports, so wrapping one of those attributes
-(as bench/tracer.py does) sees every call the pipeline makes.
+methods and artifacts, so each artifact has one code path.  Every loop over
+sectors goes through iter_sectors, so each ticker CSV is parsed once per
+invocation.  Layers are called through the names this module imports, so
+wrapping one of those attributes (as bench/tracer.py does) sees every call
+the pipeline makes.
 """
 
 from __future__ import annotations
@@ -86,25 +88,49 @@ class RunManifest:
     failures: dict = field(default_factory=dict)
 
 
-def sector_prices(cfg, tickers):
-    """Load and clean the price panel for tickers over the study window."""
-    sources = {t: Path(cfg.data_dir) / f"{t}.csv" for t in tickers}
+def ticker_csv(cfg, ticker):
+    return Path(cfg.data_dir) / f"{ticker}.csv"
+
+
+def iter_sectors(cfg, sectors):
+    """Yield (sector, parsed) for each of sectors in order.
+
+    parsed is one {csv path: parsed series} mapping that every yielded
+    sector's load shares, so a ticker CSV listed by several sectors is parsed
+    once; its entry is dropped after the last of those sectors.
+    """
+    last = {t: i for i, sector in enumerate(sectors) for t in cfg.sectors[sector]}
+    parsed = {}
+    for i, sector in enumerate(sectors):
+        yield sector, parsed
+        for ticker in cfg.sectors[sector]:
+            if last[ticker] == i:
+                parsed.pop(ticker_csv(cfg, ticker), None)
+
+
+def sector_prices(cfg, tickers, parsed=None):
+    """Load and clean the price panel for tickers over the study window.
+
+    parsed is the shared mapping from iter_sectors, or None to read every CSV.
+    """
+    sources = {t: ticker_csv(cfg, t) for t in tickers}
     table = load_price_table(
         sources,
         date_column=cfg.date_column,
         close_column=cfg.close_column,
         align=cfg.align,
         require_start=cfg.train_start,
+        parsed=parsed,
     )
     return table.restrict(cfg.train_start, cfg.test_end)
 
 
-def prepare_sector(cfg, tickers, with_tree=False):
+def prepare_sector(cfg, tickers, with_tree=False, parsed=None):
     """Load prices, split train/test, and precompute shared statistics.
 
     The linkage tree is built only when with_tree is true.
     """
-    prices = sector_prices(cfg, tickers)
+    prices = sector_prices(cfg, tickers, parsed)
     train, test = split_train_test(prices, cfg.train_end)
     train_returns = daily_returns(train)
     test_returns = daily_returns(test)
@@ -170,16 +196,16 @@ def evaluate_periods(cfg, weights, data, portfolio):
     }
 
 
-def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS):
+def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS, parsed=None):
     """Fit methods on one sector and write the selected artifacts under
-    out_dir/<sector>/.
+    out_dir/<sector>/.  parsed is passed on to sector_prices.
 
     Returns (outputs, metrics): {method: {artifact: path}} and
     {period: {method label: PerfMetrics}}.  Errors propagate; the caller
     decides whether a failed sector aborts.
     """
     with_tree = any(m in TREE_METHODS for m in methods)
-    data = prepare_sector(cfg, cfg.sectors[sector], with_tree)
+    data = prepare_sector(cfg, cfg.sectors[sector], with_tree, parsed)
     sector_dir = Path(out_dir) / sector
     sector_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -238,9 +264,9 @@ def run_pipeline(cfg):
         seeds={m: method_seed(cfg, m) for m in methods},
     )
     metrics_by_period = {period: {} for period in PERIODS}
-    for sector in sorted(cfg.sectors):
+    for sector, parsed in iter_sectors(cfg, sorted(cfg.sectors)):
         try:
-            outputs, metrics = run_sector(cfg, sector, methods, out_root)
+            outputs, metrics = run_sector(cfg, sector, methods, out_root, parsed=parsed)
         except SECTOR_ERRORS as exc:
             manifest.failures[sector] = str(exc)
             continue

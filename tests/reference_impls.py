@@ -66,6 +66,32 @@ def naive_cut(tree, k):
     return {frozenset(m) for m in members.values()}
 
 
+def naive_align(per_ticker, align):
+    """Align {ticker: {date: close}} series the dict way: intersect keeps the
+    dates every ticker has, ffill keeps the union and carries the last close
+    forward.  Returns (dates, closes) with one column per ticker in order.
+    """
+    if align == "intersect":
+        common = None
+        for series in per_ticker.values():
+            keys = set(series)
+            common = keys if common is None else common & keys
+        dates = sorted(common)
+    else:
+        union = set()
+        for series in per_ticker.values():
+            union |= set(series)
+        dates = sorted(union)
+    closes = np.empty((len(dates), len(per_ticker)))
+    for j, series in enumerate(per_ticker.values()):
+        last = None
+        for i, date in enumerate(dates):
+            if date in series:
+                last = series[date]
+            closes[i, j] = last
+    return tuple(dates), closes
+
+
 def random_distance_matrix(rng, n):
     m = rng.random((n, n))
     values = (m + m.T) / 2.0

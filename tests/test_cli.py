@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from portopt import market_data
 from portopt.allocators import read_weights_csv
 from portopt.cli import main
+from portopt.config import load_config
+from portopt.pipeline import iter_sectors, run_pipeline, sector_prices
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +94,82 @@ class TestSharedPipeline:
         assert not list(tmp_path.rglob("*.tmp"))
 
 
+def _add_shared_sector(fixture_copy):
+    """Add a third sector that shares AAA and AAB with alpha and BBA with beta."""
+    config = fixture_copy / "config.yaml"
+    config.write_text(
+        config.read_text().replace(
+            "beta: [BBA, BBB, BBC]", "beta: [BBA, BBB, BBC]\n  mixed: [AAA, BBA, AAB]"
+        ),
+        encoding="utf-8",
+    )
+
+
+class TestParseOnce:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        original = market_data._read_close_series
+
+        def counting(path, *args):
+            calls.append(str(path))
+            return original(path, *args)
+
+        monkeypatch.setattr(market_data, "_read_close_series", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["ingest"],
+            ["dendrogram"],
+            ["optimize", "--method", "hrp"],
+            ["frontier"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_each_ticker_csv_is_read_once(self, fixture_copy, tmp_path, reads, argv):
+        _add_shared_sector(fixture_copy)
+        code = main([argv[0], *_cfg(fixture_copy), "--out", str(tmp_path / "out"), *argv[1:]])
+        assert code == 0
+        data = fixture_copy / "data"
+        tickers = ("AAA", "AAB", "AAC", "BBA", "BBB", "BBC")
+        assert sorted(reads) == sorted(str(data / f"{t}.csv") for t in tickers)
+
+    def test_run_pipeline_reads_each_csv_once(self, fixture_copy, tmp_path, reads):
+        _add_shared_sector(fixture_copy)
+        cfg = load_config(fixture_copy / "config.yaml")
+        cfg.output_dir = tmp_path / "out"
+        manifest = run_pipeline(cfg)
+        assert set(manifest.outputs) == {"alpha", "beta", "mixed"}
+        assert len(reads) == len(set(reads)) == 6
+
+    def test_iter_sectors_drops_a_ticker_after_its_last_sector(self, fixture_copy):
+        _add_shared_sector(fixture_copy)
+        cfg = load_config(fixture_copy / "config.yaml")
+        held = []
+        for sector, parsed in iter_sectors(cfg, ["alpha", "mixed", "beta"]):
+            sector_prices(cfg, cfg.sectors[sector], parsed)
+            held.append(sorted(Path(p).stem for p in parsed))
+        assert held == [["AAA", "AAB", "AAC"], ["AAA", "AAB", "BBA"], ["BBA", "BBB", "BBC"]]
+        assert parsed == {}
+
+    def test_broken_csv_fails_every_sector_that_lists_it(self, fixture_copy, tmp_path, reads):
+        _add_shared_sector(fixture_copy)
+        path = fixture_copy / "data" / "BBA.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].split(",")[0] + ",oops"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", *_cfg(fixture_copy), "--out", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        message = f"{path}: line 3, column 'Close': unparsable price 'oops'"
+        assert manifest["failures"] == {"beta": message, "mixed": message}
+        assert set(manifest["outputs"]) == {"alpha"}
+        assert reads.count(str(path)) == 2
+
+
 class TestExitCodes:
     def test_no_config_exits_1(self, capsys):
         assert main(["run"]) == 1
@@ -121,6 +201,17 @@ class TestExitCodes:
         )
         assert code == 1
         assert "gamma" in capsys.readouterr().err
+
+    def test_enabled_tree_method_needs_two_tickers(self, fixture_copy, tmp_path, capsys):
+        config = fixture_copy / "config.yaml"
+        text = config.read_text().replace("alpha: [AAA, AAB, AAC]", "alpha: [AAA]")
+        config.write_text(text.split("  hrp: {}")[0], encoding="utf-8")
+        assert main(["frontier", *_cfg(fixture_copy), "--out", str(tmp_path)]) == 0
+        code = main(
+            ["optimize", *_cfg(fixture_copy), "--out", str(tmp_path), "--method", "hrp"]
+        )
+        assert code == 1
+        assert "sectors.alpha" in capsys.readouterr().err
 
     def test_missing_data_exits_2(self, fixture_copy, tmp_path, capsys):
         config = fixture_copy / "config.yaml"

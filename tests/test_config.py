@@ -119,6 +119,12 @@ class TestLoadConfig:
             ("test_end", "methods:\n  herc: {k: 3}\ntest_end", "methods.herc.k"),  # sector has 2
             ("test_end", "methods:\n  herc: {k: 99}\ntest_end", "methods.herc.k"),
             ("alpha: [AAA, AAB]", "alpha: [AAA, AAB, AAA]", "sectors.alpha"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, AAB]\n  solo: [AAC]", "sectors.solo"),
+            (
+                "alpha: [AAA, AAB]",
+                "alpha: [AAA, AAB]\n  solo: [AAC]\nmethods: [mvp, hrp]",
+                "sectors.solo",
+            ),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):
@@ -131,6 +137,11 @@ class TestLoadConfig:
         bad = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: []")
         with pytest.raises(ConfigError, match="sectors.alpha"):
             load_config(_write(tmp_path, bad))
+
+    def test_mvp_only_accepts_one_ticker_sector(self, tmp_path):
+        text = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: [AAA, AAB]\n  solo: [AAC]")
+        cfg = load_config(_write(tmp_path, text + "methods: [mvp]\n"))
+        assert cfg.sectors["solo"] == ["AAC"]
 
     def test_needs_a_multi_ticker_sector(self, tmp_path):
         bad = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: [AAA]")

@@ -11,6 +11,7 @@ from portopt.market_data import (
     split_train_test,
     write_wide_csv,
 )
+from reference_impls import naive_align
 
 
 def _write_csv(path, rows, header="Date,Close"):
@@ -60,6 +61,34 @@ class TestLoadPriceTable:
             assert ffill.tickers == intersect.tickers
             np.testing.assert_array_equal(ffill.closes, intersect.closes)
 
+    def test_alignment_matches_naive_reference(self, tmp_path):
+        # gapped series sharing a first day (so ffill accepts them), rows
+        # written in shuffled order; both modes must agree bit for bit
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            sources, per_ticker = {}, {}
+            for j in range(int(rng.integers(1, 7))):
+                keep = rng.random(80) < rng.uniform(0.3, 0.95)
+                keep[0] = True
+                days = np.flatnonzero(keep)
+                closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, len(days))))
+                series = {
+                    dt.date(2021, 1, 1) + dt.timedelta(days=int(d)): c
+                    for d, c in zip(days, closes.tolist())
+                }
+                rows = [f"{d.isoformat()},{c!r}" for d, c in series.items()]
+                path = tmp_path / f"T{trial}_{j}.csv"
+                _write_csv(path, [rows[i] for i in rng.permutation(len(rows))])
+                sources[f"T{j}"] = path
+                per_ticker[f"T{j}"] = series
+            for align in ("intersect", "ffill"):
+                dates, closes = naive_align(per_ticker, align)
+                table = load_price_table(sources, align=align)
+                assert table.dates == dates
+                assert table.tickers == tuple(per_ticker)
+                assert table.closes.shape == closes.shape
+                assert np.array_equal(table.closes.view(np.uint64), closes.view(np.uint64))
+
     def test_ffill_rejects_ticker_starting_late(self, tmp_path):
         _write_csv(tmp_path / "A.csv", ["2021-01-01,10", "2021-01-02,11"])
         _write_csv(tmp_path / "B.csv", ["2021-01-02,20"])
@@ -87,6 +116,46 @@ class TestLoadPriceTable:
         path = tmp_path / "A.csv"
         _write_csv(path, ["2021-01-01,10", "2021-01-01,11"])
         with pytest.raises(DataError, match=r"A\.csv: line 3"):
+            load_price_table({"A": path})
+
+    def test_duplicate_date_line_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "A.csv"
+        _write_csv(path, ["2021-01-03,10", "", "2021-01-01,11", "2021-01-03,12", "2021-01-01,13"])
+        with pytest.raises(DataError, match=r"A\.csv: line 5: duplicate date 2021-01-03"):
+            load_price_table({"A": path})
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "A.csv"
+        _write_csv(path, ["2021-01-01,10", "", "2021-01-02,11"])
+        table = load_price_table({"A": path})
+        assert table.dates == (D[0], D[1])
+        assert table.closes[:, 0].tolist() == [10.0, 11.0]
+
+    def test_short_row_reads_missing_price_as_none(self, tmp_path):
+        path = tmp_path / "A.csv"
+        _write_csv(path, ["2021-01-01,10", "2021-01-02"])
+        with pytest.raises(
+            DataError, match=r"A\.csv: line 3, column 'Close': unparsable price None$"
+        ):
+            load_price_table({"A": path})
+
+    def test_repeated_header_column_uses_the_last(self, tmp_path):
+        path = tmp_path / "A.csv"
+        _write_csv(path, ["2021-01-01,10,20", "2021-01-02,11,21"], header="Date,Close,Close")
+        table = load_price_table({"A": path})
+        assert table.closes[:, 0].tolist() == [20.0, 21.0]
+
+    def test_rows_out_of_date_order_load_sorted(self, tmp_path):
+        path = tmp_path / "A.csv"
+        _write_csv(path, ["2021-01-03,12", "2021-01-01,10", "2021-01-02,11"])
+        table = load_price_table({"A": path})
+        assert table.dates == (D[0], D[1], D[2])
+        assert table.closes[:, 0].tolist() == [10.0, 11.0, 12.0]
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "A.csv"
+        _write_csv(path, [])
+        with pytest.raises(DataError, match=r"A\.csv: no data rows"):
             load_price_table({"A": path})
 
     def test_bad_price_error_names_column(self, tmp_path):
