@@ -185,8 +185,10 @@ def _cmd_frontier(cfg, args):
 
 
 def _cmd_dendrogram(cfg, args):
+    sectors = _sectors(cfg, args)
+    cfg.check_clusterable(sectors, "dendrogram")
     out = Path(cfg.output_dir)
-    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+    for sector, parsed in iter_sectors(cfg, sectors):
         data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True, parsed=parsed)
         sector_dir = out / sector
         sector_dir.mkdir(parents=True, exist_ok=True)

@@ -111,12 +111,8 @@ class RunConfig:
             if "seed" in params:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
         tree_methods = [m for m in ("hrp", "herc") if m in self.methods]
-        for name, tickers in self.sectors.items():
-            if tree_methods and len(tickers) < 2:
-                raise ConfigError(
-                    f"sectors.{name}: {'/'.join(tree_methods)} clustering needs "
-                    f"at least 2 tickers, got {len(tickers)}"
-                )
+        if tree_methods:
+            self.check_clusterable(self.sectors, "/".join(tree_methods))
         herc = self.methods.get("herc", {})
         fewest = min(len(t) for t in self.sectors.values())
         k = herc.get("k", "auto")
@@ -147,6 +143,16 @@ class RunConfig:
             raise ConfigError(f"risk_free_rate: expected a finite number, got {rate!r}")
         self.risk_free_rate = float(rate)
         return self
+
+    def check_clusterable(self, sectors, what):
+        """Reject, by name, any of these sectors with too few tickers for the
+        linkage tree that `what` needs."""
+        for name in sectors:
+            count = len(self.sectors[name])
+            if count < 2:
+                raise ConfigError(
+                    f"sectors.{name}: {what} clustering needs at least 2 tickers, got {count}"
+                )
 
     def echo(self):
         """JSON-ready copy of the configuration, for the run manifest."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from portopt.riskstats import DistanceMatrix, corr_to_distance, correlation
+from portopt.riskstats import check_distances, corr_to_distance, correlation
 
 LINKAGE_RULES = ("ward", "single")
 
@@ -110,6 +110,55 @@ def _py_square(x):
     return np.power(x.astype(object), 2).astype(float)
 
 
+def _lance_williams(dist, linkage_rule):
+    """Merge histories of a (batch, n, n) stack of distance matrices.
+
+    Each slice keeps one symmetric matrix indexed by node id; the diagonal,
+    retired nodes and nodes not yet formed hold inf, so the slice's
+    row-major argmin is its lowest (height, left, right) pair.  Returns
+    (batch, n-1) arrays of left ids, right ids, heights and sizes.
+    """
+    batch, n = dist.shape[:2]
+    size = 2 * n - 1
+    rows = np.arange(batch)
+    d = np.full((batch, size, size), np.inf)
+    i, j = np.triu_indices(n, 1)
+    d[:, i, j] = d[:, j, i] = dist[:, i, j]
+    sizes = np.ones((batch, size), dtype=int)
+    left = np.empty((batch, n - 1), dtype=int)
+    right = np.empty((batch, n - 1), dtype=int)
+    height = np.empty((batch, n - 1))
+
+    for step in range(n - 1):
+        a, b = np.divmod(d.reshape(batch, -1).argmin(axis=1), size)
+        h = d[rows, a, b]
+        node = n + step
+        sa, sb = sizes[rows, a], sizes[rows, b]
+        da, db = d[rows, a], d[rows, b]
+        active = np.isfinite(da + db)  # live nodes other than a, b
+        new = np.full((batch, size), np.inf)
+        if linkage_rule == "ward":
+            # the one-matrix recurrence, elementwise over every slice's
+            # active entries, so each slice keeps its own bits
+            at, sk = np.nonzero(active)[0], sizes[active]
+            sa_k, sb_k = sa[at], sb[at]
+            ward2 = (
+                (sa_k + sk) * _py_square(da[active])
+                + (sb_k + sk) * _py_square(db[active])
+                - sk * _py_square(h)[at]
+            ) / (sa_k + sb_k + sk)
+            new[active] = np.sqrt(np.maximum(ward2, 0.0))
+        else:
+            new[active] = np.minimum(da[active], db[active])
+        d[:, node] = d[:, :, node] = new
+        d[rows, a] = d[rows, b] = np.inf
+        d[rows, :, a] = d[rows, :, b] = np.inf
+        sizes[:, node] = sa + sb
+        left[:, step], right[:, step], height[:, step] = a, b, h
+
+    return left, right, height, sizes[:, n:]
+
+
 def agglomerate(dist, linkage_rule="ward"):
     """Cluster a DistanceMatrix bottom-up under ward or single linkage.
 
@@ -121,35 +170,10 @@ def agglomerate(dist, linkage_rule="ward"):
     n = len(dist.tickers)
     if n < 2:
         raise ClusterError("need at least 2 items to cluster")
-
-    # one symmetric matrix indexed by node id; the diagonal and retired nodes
-    # hold inf, so the row-major argmin is the lowest (height, left, right)
-    size = 2 * n - 1
-    d = np.full((size, size), np.inf)
-    iu = np.triu_indices(n, 1)
-    d[iu] = d[iu[::-1]] = dist.values[iu]
-    sizes = np.ones(size, dtype=int)
-    merges = []
-
-    for step in range(n - 1):
-        a, b = divmod(int(np.argmin(d)), size)
-        height = float(d[a, b])
-        node = n + step
-        sa, sb = int(sizes[a]), int(sizes[b])
-        ks = np.flatnonzero(np.isfinite(d[a] + d[b]))  # active nodes other than a, b
-        if linkage_rule == "ward":
-            sk = sizes[ks]
-            dak2, dbk2 = _py_square(d[a, ks]), _py_square(d[b, ks])
-            ward2 = ((sa + sk) * dak2 + (sb + sk) * dbk2 - sk * height**2) / (sa + sb + sk)
-            new = np.sqrt(np.maximum(ward2, 0.0))
-        else:
-            new = np.minimum(d[a, ks], d[b, ks])
-        d[ks, node] = d[node, ks] = new
-        d[[a, b], :] = d[:, [a, b]] = np.inf
-        sizes[node] = sa + sb
-        merges.append(Merge(a, b, height, sa + sb))
-
-    return LinkageTree(n, tuple(merges))
+    left, right, height, size = (
+        column[0].tolist() for column in _lance_williams(dist.values[None], linkage_rule)
+    )
+    return LinkageTree(n, tuple(map(Merge, left, right, height, size)))
 
 
 def quasi_diagonalize(tree):
@@ -187,47 +211,107 @@ def cut_k(tree, k):
     return ClusterAssignment(k, tuple(labels))
 
 
+# bytes of node-id matrices the gap statistic clusters in one batch
+_BATCH_BYTES = 1 << 20
+_LOG_FLOOR = 1e-12
+
+
 def _pairwise_sq_dists(points):
     diff = points[:, None, :] - points[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _euclidean_distance_matrix(sq):
-    """DistanceMatrix of the points whose pairwise squared distances are sq."""
+def _unit_distances(sq):
+    """Euclidean distances of each squared-distance slice, symmetrised and
+    scaled into [0, 1] (clustering shape is scale-free; the dispersion
+    statistic uses the raw squared distances)."""
     values = np.sqrt(np.maximum(sq, 0.0))
-    values = (values + values.T) / 2.0
-    np.fill_diagonal(values, 0.0)
-    scale = values.max()
-    labels = tuple(str(i) for i in range(sq.shape[0]))
-    # DistanceMatrix requires entries in [0, 1]; rescale (clustering shape
-    # and the dispersion statistic are computed on the raw points)
-    if scale > 0:
-        values = values / scale
-    return DistanceMatrix(labels, values)
+    values = (values + values.swapaxes(1, 2)) / 2.0
+    diag = np.arange(sq.shape[1])
+    values[:, diag, diag] = 0.0
+    scale = values.max(axis=(1, 2))
+    values /= np.where(scale > 0, scale, 1.0)[:, None, None]
+    check_distances(values)
+    return values
 
 
-def _within_dispersion(sq_dists, labels, k):
-    """Tibshirani W_k: sum over clusters of pairwise squared distances / (2 n_r)."""
-    total = 0.0
-    for label in range(k):
-        members = [i for i, l in enumerate(labels) if l == label]
-        if len(members) < 2:
-            continue
-        idx = np.ix_(members, members)
-        total += sq_dists[idx].sum() / (2.0 * len(members))
-    return total
+def _check_merges(left, right, height):
+    """LinkageTree's checks on a stack of merge histories: finite heights
+    >= 0, and every node but the root a child once, of a later node."""
+    n = left.shape[1] + 1
+    if not np.all(np.isfinite(height) & (height >= 0.0)):
+        raise ClusterError("merge history has an invalid height")
+    node = np.arange(n, 2 * n - 1)
+    children = np.sort(np.concatenate([left, right], axis=1), axis=1)
+    if np.any(left >= node) or np.any(right >= node) or np.any(children != np.arange(2 * n - 2)):
+        raise ClusterError("merge history does not use each node once as a child")
 
 
-_LOG_FLOOR = 1e-12
+def _log_w_curves(sets, k_hi, linkage_rule):
+    """log W_k for k = 1..k_hi of each point set in a (batch, n, p) stack.
+
+    Tibshirani's W_k sums, over the k clusters of the tree cut in cut_k's
+    label order, each cluster's pairwise squared distances over 2 n_r.  Every
+    cluster is a merge node (singletons add nothing), so each node's term is
+    computed once, from its members in ascending order.
+    """
+    batch, n = sets.shape[:2]
+    sq = np.stack([_pairwise_sq_dists(points) for points in sets])
+    left, right, height, _ = _lance_williams(_unit_distances(sq), linkage_rule)
+    _check_merges(left, right, height)
+    rows = np.arange(batch)
+    members = np.zeros((batch, 2 * n - 1, n), dtype=bool)
+    members[:, np.arange(n), np.arange(n)] = True
+    for step in range(n - 1):
+        members[:, n + step] = members[rows, left[:, step]] | members[rows, right[:, step]]
+
+    curves = np.empty((batch, k_hi))
+    for s in range(batch):
+        lefts, rights = left[s].tolist(), right[s].tolist()
+        terms = {}
+        clusters = [2 * n - 2]
+        for k in range(1, k_hi + 1):
+            if k > 1:
+                # cut k also expands node 2n-k; splitting it in place keeps
+                # the clusters in leaf order
+                at = clusters.index(2 * n - k)
+                clusters[at : at + 1] = lefts[n - k], rights[n - k]
+            total = 0.0
+            for node in clusters:
+                if node >= n:
+                    if node not in terms:
+                        m = np.flatnonzero(members[s, node])
+                        terms[node] = sq[s][np.ix_(m, m)].sum() / (2.0 * len(m))
+                    total += terms[node]
+            curves[s, k - 1] = math.log(max(total, _LOG_FLOOR))
+    return curves
 
 
-def _dispersion_curve(points, k_max, linkage_rule):
-    sq = _pairwise_sq_dists(points)
-    tree = agglomerate(_euclidean_distance_matrix(sq), linkage_rule)
-    return [
-        math.log(max(_within_dispersion(sq, cut_k(tree, k).labels, k), _LOG_FLOOR))
-        for k in range(1, k_max + 1)
-    ]
+def _gap_curves(points, k_hi, b_refs, seed, linkage_rule):
+    """log W_k curves, k = 1..k_hi: row 0 for the observed points, row b for
+    reference set b.
+
+    Reference sets are drawn uniformly over each column's observed range,
+    each from its own SeedSequence child, when its batch is clustered.
+    Batches hold as many sets as fit _BATCH_BYTES of node-id matrices.
+    """
+    n = points.shape[0]
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    streams = np.random.SeedSequence(seed).spawn(b_refs)
+
+    def point_set(i):
+        if i == 0:
+            return points
+        return lo + np.random.default_rng(streams[i - 1]).random(points.shape) * span
+
+    per_batch = max(1, _BATCH_BYTES // (8 * (2 * n - 1) ** 2))
+    curves = np.empty((b_refs + 1, k_hi))
+    for start in range(0, b_refs + 1, per_batch):
+        stop = min(start + per_batch, b_refs + 1)
+        sets = np.stack([point_set(i) for i in range(start, stop)])
+        curves[start:stop] = _log_w_curves(sets, k_hi, linkage_rule)
+    return curves
 
 
 def gap_optimal_k(r, k_max=None, b_refs=100, seed=0, linkage_rule="ward"):
@@ -247,24 +331,17 @@ def gap_optimal_k(r, k_max=None, b_refs=100, seed=0, linkage_rule="ward"):
         raise ClusterError(f"k_max={k_max} out of range 1..{n}")
     if b_refs < 1:
         raise ClusterError("b_refs must be at least 1")
+    if linkage_rule not in LINKAGE_RULES:
+        raise ClusterError(f"unknown linkage rule {linkage_rule!r}")
     if k_max == 1:
         return 1
 
     points = np.asarray(corr_to_distance(correlation(r)).values, dtype=float)
     # evaluate one k past k_max so the stopping rule can assess k = k_max
     k_hi = min(k_max + 1, n)
-    log_w = _dispersion_curve(points, k_hi, linkage_rule)
-
-    lo, hi = points.min(axis=0), points.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    streams = np.random.SeedSequence(seed).spawn(b_refs)
-    ref_logs = np.empty((b_refs, k_hi))
-    for b, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        sample = lo + rng.random((n, points.shape[1])) * span
-        ref_logs[b] = _dispersion_curve(sample, k_hi, linkage_rule)
-
-    gap = ref_logs.mean(axis=0) - np.asarray(log_w)
+    log_w = _gap_curves(points, k_hi, b_refs, seed, linkage_rule)
+    ref_logs = log_w[1:]
+    gap = ref_logs.mean(axis=0) - log_w[0]
     s = ref_logs.std(axis=0, ddof=0) * math.sqrt(1.0 + 1.0 / b_refs)
     for k in range(1, k_hi):
         if gap[k - 1] >= gap[k] - s[k]:

@@ -96,6 +96,21 @@ class CorrMatrix:
         object.__setattr__(self, "values", values)
 
 
+def check_distances(values):
+    """Raise StatsError unless values, one (n, n) matrix or a stack of them
+    along the leading axes, is finite and symmetric with a zero diagonal and
+    entries in [0, 1]."""
+    if not np.all(np.isfinite(values)):
+        raise StatsError("distance matrix contains non-finite entries")
+    if values.size:
+        if np.max(np.abs(values - np.swapaxes(values, -1, -2))) > _SYM_TOL:
+            raise StatsError(f"distance matrix is not symmetric to {_SYM_TOL}")
+        if np.max(np.abs(np.diagonal(values, axis1=-2, axis2=-1))) > _SYM_TOL:
+            raise StatsError("distance diagonal must be 0")
+        if np.min(values) < -_SYM_TOL or np.max(values) > 1.0 + _SYM_TOL:
+            raise StatsError("distances must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class DistanceMatrix:
     """Correlation-distance matrix: zero diagonal, entries in [0, 1]."""
@@ -107,11 +122,7 @@ class DistanceMatrix:
         values = _as_symmetric(self.values, "distance matrix")
         if values.shape[0] != len(self.tickers):
             raise StatsError("distance matrix does not match ticker count")
-        if values.size:
-            if np.max(np.abs(np.diag(values))) > _SYM_TOL:
-                raise StatsError("distance diagonal must be 0")
-            if np.min(values) < -_SYM_TOL or np.max(values) > 1.0 + _SYM_TOL:
-                raise StatsError("distances must lie in [0, 1]")
+        check_distances(values)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "values", values)
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from portopt.hierclust import LinkageTree, Merge
+from portopt.hierclust import LinkageTree, Merge, cut_k
 from portopt.market_data import ReturnMatrix
 from portopt.riskstats import CovMatrix, DistanceMatrix
 
@@ -64,6 +64,43 @@ def naive_cut(tree, k):
     for step, merge in enumerate(tree.merges[: n - k]):
         members[n + step] = members.pop(merge.left) + members.pop(merge.right)
     return {frozenset(m) for m in members.values()}
+
+
+def naive_log_w_curve(points, k_hi, rule):
+    """Gap-statistic log W_k, k = 1..k_hi, one tree at a time: euclidean
+    distances rescaled into [0, 1], the naive_linkage tree, cut_k labels, and
+    W_k summed directly over each label's members in ascending order."""
+    diff = points[:, None, :] - points[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    values = np.sqrt(np.maximum(sq, 0.0))
+    values = (values + values.T) / 2.0
+    np.fill_diagonal(values, 0.0)
+    scale = values.max()
+    if scale > 0:
+        values = values / scale
+    tree = LinkageTree(len(points), tuple(Merge(*m) for m in naive_linkage(values, rule)))
+    curve = []
+    for k in range(1, k_hi + 1):
+        labels = cut_k(tree, k).labels
+        total = 0.0
+        for label in range(k):
+            members = [i for i, l in enumerate(labels) if l == label]
+            if len(members) >= 2:
+                total += sq[np.ix_(members, members)].sum() / (2.0 * len(members))
+        curve.append(math.log(max(total, 1e-12)))
+    return curve
+
+
+def naive_gap_curves(points, k_hi, b_refs, seed, rule):
+    """naive_log_w_curve of the observed points (row 0) and of b_refs
+    reference sets drawn uniformly over each column's range, reference b
+    from the b-th child of SeedSequence(seed)."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    sets = [points]
+    for stream in np.random.SeedSequence(seed).spawn(b_refs):
+        sets.append(lo + np.random.default_rng(stream).random(points.shape) * span)
+    return np.array([naive_log_w_curve(p, k_hi, rule) for p in sets])
 
 
 def naive_align(per_ticker, align):

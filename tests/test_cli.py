@@ -213,6 +213,18 @@ class TestExitCodes:
         assert code == 1
         assert "sectors.alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("only_alpha", [False, True])
+    def test_dendrogram_needs_two_tickers(self, fixture_copy, tmp_path, capsys, only_alpha):
+        config = fixture_copy / "config.yaml"
+        text = config.read_text().replace("alpha: [AAA, AAB, AAC]", "alpha: [AAA]")
+        config.write_text(text.split("  hrp: {}")[0], encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["dendrogram", *_cfg(fixture_copy), "--out", str(out)]
+        code = main(argv + ["--sector", "alpha"] if only_alpha else argv)
+        assert code == 1
+        assert "sectors.alpha: dendrogram clustering needs at least 2 tickers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_exits_2(self, fixture_copy, tmp_path, capsys):
         config = fixture_copy / "config.yaml"
         config.write_text(

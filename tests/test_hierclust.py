@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from portopt import hierclust
 from portopt.hierclust import (
     ClusterError,
     LinkageTree,
@@ -17,7 +19,9 @@ from portopt.hierclust import (
 from portopt.riskstats import DistanceMatrix, corr_to_distance, correlation
 from reference_impls import (
     block_return_panel,
+    make_returns,
     naive_cut,
+    naive_gap_curves,
     naive_linkage,
     random_distance_matrix,
     random_tree,
@@ -194,6 +198,69 @@ class TestGapOptimalK:
         r = block_return_panel(0, n_blocks=2, per_block=2, t=50)
         with pytest.raises(ClusterError, match="k_max"):
             gap_optimal_k(r, k_max=9)
+
+
+def _factor_panel(seed, n, t=120):
+    """Returns of n assets loading on a few common factors."""
+    rng = np.random.default_rng(seed)
+    n_factors = int(rng.integers(1, 5))
+    factors = rng.standard_normal((t, n_factors))
+    loading = rng.integers(0, n_factors, n)
+    noise = rng.standard_normal((t, n))
+    return make_returns(0.01 * (factors[:, loading] * rng.random(n) + noise))
+
+
+def _embedding(r):
+    return np.asarray(corr_to_distance(correlation(r)).values, dtype=float)
+
+
+class TestGapCurves:
+    """The batched gap path against one tree per point set, bit for bit."""
+
+    @pytest.mark.parametrize("rule", ["ward", "single"])
+    def test_curves_and_k_match_naive_oracle(self, rule, monkeypatch):
+        for i in range(40):
+            n = 2 + i % 24
+            b_refs = 1 if i % 5 == 0 else 2 + i % 3
+            r = _factor_panel(i, n)
+            k_max = min(n, 10)
+            k_hi = min(k_max + 1, n)
+            expected = naive_gap_curves(_embedding(r), k_hi, b_refs, i, rule)
+            got = hierclust._gap_curves(_embedding(r), k_hi, b_refs, i, rule)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (i, n)
+            k = gap_optimal_k(r, k_max=k_max, b_refs=b_refs, seed=i, linkage_rule=rule)
+            with monkeypatch.context() as m:
+                m.setattr(hierclust, "_gap_curves", lambda *args: expected)
+                assert gap_optimal_k(r, k_max=k_max, b_refs=b_refs, seed=i, linkage_rule=rule) == k
+
+    @pytest.mark.parametrize("n", [4, 13, 25])
+    def test_batch_size_does_not_change_curves(self, n, monkeypatch):
+        # 8 sets: batches of 1, of 3 (3 + 3 + 2) and of all 8
+        points = _embedding(_factor_panel(n, n))
+        matrix_bytes = 8 * (2 * n - 1) ** 2
+        for rule in ("ward", "single"):
+            default = hierclust._gap_curves(points, min(11, n), 7, 5, rule)
+            for per_batch in (1, 3, 8):
+                monkeypatch.setattr(hierclust, "_BATCH_BYTES", per_batch * matrix_bytes)
+                got = hierclust._gap_curves(points, min(11, n), 7, 5, rule)
+                assert np.array_equal(got.view(np.int64), default.view(np.int64))
+            monkeypatch.undo()
+
+    def test_memory_stays_bounded_on_a_wide_sector(self):
+        # the whole stack of 101 node-id matrices at n = 72 would take ~30 MB
+        r = block_return_panel(0, n_blocks=8, per_block=9, t=250)
+        tracemalloc.start()
+        try:
+            gap_optimal_k(r, b_refs=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ClusterError, match="linkage rule"):
+            gap_optimal_k(block_return_panel(0), linkage_rule="average")
 
 
 class TestDendrogramExport:
