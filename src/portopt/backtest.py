@@ -8,12 +8,13 @@ moving with relative prices) is not modeled.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from portopt._io import write_json
+from portopt._io import write_text
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
@@ -192,5 +193,49 @@ def report_to_dict(report):
     }
 
 
-def write_report_json(report, path):
-    write_json(path, report_to_dict(report))
+def render_report_json(report, date_blocks=None):
+    """report_to_dict(report) in write_json's layout (indent 2, sorted keys,
+    trailing newline), joined from float.__repr__ of the series (json's text
+    for a finite float) and a rendered block of ISO dates.
+
+    date_blocks is an optional caller-owned {dates: block} mapping, so
+    reports over the same dates render them once.  An empty or non-finite
+    series goes through json.dumps.
+    """
+    series = report.cumulative_series
+    if series.size == 0 or not np.isfinite(series).all():
+        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    if date_blocks is None:
+        date_blocks = {}
+    dates = date_blocks.get(report.dates)
+    if dates is None:
+        dates = date_blocks[report.dates] = ",\n    ".join(
+            f'"{d.isoformat()}"' for d in report.dates
+        )
+    m = report.metrics
+    metrics = (
+        ("annual_return", m.annual_return),
+        ("annual_volatility", m.annual_volatility),
+        ("risk_free_rate", m.risk_free_rate),
+        ("sharpe", m.sharpe),
+    )
+    return "".join(
+        [
+            '{\n  "cumulative_series": [\n    ',
+            ",\n    ".join(map(float.__repr__, series.tolist())),
+            '\n  ],\n  "dates": [\n    ',
+            dates,
+            '\n  ],\n  "metrics": {\n    ',
+            ",\n    ".join(f'"{k}": {json.dumps(v)}' for k, v in metrics),
+            '\n  },\n  "period": ',
+            json.dumps(report.period),
+            ',\n  "portfolio": ',
+            json.dumps(report.portfolio),
+            "\n}\n",
+        ]
+    )
+
+
+def write_report_json(report, path, date_blocks=None):
+    """Write render_report_json(report, date_blocks) to path atomically."""
+    write_text(path, render_report_json(report, date_blocks))

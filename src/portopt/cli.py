@@ -160,12 +160,16 @@ def _cmd_optimize(cfg, args):
 
 
 def _cmd_backtest(cfg, args):
+    # the label names the report files, so it must stay one path component
+    label = args.label
+    if label in ("", ".", "..") or "/" in label or os.sep in label:
+        raise ConfigError(f"--label: expected a file name part without '/', got {label!r}")
     weights = read_weights_csv(args.weights)
     data = prepare_sector(cfg, weights.tickers)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for period, report in evaluate_periods(cfg, weights, data, args.label).items():
-        path = out / f"{args.label}_{period}_report.json"
+    for period, report in evaluate_periods(cfg, weights, data, label).items():
+        path = out / f"{label}_{period}_report.json"
         write_report_json(report, path)
         sharpe = "undefined" if report.metrics.sharpe is None else f"{report.metrics.sharpe:.4f}"
         print(

@@ -106,8 +106,9 @@ class ClusterAssignment:
 
 def _py_square(x):
     """x**2 elementwise with the bits of Python's float power (libm pow),
-    which can differ from x * x in the last place."""
-    return np.power(x.astype(object), 2).astype(float)
+    which can differ from x * x in the last place.  The exponent stays a
+    scalar: an array exponent takes numpy's SIMD pow, whose bits differ."""
+    return np.float_power(x, 2.0)
 
 
 def _lance_williams(dist, linkage_rule):
@@ -216,9 +217,18 @@ _BATCH_BYTES = 1 << 20
 _LOG_FLOOR = 1e-12
 
 
-def _pairwise_sq_dists(points):
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+def _pairwise_sq_dists(sets):
+    """Squared euclidean distances within each point set of a (batch, n, p)
+    stack.  Only the upper triangle is computed, one row at a time; float
+    subtraction is exactly antisymmetric, so the mirrored lower half is too."""
+    batch, n = sets.shape[:2]
+    sq = np.zeros((batch, n, n))
+    for i in range(n - 1):
+        diff = sets[:, i + 1 :] - sets[:, i, None]
+        sq[:, i, i + 1 :] = np.einsum("bjk,bjk->bj", diff, diff)
+    i, j = np.triu_indices(n, 1)
+    sq[:, j, i] = sq[:, i, j]
+    return sq
 
 
 def _unit_distances(sq):
@@ -251,40 +261,56 @@ def _log_w_curves(sets, k_hi, linkage_rule):
     """log W_k for k = 1..k_hi of each point set in a (batch, n, p) stack.
 
     Tibshirani's W_k sums, over the k clusters of the tree cut in cut_k's
-    label order, each cluster's pairwise squared distances over 2 n_r.  Every
-    cluster is a merge node (singletons add nothing), so each node's term is
-    computed once, from its members in ascending order.
+    label order, each cluster's pairwise squared distances over 2 n_r.  The
+    clusters of cuts 1..k_hi are the root and the children of the top k_hi-1
+    merges; each one's term is computed once, from its members in ascending
+    order, together with every other cluster of the same size.
     """
     batch, n = sets.shape[:2]
-    sq = np.stack([_pairwise_sq_dists(points) for points in sets])
-    left, right, height, _ = _lance_williams(_unit_distances(sq), linkage_rule)
+    sq = _pairwise_sq_dists(sets)
+    left, right, height, merge_sizes = _lance_williams(_unit_distances(sq), linkage_rule)
     _check_merges(left, right, height)
     rows = np.arange(batch)
     members = np.zeros((batch, 2 * n - 1, n), dtype=bool)
     members[:, np.arange(n), np.arange(n)] = True
     for step in range(n - 1):
         members[:, n + step] = members[rows, left[:, step]] | members[rows, right[:, step]]
+    sizes = np.concatenate([np.ones((batch, n), dtype=int), merge_sizes], axis=1)
 
-    curves = np.empty((batch, k_hi))
-    for s in range(batch):
-        lefts, rights = left[s].tolist(), right[s].tolist()
-        terms = {}
-        clusters = [2 * n - 2]
-        for k in range(1, k_hi + 1):
-            if k > 1:
-                # cut k also expands node 2n-k; splitting it in place keeps
-                # the clusters in leaf order
-                at = clusters.index(2 * n - k)
-                clusters[at : at + 1] = lefts[n - k], rights[n - k]
-            total = 0.0
-            for node in clusters:
-                if node >= n:
-                    if node not in terms:
-                        m = np.flatnonzero(members[s, node])
-                        terms[node] = sq[s][np.ix_(m, m)].sum() / (2.0 * len(m))
-                    total += terms[node]
-            curves[s, k - 1] = math.log(max(total, _LOG_FLOOR))
-    return curves
+    # candidate clusters: the root, then the children of merge node 2n-1-j,
+    # which cut j+1 creates; a merge node v is split again by cut 2n-v.
+    # start is a node's first position in the quasi-diagonal leaf order, so
+    # sorting a cut's clusters by it gives cut_k's labels.
+    cand = np.empty((batch, 2 * k_hi - 1), dtype=int)
+    cand[:, 0] = 2 * n - 2
+    start = np.zeros((batch, 2 * n - 1), dtype=int)
+    for j in range(1, k_hi):
+        node, a, b = 2 * n - 1 - j, left[:, n - 1 - j], right[:, n - 1 - j]
+        cand[:, 2 * j - 1], cand[:, 2 * j] = a, b
+        start[rows, a] = start[:, node]
+        start[rows, b] = start[:, node] + sizes[rows, a]
+    created = np.repeat(np.arange(1, k_hi + 1), 2)[1:]
+    split = np.where(cand >= n, 2 * n - cand, n + 1)
+
+    terms = np.zeros(cand.shape)  # singletons add nothing
+    at_s, at_c = np.nonzero(cand >= n)
+    node = cand[at_s, at_c]
+    count = sizes[at_s, node]
+    for c in sorted(set(count.tolist())):
+        pick = count == c
+        s, m = at_s[pick], np.nonzero(members[at_s[pick], node[pick]])[1].reshape(-1, c)
+        blocks = sq[s[:, None, None], m[:, :, None], m[:, None, :]]
+        terms[s, at_c[pick]] = blocks.reshape(len(s), c * c).sum(axis=1) / (2.0 * c)
+
+    # (batch, k, candidate): each cut's k clusters in label order, then zeros
+    k = np.arange(1, k_hi + 1)[:, None]
+    present = (created <= k) & (k < split[:, None, :])
+    order = np.argsort(np.where(present, start[rows[:, None], cand][:, None, :], n), axis=2)
+    ordered = np.take_along_axis(np.where(present, terms[:, None, :], 0.0), order, axis=2)
+    w = np.zeros((batch, k_hi))
+    for col in range(k_hi):
+        w = w + ordered[:, :, col]
+    return np.array([[math.log(max(x, _LOG_FLOOR)) for x in row] for row in w.tolist()])
 
 
 def _gap_curves(points, k_hi, b_refs, seed, linkage_rule):

@@ -210,6 +210,7 @@ def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS, parsed=None):
     sector_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     metrics = {period: {} for period in PERIODS}
+    date_blocks = {}  # each period's dates, rendered once for every method
     for method in methods:
         weights, mvp_result = fit_method(cfg, method, data)
         paths = {}
@@ -230,7 +231,7 @@ def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS, parsed=None):
             reports = evaluate_periods(cfg, weights, data, f"{sector}/{label}")
             for period, report in reports.items():
                 path = sector_dir / f"{method}_{period}_report.json"
-                write_report_json(report, path)
+                write_report_json(report, path, date_blocks)
                 paths[f"{period}_report"] = str(path)
                 metrics[period][label] = report.metrics
         outputs[method] = paths

@@ -7,9 +7,11 @@ import pytest
 from portopt.allocators import WeightVector
 from portopt.backtest import (
     BacktestError,
+    BacktestReport,
     cumulative_series,
     evaluate,
     portfolio_return_series,
+    render_report_json,
     report_to_dict,
     summarize,
     summary_to_csv,
@@ -166,3 +168,73 @@ class TestReportJson:
         w = WeightVector(("T0",), np.array([1.0]))
         payload = report_to_dict(evaluate(w, r))
         assert payload["metrics"]["sharpe"] is None
+
+
+def _dumps(report):
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+
+
+def _seeded_report(seed, rows, portfolio="sector/HRP"):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    r = make_returns(0.01 * rng.standard_normal((rows, n)))
+    w = WeightVector(r.tickers, np.full(n, 1.0 / n))
+    return evaluate(w, r, risk_free_rate=0.01 * seed, portfolio=portfolio, period="train")
+
+
+class TestRenderReportJson:
+    """The bulk renderer against json.dumps, byte for byte."""
+
+    @pytest.mark.parametrize("seed, rows", [(1, 2), (2, 250), (3, 1000)])
+    def test_seeded_reports(self, seed, rows):
+        report = _seeded_report(seed, rows)
+        assert render_report_json(report) == _dumps(report)
+
+    def test_one_row_period(self):
+        base = _seeded_report(0, 2)
+        report = BacktestReport(
+            "p", "test", base.dates[:1], base.cumulative_series[:1], base.metrics
+        )
+        assert render_report_json(report) == _dumps(report)
+
+    def test_none_sharpe(self):
+        r = make_returns([[0.01], [0.01]])
+        report = evaluate(WeightVector(("T0",), np.array([1.0])), r)
+        assert report.metrics.sharpe is None
+        assert render_report_json(report) == _dumps(report)
+
+    def test_extreme_finite_values(self):
+        base = _seeded_report(4, 6)
+        report = BacktestReport(
+            "p",
+            "test",
+            base.dates,
+            np.array([-0.0, 1e-300, 1e16, 5e-324, -1e16, 0.1]),
+            PerfMetrics(-0.0, 1e-300, 1e16, -0.0),
+        )
+        assert render_report_json(report) == _dumps(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_series_falls_back_to_json(self, bad):
+        base = _seeded_report(5, 3)
+        series = np.array(base.cumulative_series)
+        series[1] = bad
+        report = BacktestReport("p", "train", base.dates, series, base.metrics)
+        assert render_report_json(report) == _dumps(report)
+
+    def test_label_with_quote_backslash_and_non_ascii(self):
+        report = _seeded_report(6, 20, portfolio='s\u00e9c"t\\or/HRP \u2013 \U0001f4c8')
+        assert render_report_json(report) == _dumps(report)
+
+    def test_shared_date_blocks(self, tmp_path):
+        train = _seeded_report(7, 30)
+        other = BacktestReport(
+            "other", "train", train.dates, train.cumulative_series * 2.0, train.metrics
+        )
+        blocks = {}
+        for i, report in enumerate((train, other)):
+            assert render_report_json(report, blocks) == _dumps(report)
+            path = tmp_path / f"{i}.json"
+            write_report_json(report, path, blocks)
+            assert path.read_text(encoding="utf-8") == _dumps(report)
+        assert list(blocks) == [train.dates]

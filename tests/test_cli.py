@@ -225,6 +225,27 @@ class TestExitCodes:
         assert "sectors.alpha: dendrogram clustering needs at least 2 tickers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["a/b", "../x", ""])
+    def test_backtest_label_must_be_one_path_component(self, pair_data_dir, tmp_path, capsys, label):
+        fitted = tmp_path / "fitted"
+        assert main(["optimize", *_cfg(pair_data_dir), "--out", str(fitted), "--method", "hrp"]) == 0
+        out = tmp_path / "sub" / "out"
+        code = main(
+            [
+                "backtest",
+                *_cfg(pair_data_dir),
+                "--out",
+                str(out),
+                "--weights",
+                str(fitted / "pair" / "hrp_weights.csv"),
+                "--label",
+                label,
+            ]
+        )
+        assert code == 1
+        assert "--label" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+
     def test_missing_data_exits_2(self, fixture_copy, tmp_path, capsys):
         config = fixture_copy / "config.yaml"
         config.write_text(

@@ -214,6 +214,38 @@ def _embedding(r):
     return np.asarray(corr_to_distance(correlation(r)).values, dtype=float)
 
 
+def _tied_panel(n, t=120):
+    """Returns of n assets that are exact copies of 6 base series, so the
+    embedding has many equal rows and tied distances."""
+    rng = np.random.default_rng(n)
+    return make_returns(0.01 * rng.standard_normal((t, 6))[:, rng.integers(0, 6, n)])
+
+
+def _python_square(x):
+    try:
+        return x**2
+    except OverflowError:  # where libm pow returns inf, Python raises
+        return math.inf
+
+
+class TestPySquare:
+    def test_matches_python_float_power_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        values = np.concatenate(
+            [
+                rng.random(25_000),
+                10.0 * rng.random(25_000),
+                10.0 ** rng.uniform(-300.0, 300.0, 25_000),
+                [0.0, 5e-324],
+                2.2250738585072009e-308 * rng.random(1_000),  # subnormals
+            ]
+        )
+        expected = np.array([_python_square(x) for x in values.tolist()])
+        with np.errstate(over="ignore"):
+            got = hierclust._py_square(values)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestGapCurves:
     """The batched gap path against one tree per point set, bit for bit."""
 
@@ -233,6 +265,23 @@ class TestGapCurves:
             with monkeypatch.context() as m:
                 m.setattr(hierclust, "_gap_curves", lambda *args: expected)
                 assert gap_optimal_k(r, k_max=k_max, b_refs=b_refs, seed=i, linkage_rule=rule) == k
+
+    @pytest.mark.parametrize(
+        "n, rule, b_refs, panel",
+        [
+            (40, "ward", 3, _tied_panel),
+            (40, "single", 3, _tied_panel),
+            (56, "single", 2, _factor_panel),
+            (72, "ward", 2, _factor_panel),
+            (72, "single", 2, _factor_panel),
+        ],
+    )
+    def test_wide_sectors_match_naive_oracle(self, n, rule, b_refs, panel):
+        # clusters of many sizes, and (for _tied_panel) log W_k at the floor
+        points = _embedding(panel(n, n) if panel is _factor_panel else panel(n))
+        expected = naive_gap_curves(points, 11, b_refs, n, rule)
+        got = hierclust._gap_curves(points, 11, b_refs, n, rule)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("n", [4, 13, 25])
     def test_batch_size_does_not_change_curves(self, n, monkeypatch):
