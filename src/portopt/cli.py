@@ -35,8 +35,8 @@ from portopt.pipeline import (
     PERIODS,
     SECTOR_ERRORS,
     evaluate_periods,
-    iter_sectors,
     mvp_sample_count,
+    parse_sectors,
     prepare_sector,
     run_pipeline,
     run_sector,
@@ -123,8 +123,13 @@ def _sectors(cfg, args):
     return [requested]
 
 
+def _cpus():
+    """CPUs this process may run on; 1 outside Linux, as run's pool forks."""
+    return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
 def _cmd_run(cfg, args):
-    manifest = run_pipeline(cfg)
+    manifest = run_pipeline(cfg, workers=min(_cpus(), len(cfg.sectors)))
     for sector, message in sorted(manifest.failures.items()):
         print(f"sector {sector!r} failed: {message}", file=sys.stderr)
     print(f"manifest: {Path(cfg.output_dir) / MANIFEST_NAME}")
@@ -134,7 +139,9 @@ def _cmd_run(cfg, args):
 def _cmd_ingest(cfg, args):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+    sectors = _sectors(cfg, args)
+    parsed = parse_sectors(cfg, sectors)
+    for sector in sectors:
         table = sector_prices(cfg, cfg.sectors[sector], parsed)
         path = out / f"{sector}_prices.csv"
         write_wide_csv(table, path, date_column=cfg.date_column)
@@ -151,7 +158,9 @@ def _enable(cfg, args, method):
 
 def _cmd_optimize(cfg, args):
     _enable(cfg, args, args.method)
-    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+    sectors = _sectors(cfg, args)
+    parsed = parse_sectors(cfg, sectors)
+    for sector in sectors:
         outputs, _ = run_sector(
             cfg, sector, [args.method], cfg.output_dir, ["weights"], parsed
         )
@@ -181,7 +190,9 @@ def _cmd_backtest(cfg, args):
 
 def _cmd_frontier(cfg, args):
     _enable(cfg, args, "mvp")
-    for sector, parsed in iter_sectors(cfg, _sectors(cfg, args)):
+    sectors = _sectors(cfg, args)
+    parsed = parse_sectors(cfg, sectors)
+    for sector in sectors:
         outputs, _ = run_sector(cfg, sector, ["mvp"], cfg.output_dir, ["frontier"], parsed)
         path = outputs["mvp"]["frontier"]
         print(f"{sector}: {mvp_sample_count(cfg)} samples -> {path}")
@@ -192,7 +203,8 @@ def _cmd_dendrogram(cfg, args):
     sectors = _sectors(cfg, args)
     cfg.check_clusterable(sectors, "dendrogram")
     out = Path(cfg.output_dir)
-    for sector, parsed in iter_sectors(cfg, sectors):
+    parsed = parse_sectors(cfg, sectors)
+    for sector in sectors:
         data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True, parsed=parsed)
         sector_dir = out / sector
         sector_dir.mkdir(parents=True, exist_ok=True)

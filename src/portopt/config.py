@@ -7,6 +7,7 @@ Schema (all dates ISO YYYY-MM-DD):
     output_dir: where weights/reports/summaries are written
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
+                                    # names and tickers: one path component each
     methods:
       mvp:  {n_samples: 10000, seed: 0}
       hrp:  {}
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +81,12 @@ class RunConfig:
         if not self.sectors:
             raise ConfigError("sectors: at least one sector is required")
         for name, tickers in self.sectors.items():
+            for part in (name, *tickers):  # an output directory or a CSV name
+                if part in ("", ".", "..") or "/" in part or os.sep in part:
+                    raise ConfigError(
+                        f"sectors.{name}: {part!r} is not one path component "
+                        "(no '/', not '.' or '..')"
+                    )
             if not tickers:
                 raise ConfigError(f"sectors.{name}: empty ticker list")
             repeated = sorted({t for t in tickers if tickers.count(t) > 1})

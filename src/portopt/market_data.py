@@ -173,6 +173,18 @@ def _read_close_series(path, date_column, close_column):
     return days, closes
 
 
+def parse_csvs(paths, *, date_column="Date", close_column="Close"):
+    """Parse each CSV once into a parsed mapping for load_price_table.  A CSV
+    that fails is left out, so each load that lists it raises its error."""
+    parsed = {}
+    for path in dict.fromkeys(paths):
+        try:
+            parsed[path] = _read_close_series(path, date_column, close_column)
+        except DataError:
+            pass
+    return parsed
+
+
 def load_price_table(
     sources,
     *,

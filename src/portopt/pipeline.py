@@ -3,15 +3,17 @@ returns, evaluate on both periods, and write weights, plot data, reports, and
 cross-sector summary tables plus a JSON manifest of every artifact.
 
 Sectors are processed independently: a failure in one sector is recorded in
-the manifest and does not abort the run.  All outputs are written atomically
+the manifest and does not abort the run.  run_pipeline can therefore fit them
+in a pool of forked worker processes; the artifacts and the manifest's order
+are the same as a single-process run's.  All outputs are written atomically
 (temp file + rename) and are byte-identical across reruns for fixed seeds.
 
 Every subcommand that fits a method drives run_sector with a selection of
-methods and artifacts, so each artifact has one code path.  Every loop over
-sectors goes through iter_sectors, so each ticker CSV is parsed once per
-invocation.  Layers are called through the names this module imports, so
-wrapping one of those attributes (as bench/tracer.py does) sees every call
-the pipeline makes.
+methods and artifacts, so each artifact has one code path.  Every subcommand
+parses the ticker CSVs its sectors list once, up front, through
+parse_sectors.  Layers are called through the names this module imports, so
+wrapping one of those attributes (as bench/tracer.py does) sees every call a
+single-process run makes.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from portopt.market_data import (
     DataError,
     daily_returns,
     load_price_table,
+    parse_csvs,
     split_train_test,
 )
 from portopt.riskstats import (
@@ -92,26 +95,18 @@ def ticker_csv(cfg, ticker):
     return Path(cfg.data_dir) / f"{ticker}.csv"
 
 
-def iter_sectors(cfg, sectors):
-    """Yield (sector, parsed) for each of sectors in order.
-
-    parsed is one {csv path: parsed series} mapping that every yielded
-    sector's load shares, so a ticker CSV listed by several sectors is parsed
-    once; its entry is dropped after the last of those sectors.
-    """
-    last = {t: i for i, sector in enumerate(sectors) for t in cfg.sectors[sector]}
-    parsed = {}
-    for i, sector in enumerate(sectors):
-        yield sector, parsed
-        for ticker in cfg.sectors[sector]:
-            if last[ticker] == i:
-                parsed.pop(ticker_csv(cfg, ticker), None)
+def parse_sectors(cfg, sectors):
+    """Parse every ticker CSV the sectors list, once each: the {csv path:
+    parsed series} mapping to pass to sector_prices.  A CSV that fails is left
+    out, so each sector that lists it reads it again and raises its error."""
+    paths = (ticker_csv(cfg, t) for sector in sectors for t in cfg.sectors[sector])
+    return parse_csvs(paths, date_column=cfg.date_column, close_column=cfg.close_column)
 
 
 def sector_prices(cfg, tickers, parsed=None):
     """Load and clean the price panel for tickers over the study window.
 
-    parsed is the shared mapping from iter_sectors, or None to read every CSV.
+    parsed is the mapping from parse_sectors, or None to read every CSV.
     """
     sources = {t: ticker_csv(cfg, t) for t in tickers}
     table = load_price_table(
@@ -253,11 +248,47 @@ def write_summaries(metrics_by_period, methods, out_root):
     return paths
 
 
-def run_pipeline(cfg):
-    """Run the full study described by cfg and return the RunManifest."""
+def _fit_sector(cfg, methods, out_root, parsed, sector):
+    """run_sector's (outputs, metrics), or the message of a sector error."""
+    try:
+        return run_sector(cfg, sector, methods, out_root, parsed=parsed)
+    except SECTOR_ERRORS as exc:
+        return str(exc)
+
+
+def _init_worker(*args):
+    global _worker_args  # (cfg, methods, out_root, parsed) of this pool worker
+    _worker_args = args
+
+
+def _pool_sector(sector):
+    return _fit_sector(*_worker_args, sector)
+
+
+def run_pipeline(cfg, workers=1):
+    """Run the full study described by cfg and return the RunManifest.
+
+    With workers > 1, the sectors are fitted in up to that many forked
+    processes; every artifact has the same bytes as with one process.
+    """
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     methods = list(cfg.methods)
+    sectors = sorted(cfg.sectors)
+    args = (cfg, methods, out_root, parse_sectors(cfg, sectors))
+    if workers > 1 and len(sectors) > 1:
+        # imported here so that single-process runs do not pay for it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork hands the initializer's arguments to the workers unpickled
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            min(workers, len(sectors)), fork, initializer=_init_worker, initargs=args
+        ) as pool:
+            results = list(pool.map(_pool_sector, sectors))
+    else:
+        results = [_fit_sector(*args, sector) for sector in sectors]
 
     manifest = RunManifest(
         version=__version__,
@@ -265,13 +296,11 @@ def run_pipeline(cfg):
         seeds={m: method_seed(cfg, m) for m in methods},
     )
     metrics_by_period = {period: {} for period in PERIODS}
-    for sector, parsed in iter_sectors(cfg, sorted(cfg.sectors)):
-        try:
-            outputs, metrics = run_sector(cfg, sector, methods, out_root, parsed=parsed)
-        except SECTOR_ERRORS as exc:
-            manifest.failures[sector] = str(exc)
+    for sector, result in zip(sectors, results):
+        if isinstance(result, str):
+            manifest.failures[sector] = result
             continue
-        manifest.outputs[sector] = outputs
+        manifest.outputs[sector], metrics = result
         for period in PERIODS:
             metrics_by_period[period][sector] = metrics[period]
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -322,3 +323,51 @@ def test_write_frontier_csv_schema(tmp_path):
     ret, vol, sharpe = lines[1].split(",")
     assert float(vol) > 0
     assert float(sharpe) == pytest.approx(float(ret) / float(vol), abs=1e-9)
+
+
+def _per_row_frontier_csv(result):
+    """The per-row writer that write_frontier_csv's one-% rendering replaced."""
+    lines = ["return,volatility,sharpe"]
+    for ret, vol, sharpe in zip(
+        result.annual_return.tolist(),
+        result.annual_volatility.tolist(),
+        result.sharpe.tolist(),
+    ):
+        sharpe = "" if math.isnan(sharpe) else format(sharpe, ".12g")
+        lines.append(f"{format(ret, '.12g')},{format(vol, '.12g')},{sharpe}")
+    return "\n".join(lines) + "\n"
+
+
+class TestFrontierCsvBytes:
+    EDGES = [-0.0, 0.0, 1e-300, 1e16, 5e-324, -5e-324, math.inf, -math.inf, 1 / 3, -2.5e-7]
+
+    def _columns(self, ret, vol, sharpe):
+        # the three arrays write_frontier_csv reads from an MvpResult
+        return SimpleNamespace(
+            annual_return=np.asarray(ret, dtype=float),
+            annual_volatility=np.asarray(vol, dtype=float),
+            sharpe=np.asarray(sharpe, dtype=float),
+        )
+
+    def _check(self, result, tmp_path):
+        path = tmp_path / "frontier.csv"
+        write_frontier_csv(result, path)
+        assert path.read_bytes() == _per_row_frontier_csv(result).encode("utf-8")
+
+    def test_seeded_samples(self, tmp_path):
+        rng = np.random.default_rng(11)
+        r = make_returns(rng.normal(0.0005, 0.01, size=(250, 6)))
+        self._check(mvp_optimize(expected_returns(r), covariance(r), n_samples=3000, seed=11), tmp_path)
+
+    def test_undefined_sharpe_rows(self, tmp_path):
+        sharpe = np.array([0.5, math.nan, 1.25, math.nan])
+        self._check(self._columns([0.1, 0.2, math.nan, 0.0], [0.2, 0.0, math.nan, 0.0], sharpe), tmp_path)
+
+    def test_zero_rows(self, tmp_path):
+        self._check(self._columns([], [], []), tmp_path)
+
+    def test_edge_values_in_every_column(self, tmp_path):
+        edges = np.array(self.EDGES)
+        for shift in range(3):
+            ret, vol, sharpe = np.roll(edges, shift), np.roll(edges, shift + 1), np.roll(edges, shift + 2)
+            self._check(self._columns(ret, vol, sharpe), tmp_path)

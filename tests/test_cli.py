@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from portopt import market_data
 from portopt.allocators import read_weights_csv
 from portopt.cli import main
 from portopt.config import load_config
-from portopt.pipeline import iter_sectors, run_pipeline, sector_prices
+from portopt.pipeline import parse_sectors, run_pipeline, sector_prices
 
 
 @pytest.fixture(autouse=True)
@@ -145,15 +146,17 @@ class TestParseOnce:
         assert set(manifest.outputs) == {"alpha", "beta", "mixed"}
         assert len(reads) == len(set(reads)) == 6
 
-    def test_iter_sectors_drops_a_ticker_after_its_last_sector(self, fixture_copy):
+    def test_parse_sectors_parses_each_listed_csv_once(self, fixture_copy, reads):
         _add_shared_sector(fixture_copy)
         cfg = load_config(fixture_copy / "config.yaml")
-        held = []
-        for sector, parsed in iter_sectors(cfg, ["alpha", "mixed", "beta"]):
-            sector_prices(cfg, cfg.sectors[sector], parsed)
-            held.append(sorted(Path(p).stem for p in parsed))
-        assert held == [["AAA", "AAB", "AAC"], ["AAA", "AAB", "BBA"], ["BBA", "BBB", "BBC"]]
-        assert parsed == {}
+        parsed = parse_sectors(cfg, ["alpha", "mixed"])
+        assert sorted(Path(p).stem for p in parsed) == ["AAA", "AAB", "AAC", "BBA"]
+        assert len(reads) == len(set(reads)) == 4
+        table = sector_prices(cfg, cfg.sectors["mixed"], parsed)
+        assert len(reads) == 4
+        fresh = sector_prices(cfg, cfg.sectors["mixed"])
+        assert table.dates == fresh.dates
+        np.testing.assert_array_equal(table.closes, fresh.closes)
 
     def test_broken_csv_fails_every_sector_that_lists_it(self, fixture_copy, tmp_path, reads):
         _add_shared_sector(fixture_copy)
@@ -167,7 +170,79 @@ class TestParseOnce:
         message = f"{path}: line 3, column 'Close': unparsable price 'oops'"
         assert manifest["failures"] == {"beta": message, "mixed": message}
         assert set(manifest["outputs"]) == {"alpha"}
-        assert reads.count(str(path)) == 2
+        # a single-process run: the up-front parse leaves the broken CSV out,
+        # so each of the two sectors that list it reads it again
+        reads.clear()
+        cfg = load_config(fixture_copy / "config.yaml")
+        cfg.output_dir = tmp_path / "serial"
+        assert run_pipeline(cfg).failures == manifest["failures"]
+        assert reads.count(str(path)) == 3
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root, manifest.json with
+    root's path replaced so that two output roots compare equal."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                data = data.replace(str(root).encode(), b"<out>")
+            files[str(path.relative_to(root))] = data
+    return files
+
+
+class TestParallelRun:
+    @pytest.mark.parametrize("edit", ["none", "shared_sector", "missing_ticker"])
+    def test_pool_matches_one_process(self, fixture_copy, tmp_path, edit):
+        config = fixture_copy / "config.yaml"
+        if edit == "shared_sector":
+            _add_shared_sector(fixture_copy)
+        elif edit == "missing_ticker":
+            text = config.read_text().replace("beta: [BBA, BBB, BBC]", "beta: [BBA, MISSING, BBC]")
+            config.write_text(text, encoding="utf-8")
+        trees, manifests = [], []
+        # 3 workers: one per sector of the largest case, more than a 2-CPU host has
+        for workers in (1, 3):
+            cfg = load_config(config)
+            cfg.output_dir = tmp_path / f"workers{workers}"
+            manifests.append(run_pipeline(cfg, workers=workers))
+            trees.append(_tree(cfg.output_dir))
+        serial, pooled = manifests
+        assert trees[0] == trees[1]
+        assert list(pooled.outputs) == list(serial.outputs)
+        assert list(pooled.failures.items()) == list(serial.failures.items())
+        assert bool(serial.failures) == (edit == "missing_ticker")
+
+    def test_one_sector_starts_no_pool(self, fixture_copy, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-sector run started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace("  beta: [BBA, BBB, BBC]\n", ""), encoding="utf-8")
+        cfg = load_config(config)
+        cfg.output_dir = tmp_path / "out"
+        assert list(run_pipeline(cfg, workers=2).outputs) == ["alpha"]
+
+    def test_run_uses_one_worker_per_cpu_up_to_the_sector_count(
+        self, synthetic_fixture, tmp_path, monkeypatch
+    ):
+        from portopt import cli
+
+        seen = []
+
+        def recording(cfg, workers=1):
+            seen.append(workers)
+            return run_pipeline(cfg)
+
+        monkeypatch.setattr(cli, "run_pipeline", recording)
+        for cpus in ({0}, {0, 1, 2, 3}):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            assert main(["run", *_cfg(synthetic_fixture), "--out", str(tmp_path / "out")]) == 0
+        assert seen == ([1, 2] if sys.platform == "linux" else [1, 1])
 
 
 class TestExitCodes:
@@ -244,6 +319,31 @@ class TestExitCodes:
         )
         assert code == 1
         assert "--label" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            "../escaped: [AAA, AAB, AAC]",
+            "a/b: [AAA, AAB, AAC]",
+            "'..': [AAA, AAB, AAC]",
+            "'': [AAA, AAB, AAC]",
+            "alpha: [AAA, ../data/AAB, AAC]",
+            "alpha: [AAA, '.', AAC]",
+        ],
+        ids=["dotdot_name", "slash_name", "dotdot_only_name", "empty_name",
+             "slash_ticker", "dot_ticker"],
+    )
+    def test_sector_names_and_tickers_must_be_one_path_component(
+        self, fixture_copy, tmp_path, capsys, alpha
+    ):
+        config = fixture_copy / "config.yaml"
+        text = config.read_text().replace("alpha: [AAA, AAB, AAC]", alpha)
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "sub" / "out"
+        assert main(["run", *_cfg(fixture_copy), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: sectors." in err and "one path component" in err
         assert not (tmp_path / "sub").exists()
 
     def test_missing_data_exits_2(self, fixture_copy, tmp_path, capsys):
