@@ -1,17 +1,23 @@
 """Price panel ingestion, cleaning, train/test splitting, and daily returns.
 
 Input data is one CSV per ticker (date column plus a close column; a UTF-8
-byte-order mark and CRLF line ends are accepted).  After loading, all tickers
-share one calendar: by default the intersection of each ticker's dates; a
-forward-fill mode is available for callers that prefer to carry the last known
-price across gaps.  A cleaned panel can be exported as one wide CSV (date
-column plus one close column per ticker); nothing reads that format back.
+byte-order mark and CRLF line ends are accepted).  A plain file (ASCII, LF or
+CRLF lines of equal field count, YYYY-MM-DD dates) is parsed in one numpy pass
+over its bytes; anything else, valid or not, falls back to a csv.reader row
+loop, which gives the same arrays and words every error.
+
+After loading, all tickers share one calendar: by default the intersection of
+each ticker's dates; a forward-fill mode is available for callers that prefer
+to carry the last known price across gaps.  A cleaned panel can be exported as
+one wide CSV (date column plus one close column per ticker); nothing reads
+that format back.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,21 +131,86 @@ class ReturnMatrix:
         object.__setattr__(self, "returns", returns)
 
 
-def _read_close_series(path, date_column, close_column):
-    """Parse one per-ticker CSV into sorted (day ordinals, closes) arrays.
+# days before each month of a common year and its length, indexed by month
+_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+# place values of YYYY-MM-DD's characters in its year, month and day
+_DATE_PLACES = np.array([[1e3, 100, 10, 1] + [0] * 6, [0] * 5 + [10, 1, 0, 0, 0], [0] * 8 + [10, 1]])
+
+
+def _bulk_series(data, date_column, close_column):
+    """The row loop's unfrozen (day ordinals, closes) for a plain CSV's bytes,
+    parsed in one numpy pass, or None for any other file, valid or not: quotes,
+    NULs, bare CRs, ragged lines, other date forms, bad or repeated values."""
+    # the row loop skips blank lines, so trailing ones may go
+    data = data.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n").rstrip(b"\n") + b"\n"
+    if not data.isascii() or b"\r" in data or b'"' in data or b"\0" in data:
+        return None
+    header = data[: data.index(b"\n")].decode().split(",")
+    index = {name: i for i, name in enumerate(header)}
+    n = len(header)
+    text = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    if date_column not in index or close_column not in index or seps.size % n or seps.size == n:
+        return None
+    # one row per line: commas between the fields and a newline after the last
+    grid = seps.reshape(-1, n)
+    if (text[grid[:, :-1]] != ord(",")).any() or (text[grid[:, -1]] != ord("\n")).any():
+        return None
+    limit = csv.field_size_limit()
+    if text.size > limit and np.diff(seps, prepend=-1).max() > limit + 1:
+        return None  # a field csv.reader refuses
+    di, ci = index[date_column], index[close_column]
+    starts = (grid[:-1, -1] if di == 0 else grid[1:, di - 1]) + 1
+    if (grid[1:, di] - starts != 10).any():
+        return None
+    # the date fields as (rows, 10) digits, with 0 at each '-' and anything else > 9
+    windows = np.ndarray((text.size - 9, 10), np.uint8, data, 0, (1, 1))
+    chars = windows[starts] - np.frombuffer(b"0000-00-00", dtype=np.uint8)
+    if (chars > 9).any() or chars[:, [4, 7]].any():
+        return None
+    year, month, day = (_DATE_PLACES @ chars.T).astype(int)  # small integers: exact
+    if not ((year >= 1) & (month >= 1) & (month <= 12)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if ((day < 1) | (day > _DAYS_IN_MONTH[month] + (leap & (month == 2)))).any():
+        return None
+    y = year - 1  # proleptic Gregorian ordinals, as date.toordinal()
+    days = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month] + day
+    days += leap & (month > 2)
+    # the builtin float on each close field accepts what the row loop does
+    fields = data[:-1].replace(b"\n", b",").split(b",")
+    try:
+        closes = np.fromiter(map(float, fields[n + ci :: n]), dtype=float, count=len(days))
+    except ValueError:
+        return None
+    if not (np.isfinite(closes) & (closes > 0.0)).all():
+        return None
+    # int32 holds every date ordinal and keeps a run's shared series small
+    order = np.argsort(days)
+    days, closes = days[order].astype(np.int32), closes[order]
+    if (days[1:] == days[:-1]).any():
+        return None
+    return days, closes
+
+
+def _row_series(data, path, date_column, close_column):
+    """Parse one per-ticker CSV's bytes row by row into unfrozen sorted (day
+    ordinals, closes) arrays, or raise a DataError naming the first fault.
 
     Rows are read as csv.DictReader would: blank lines are skipped, a header
     name given twice means its last column, and a field missing from a short
     row reads as None.
     """
-    path = Path(path)
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read file: {exc}") from None
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[: exc.start] + b"x").splitlines())
+        bad = exc.object[exc.start]
+        raise DataError(f"{path}: line {line}: not UTF-8 text (byte 0x{bad:02x})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     series = {}
-    with handle:
-        reader = csv.reader(handle)
+    try:
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty file (header row required)")
@@ -160,17 +231,31 @@ def _read_close_series(path, date_column, close_column):
                 )
             raw_close = row[ci] if ci < len(row) else None
             series[day] = _parse_price(raw_close, path, line_no, close_column)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not series:
         raise DataError(f"{path}: no data rows")
-    # int32 holds every date ordinal and keeps a run's shared series small
     days = np.fromiter(series, dtype=np.int32, count=len(series))
     closes = np.fromiter(series.values(), dtype=float, count=len(series))
     order = np.argsort(days)
-    days, closes = days[order], closes[order]
+    return days[order], closes[order]
+
+
+def _read_close_series(path, date_column, close_column):
+    """Parse one per-ticker CSV into sorted (day ordinals, closes) arrays:
+    in one pass when the file is plain, else row by row."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read file: {exc}") from None
+    series = _bulk_series(data, date_column, close_column)
+    if series is None:
+        series = _row_series(data, path, date_column, close_column)
     # shared between the loads of one run; nothing may write to them
-    days.setflags(write=False)
-    closes.setflags(write=False)
-    return days, closes
+    for array in series:
+        array.setflags(write=False)
+    return series
 
 
 def parse_csvs(paths, *, date_column="Date", close_column="Close"):

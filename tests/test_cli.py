@@ -359,6 +359,22 @@ class TestExitCodes:
         assert "data error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command, code", [("run", 3), ("ingest", 2)])
+    def test_non_utf8_csv_fails_with_a_message(self, fixture_copy, tmp_path, capsys, command, code):
+        path = fixture_copy / "data" / "BBB.csv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"\n", b"\xe9\n")  # a Latin-1 e-acute
+        path.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert main([command, *_cfg(fixture_copy), "--out", str(out)]) == code
+        message = f"{path}: line 3: not UTF-8 text (byte 0xe9)"
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if command == "run":
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["failures"] == {"beta": message}
+            assert set(manifest["outputs"]) == {"alpha"}
+
 class TestOptimize:
     def test_hrp_weights_on_pair_fixture(self, pair_data_dir, tmp_path):
         out = tmp_path / "out"

@@ -1,8 +1,10 @@
+import csv
 import datetime as dt
 
 import numpy as np
 import pytest
 
+from portopt import market_data
 from portopt.market_data import (
     DataError,
     PriceTable,
@@ -211,6 +213,191 @@ class TestLoadPriceTable:
         assert loaded.dates == expected.dates
         assert loaded.tickers == expected.tickers
         np.testing.assert_array_equal(loaded.closes, expected.closes)
+
+    def test_non_utf8_byte_is_a_data_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "A.csv"
+        path.write_bytes(b"Date,Close\n2021-01-01,10\n2021-01-02,11 caf\xe9\n")
+        with pytest.raises(DataError, match=r"A\.csv: line 3: not UTF-8 text \(byte 0xe9\)$"):
+            load_price_table({"A": path})
+
+    def test_field_over_the_csv_limit_is_a_data_error(self, tmp_path):
+        path = tmp_path / "A.csv"
+        path.write_text(f"Date,Close\n2021-01-01,1.{'0' * 200_000}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"A\.csv: line 2: field larger than field limit"):
+            load_price_table({"A": path})
+
+
+LIMIT = csv.field_size_limit()
+PLAIN = b"Date,Close\n2020-01-02,10.5\n2020-01-03,11\n2020-01-06,12.25\n"
+
+# each case is read as _read_close_series reads it and as the row loop alone
+# reads it; both must agree
+CORPUS = {
+    "plain": PLAIN,
+    "bom": b"\xef\xbb\xbf" + PLAIN,
+    "crlf": PLAIN.replace(b"\n", b"\r\n"),
+    "bom_crlf_trailing_blank": b"\xef\xbb\xbf" + PLAIN.replace(b"\n", b"\r\n") + b"\r\n",
+    "bare_cr": PLAIN.replace(b"\n", b"\r"),
+    "cr_inside_a_line": b"Date,Close\n2020-01-02,10\r2020-01-03,11\n",
+    "no_trailing_newline": PLAIN[:-1],
+    "blank_lines": b"Date,Close\n\n2020-01-02,10\n\n\n2020-01-03,11\n\n",
+    "short_row": b"Date,Close\n2020-01-02,10\n2020-01-03\n",
+    "short_header": b"Date\n2020-01-02,10\n",
+    "extra_columns": b"Date,Open,High,Low,Close,Volume\n2020-01-02,1,2,0.5,1.5,100\n",
+    "extra_field_in_a_row": b"Date,Close\n2020-01-02,10,99\n2020-01-03,11\n",
+    "close_before_date": b"Close,Date\n11,2020-01-03\n10,2020-01-02\n",
+    "date_is_the_last_column": b"Open,Close,Date\n1,10,2020-01-02\n2,11,2020-01-03\n",
+    "repeated_header_name": b"Date,Close,Close\n2020-01-02,1,2\n2020-01-03,3,4\n",
+    "missing_column": b"Date,Px\n2020-01-02,1\n",
+    "quoted_fields": b'Date,Close\n"2020-01-02","10.5"\n2020-01-03,"11"\n',
+    "quoted_comma": b'Date,Close\n2020-01-02,"1,5"\n',
+    "quoted_newline": b'Date,Close,Note\n2020-01-02,10,"a\n2020-01-03,11,b"\n2020-01-06,12,c\n',
+    "padded_date": b"Date,Close\n 2020-01-02 ,10\n",
+    "padded_closes": b"Date,Close\n2020-01-02, 10 \n2020-01-03,\t11\n2020-01-06,\x1c12\n",
+    "padded_header": b"Date, Close\n2020-01-02,10\n",
+    "basic_date": b"Date,Close\n20200102,10\n",
+    "week_date": b"Date,Close\n2020-W01-4,10\n",
+    "slash_date": b"Date,Close\n2020/01/02,10\n",
+    "letter_in_year": b"Date,Close\n2O20-01-02,10\n",
+    "slash_in_year": b"Date,Close\n20/0-01-02,10\n",
+    "date_with_an_extra_digit": b"Date,Close\n2020-01-021,10\n",
+    "short_row_then_ragged_row": b"Date,Close,Note\n2020-01-02,10\n2020-01-03\n",
+    "year_0001_and_9999": b"Date,Close\n9999-12-31,11\n0001-01-01,10\n",
+    "year_0000": b"Date,Close\n0000-01-01,10\n",
+    "feb_29_1900": b"Date,Close\n1900-02-29,10\n",
+    "feb_29_2000": b"Date,Close\n2000-02-28,9\n2000-02-29,10\n2000-03-01,11\n",
+    "feb_29_2024": b"Date,Close\n2024-02-29,10\n2024-12-31,11\n",
+    "feb_29_2023": b"Date,Close\n2023-02-29,10\n",
+    "day_31_of_april": b"Date,Close\n2020-04-31,10\n",
+    "day_32_of_march_in_a_leap_year": b"Date,Close\n2024-03-32,10\n",
+    "month_13": b"Date,Close\n2020-13-01,10\n",
+    "day_00": b"Date,Close\n2020-01-00,10\n",
+    "unsorted_rows": b"Date,Close\n2020-01-06,3\n2019-12-31,1\n2020-01-02,2\n",
+    "duplicate_date": b"Date,Close\n2020-01-02,1\n2020-01-03,2\n2020-01-02,3\n",
+    "nan_close": b"Date,Close\n2020-01-02,nan\n",
+    "inf_close": b"Date,Close\n2020-01-02,inf\n",
+    "zero_close": b"Date,Close\n2020-01-02,0\n",
+    "negative_close": b"Date,Close\n2020-01-02,-1\n",
+    "empty_close": b"Date,Close\n2020-01-02,\n",
+    "word_close": b"Date,Close\n2020-01-02,oops\n",
+    "underscore_close": b"Date,Close\n2020-01-02,1_000\n2020-01-03,1__0\n",
+    "exponent_close": b"Date,Close\n2020-01-02,1e2\n2020-01-03,.5\n2020-01-06,7.\n",
+    "unicode_digit_close": "Date,Close\n2020-01-02,\u0661\u0662\n".encode(),
+    "unicode_digit_date": "Date,Close\n\u0662020-01-02,1\n".encode(),
+    "latin1_byte": b"Date,Close\n2020-01-02,10\xe9\n",
+    # csv.reader refuses NUL before python 3.11
+    "nul_byte": b"Date,Close,Note\n2020-01-02,10,a\x00b\n",
+    "header_only": b"Date,Close\n",
+    "header_only_no_newline": b"Date,Close",
+    "bom_only": b"\xef\xbb\xbf",
+    "empty": b"",
+    # a close field of exactly csv.reader's size limit, and one byte more
+    "field_at_the_csv_limit": b"Date,Close\n2020-01-02,1." + b"0" * (LIMIT - 2) + b"\n",
+    "field_over_the_csv_limit": b"Date,Close\n2020-01-02,1." + b"0" * (LIMIT - 1) + b"\n",
+}
+
+
+def _outcome(path):
+    try:
+        series = market_data._read_close_series(path, "Date", "Close")
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype.str, a.flags.writeable, a.tobytes()) for a in series]
+
+
+def _row_loop_outcome(path):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market_data, "_bulk_series", lambda *args: None)
+        return _outcome(path)
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_matches_the_row_loop(self, tmp_path, name):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(CORPUS[name])
+        assert _outcome(path) == _row_loop_outcome(path)
+
+    def test_plain_results_are_read_only_int32_days_and_float64_closes(self, tmp_path):
+        path = tmp_path / "A.csv"
+        path.write_bytes(CORPUS["unsorted_rows"])
+        assert market_data._bulk_series(path.read_bytes(), "Date", "Close") is not None
+        days, closes = market_data._read_close_series(path, "Date", "Close")
+        assert days.dtype == np.int32 and closes.dtype == np.float64
+        assert not days.flags.writeable and not closes.flags.writeable
+        expected = [dt.date(2019, 12, 31), dt.date(2020, 1, 2), dt.date(2020, 1, 6)]
+        assert days.tolist() == [d.toordinal() for d in expected]
+        assert closes.tolist() == [1.0, 2.0, 3.0]
+
+    def test_matches_the_row_loop_on_mutated_fixture_lines(self, synthetic_fixture, tmp_path):
+        text = (synthetic_fixture / "data" / "AAA.csv").read_bytes()
+        lines = text.splitlines(keepends=True)[:12]
+        pieces = [b",", b"\n", b"\r", b"\r\n", b'"', b" ", b"-", b".", b"0", b"9", b"e",
+                  b"_", b"\x00", b"\xe9", b"\xc3\xa9", b"\xef\xbb\xbf", b"nan", b"-1"]
+        rng = np.random.default_rng(2024)
+        paths = {"bulk": 0, "row loop": 0}
+        errors = 0
+        for variant in range(200):
+            rows = list(lines)
+            for _ in range(int(rng.integers(1, 4))):
+                i = int(rng.integers(0, len(rows)))
+                op = int(rng.integers(0, 5))
+                if op == 0:  # insert a piece
+                    at = int(rng.integers(0, len(rows[i]) + 1))
+                    piece = pieces[int(rng.integers(0, len(pieces)))]
+                    rows[i] = rows[i][:at] + piece + rows[i][at:]
+                elif op == 1 and rows[i]:  # delete a byte
+                    at = int(rng.integers(0, len(rows[i])))
+                    rows[i] = rows[i][:at] + rows[i][at + 1 :]
+                elif op == 2:  # repeat a line
+                    rows.insert(i, rows[i])
+                elif op == 3:  # swap two lines
+                    j = int(rng.integers(0, len(rows)))
+                    rows[i], rows[j] = rows[j], rows[i]
+                else:  # replace a digit
+                    digits = [k for k, c in enumerate(rows[i]) if 48 <= c <= 57]
+                    if digits:
+                        at = digits[int(rng.integers(0, len(digits)))]
+                        new = b"%d" % rng.integers(0, 10)
+                        rows[i] = rows[i][:at] + new + rows[i][at + 1 :]
+            data = b"".join(rows)
+            path = tmp_path / f"V{variant}.csv"
+            path.write_bytes(data)
+            outcome = _outcome(path)
+            assert outcome == _row_loop_outcome(path), data
+            bulk = market_data._bulk_series(data, "Date", "Close") is not None
+            paths["bulk" if bulk else "row loop"] += 1
+            errors += isinstance(outcome, str)
+        # the variants exercise both paths, and loads as well as errors
+        assert min(paths.values()) >= 20, paths
+        assert 20 <= errors <= 180
+
+    def test_ordinary_files_never_take_the_row_loop(
+        self, synthetic_fixture, tmp_path, monkeypatch
+    ):
+        def row_loop(*args):
+            raise AssertionError("row loop used")
+
+        originals = sorted((synthetic_fixture / "data").glob("*.csv"))
+        expected = [market_data._row_series(p.read_bytes(), p, "Date", "Close") for p in originals]
+        monkeypatch.setattr(market_data, "_row_series", row_loop)
+        for path, (days, closes) in zip(originals, expected):
+            copy = tmp_path / path.name
+            copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+            for source in (path, copy):
+                loaded = market_data._read_close_series(source, "Date", "Close")
+                assert loaded[0].tobytes() == days.tobytes()
+                assert loaded[1].tobytes() == closes.tobytes()
+        wide = tmp_path / "WIDE.csv"
+        wide.write_text(
+            "Date,Open,High,Low,Close,Volume\n"
+            "2021-01-04,9.5,10.5,9,10.25,1200\n"
+            "2021-01-01,8,9,7.5,8.75,900\n",
+            encoding="utf-8",
+        )
+        table = load_price_table({"W": wide})
+        assert table.dates == (D[0], D[3])
+        assert table.closes[:, 0].tolist() == [8.75, 10.25]
 
 
 class TestPriceTable:
