@@ -14,6 +14,7 @@ from portopt.hierclust import gap_optimal_k, quasi_diagonalize
 
 RISK_MEASURES = ("std_dev", "variance")
 CLUSTER_WEIGHTINGS = ("inverse", "paper_literal")
+_FRONTIER_BLOCK_ROWS = 1000  # rows write_frontier_csv renders per write
 
 
 class AllocationError(Exception):
@@ -240,8 +241,10 @@ def mvp_optimize(mu, cov, n_samples=10000, risk_free_rate=0.0, seed=0):
     n = len(mu.tickers)
 
     rng = np.random.default_rng(seed)
-    draws = rng.random((n_samples, n))
-    weights = draws / draws.sum(axis=1, keepdims=True)
+    # normalised in place: the same true_divide as draws / draws.sum(...),
+    # so the bits match, with one (n_samples, n) matrix alive instead of two
+    weights = rng.random((n_samples, n))
+    weights /= weights.sum(axis=1, keepdims=True)
     if not (np.all(np.isfinite(weights)) and weights.min() >= 0.0
             and np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9):
         raise AllocationError("sample weights must be finite, non-negative and sum to 1")
@@ -310,7 +313,16 @@ def write_frontier_csv(result, path):
 
     An undefined Sharpe ratio is written as an empty cell.
     """
-    # one % operation renders every row; "%.12g" gives format(x, ".12g")'s bytes
-    values = np.column_stack([result.annual_return, result.annual_volatility, result.sharpe])
-    body = ("%.12g,%.12g,%.12g\n" * len(values)) % tuple(values.ravel().tolist())
-    write_text(path, "return,volatility,sharpe\n" + body.replace(",nan\n", ",\n"))
+    columns = (result.annual_return, result.annual_volatility, result.sharpe)
+
+    def chunks():
+        yield "return,volatility,sharpe\n"
+        # one % operation renders a block of rows; "%.12g" gives format(x,
+        # ".12g")'s bytes.  Blocks keep the temporaries' size independent of
+        # the sample count.
+        for start in range(0, len(columns[0]), _FRONTIER_BLOCK_ROWS):
+            values = np.column_stack([c[start:start + _FRONTIER_BLOCK_ROWS] for c in columns])
+            body = ("%.12g,%.12g,%.12g\n" * len(values)) % tuple(values.ravel().tolist())
+            yield body.replace(",nan\n", ",\n")
+
+    write_text(path, chunks())

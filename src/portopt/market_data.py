@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -352,10 +353,12 @@ def load_price_table(
 
 def write_wide_csv(table, path, *, date_column="Date"):
     """Export a PriceTable as a wide CSV; output is bit-identical across runs."""
-    lines = [",".join([date_column, *table.tickers])]
-    for date, row in zip(table.dates, table.closes):
-        lines.append(",".join([date.isoformat(), *(format(x, ".12g") for x in row)]))
-    write_text(path, "\n".join(lines) + "\n")
+    header = ",".join([date_column, *table.tickers]) + "\n"
+    rows = (
+        ",".join([date.isoformat(), *(format(x, ".12g") for x in row)]) + "\n"
+        for date, row in zip(table.dates, table.closes)
+    )
+    write_text(path, itertools.chain([header], rows))
 
 
 def split_train_test(table, boundary):

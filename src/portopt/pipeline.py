@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from portopt._io import write_json, write_text
+from portopt._io import render_json, write_json, write_text
 from portopt._version import __version__
 from portopt.allocators import (
     AllocationError,
@@ -206,6 +206,9 @@ def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS, parsed=None):
     outputs = {}
     metrics = {period: {} for period in PERIODS}
     date_blocks = {}  # each period's dates, rendered once for every method
+    dendrogram = None  # the tree's JSON, rendered once for hrp and herc
+    if with_tree and "dendrogram" in artifacts:
+        dendrogram = render_json(dendrogram_export(data.tree, data.train_returns.tickers))
     for method in methods:
         weights, mvp_result = fit_method(cfg, method, data)
         paths = {}
@@ -219,7 +222,7 @@ def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS, parsed=None):
             paths["frontier"] = str(path)
         if method in TREE_METHODS and "dendrogram" in artifacts:
             path = sector_dir / f"{method}_dendrogram.json"
-            write_json(path, dendrogram_export(data.tree, data.train_returns.tickers))
+            write_text(path, dendrogram)
             paths["dendrogram"] = str(path)
         if "reports" in artifacts:
             label = METHOD_LABELS[method]

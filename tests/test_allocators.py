@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -234,6 +235,25 @@ class TestMvpOptimize:
         assert len(rows) == 40
         assert all(row.endswith(",") and row.count(",") == 2 for row in rows)
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 49, 72])
+    def test_samples_are_the_normalised_draws_bit_for_bit(self, n):
+        mu, cov = self._instance(9, n=n, t=250)
+        res = mvp_optimize(mu, cov, n_samples=1000, seed=9)
+        draws = np.random.default_rng(9).random((1000, n))
+        assert res.samples.tobytes() == (draws / draws.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_peak_memory_is_one_samples_matrix(self):
+        n, n_samples = 72, 10_000
+        mu, cov = self._instance(10, n=n, t=250)
+        mvp_optimize(mu, cov, n_samples=10, seed=0)  # lazy numpy set-up, not measured
+        tracemalloc.start()
+        try:
+            mvp_optimize(mu, cov, n_samples=n_samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n_samples * n * 8
+
     def test_ticker_mismatch_rejected(self):
         mu = ExpectedReturns(("A", "B"), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
         with pytest.raises(AllocationError, match="do not match"):
@@ -371,3 +391,28 @@ class TestFrontierCsvBytes:
         for shift in range(3):
             ret, vol, sharpe = np.roll(edges, shift), np.roll(edges, shift + 1), np.roll(edges, shift + 2)
             self._check(self._columns(ret, vol, sharpe), tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_block_boundaries(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(allocators, "_FRONTIER_BLOCK_ROWS", block)
+        rng = np.random.default_rng(block)
+        for rows in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+            ret, vol = rng.normal(0.1, 0.2, rows), rng.uniform(0.01, 0.5, rows)
+            sharpe = ret / vol
+            sharpe[block - 1::block] = math.nan  # the last row of each full block
+            sharpe[-1:] = math.nan  # and of the file
+            self._check(self._columns(ret, vol, sharpe), tmp_path)
+
+    def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path):
+        rng = np.random.default_rng(12)
+        ret, vol = rng.normal(0.1, 0.2, 10_000), rng.uniform(0.0, 0.5, 10_000)
+        vol[::50] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            result = self._columns(ret, vol, np.where(vol == 0.0, math.nan, ret / vol))
+        tracemalloc.start()
+        try:
+            write_frontier_csv(result, tmp_path / "frontier.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2**20

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from portopt import market_data
+from portopt import market_data, pipeline
 from portopt.allocators import read_weights_csv
 from portopt.cli import main
 from portopt.config import load_config
@@ -93,6 +93,24 @@ class TestSharedPipeline:
                     got["cumulative_series"], want["cumulative_series"], rtol=1e-10
                 )
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_one_dendrogram_render_per_sector(self, synthetic_fixture, tmp_path, monkeypatch):
+        exports = []
+        original = pipeline.dendrogram_export
+
+        def counting(tree, labels):
+            exports.append(labels)
+            return original(tree, labels)
+
+        monkeypatch.setattr(pipeline, "dendrogram_export", counting)
+        cfg = load_config(synthetic_fixture / "config.yaml")
+        cfg.output_dir = tmp_path / "out"
+        run_pipeline(cfg)
+        assert exports == [("AAA", "AAB", "AAC"), ("BBA", "BBB", "BBC")]
+        for sector in ("alpha", "beta"):
+            hrp, herc = (tmp_path / "out" / sector / f"{m}_dendrogram.json" for m in ("hrp", "herc"))
+            assert hrp.read_bytes() == herc.read_bytes()
+            assert json.loads(hrp.read_text())["format"] == "dendrogram"
 
 
 def _add_shared_sector(fixture_copy):

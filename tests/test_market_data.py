@@ -468,3 +468,27 @@ class TestWideCsv:
         write_wide_csv(table, path)
         assert path.read_bytes() == first
         assert not list(tmp_path.glob("*.tmp"))
+
+    def _joined(self, table, date_column="Date"):
+        # the one-string join that the streamed writer replaced
+        lines = [",".join([date_column, *table.tickers])]
+        for date, row in zip(table.dates, table.closes):
+            lines.append(",".join([date.isoformat(), *(format(x, ".12g") for x in row)]))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_fixture_bytes_match_the_join(self, synthetic_fixture, tmp_path):
+        paths = sorted((synthetic_fixture / "data").glob("*.csv"))
+        table = load_price_table({p.stem: p for p in paths})
+        path = tmp_path / "wide.csv"
+        write_wide_csv(table, path, date_column="Day")
+        assert path.read_bytes() == self._joined(table, "Day")
+
+    def test_seeded_49_ticker_bytes_match_the_join(self, tmp_path):
+        rng = np.random.default_rng(49)
+        dates = [dt.date(2019, 1, 1) + dt.timedelta(days=i) for i in range(300)]
+        closes = 100.0 * np.cumprod(1.0 + rng.normal(0.0, 0.02, size=(300, 49)), axis=0)
+        closes[::37, ::5] = [1 / 3, 1e16, 5e-324, 2.5e-7, 123456789012.5, 1.0, 0.1, 7.0, 1e-300, 42.0]
+        table = _table(dates, [f"T{j:02d}" for j in range(49)], closes)
+        path = tmp_path / "wide.csv"
+        write_wide_csv(table, path)
+        assert path.read_bytes() == self._joined(table)
