@@ -15,6 +15,11 @@ from portopt.hierclust import gap_optimal_k, quasi_diagonalize
 RISK_MEASURES = ("std_dev", "variance")
 CLUSTER_WEIGHTINGS = ("inverse", "paper_literal")
 _FRONTIER_BLOCK_ROWS = 1000  # rows write_frontier_csv renders per write
+# Monte-Carlo samples mvp_optimize draws and scores at a time.  BLAS scores a
+# matrix-vector product's rows in small groups plus a remainder, each on its
+# own path; a power-of-two block starts every block on a group boundary, so
+# each row gets the bits of one whole-matrix call.
+_MVP_BLOCK_ROWS = 1024
 
 
 class AllocationError(Exception):
@@ -62,18 +67,31 @@ class FrontierSample:
 
 @dataclass(frozen=True)
 class MvpResult:
-    """Monte-Carlo samples as arrays (row i of the read-only samples matrix
-    scores annual_return[i], annual_volatility[i], sharpe[i], nan where
-    undefined), the max-Sharpe and min-vol samples, and the sorted indices of
-    the Pareto-nondominated frontier."""
+    """Monte-Carlo metrics as arrays (sample i scores annual_return[i],
+    annual_volatility[i], sharpe[i], nan where undefined), the max-Sharpe and
+    min-vol samples, and the sorted indices of the Pareto-nondominated
+    frontier.  The weight matrix is not kept: samples redraws it from seed."""
 
-    samples: np.ndarray
+    seed: int
     annual_return: np.ndarray
     annual_volatility: np.ndarray
     sharpe: np.ndarray
     max_sharpe: FrontierSample
     min_vol: FrontierSample
     frontier: np.ndarray
+
+    @property
+    def samples(self):
+        """The read-only (n_samples, n) weight matrix (row i is sample i),
+        drawn anew on each access."""
+        n_samples, n = len(self.sharpe), len(self.max_sharpe.weights.tickers)
+        weights = np.empty((n_samples, n))
+        start = 0
+        for block in _weight_blocks(self.seed, n_samples, n):
+            weights[start:start + len(block)] = block
+            start += len(block)
+        weights.setflags(write=False)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -223,14 +241,42 @@ def herc_allocate(cov, tree, params=None, returns=None):
     return WeightVector(cov.tickers, weights)
 
 
+def _weight_blocks(seed, n_samples, n):
+    """Yield the Monte-Carlo weights in blocks of _MVP_BLOCK_ROWS rows (the
+    last block holds the remainder, or _MVP_BLOCK_ROWS + 1 rows).
+
+    The blocks are successive draws from one generator, normalised in place,
+    so stacked they have the bits of draws / draws.sum(axis=1, keepdims=True)
+    for one (n_samples, n) draw.
+    """
+    rng = np.random.default_rng(seed)
+    left = n_samples
+    while left:
+        # a lone last row joins its block: a one-row product takes another
+        # BLAS path than the last row of a larger matrix
+        rows = left if left <= _MVP_BLOCK_ROWS + 1 else _MVP_BLOCK_ROWS
+        left -= rows
+        w = rng.random((rows, n))
+        w /= w.sum(axis=1, keepdims=True)
+        if not (np.all(np.isfinite(w)) and w.min() >= 0.0
+                and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9):
+            raise AllocationError("sample weights must be finite, non-negative and sum to 1")
+        yield w
+        del w  # one block alive at a time: the caller drops its reference too
+
+
 def mvp_optimize(mu, cov, n_samples=10000, risk_free_rate=0.0, seed=0):
     """Monte-Carlo mean-variance search over random simplex weights.
 
     Draws n_samples weight vectors (independent uniforms normalized by their
     sum), scores each with annualized return, volatility, and Sharpe ratio,
     and reports the max-Sharpe sample, the min-volatility sample, and the
-    Pareto-nondominated frontier.  Deterministic for a fixed seed; argmax and
-    argmin ties break on the lowest sample index.
+    Pareto-nondominated frontier.  Deterministic for a fixed int seed (None
+    draws one); argmax and argmin ties break on the lowest sample index.
+
+    Samples are drawn and scored in blocks of _MVP_BLOCK_ROWS rows, so the
+    peak memory is O(block x n + n_samples): only the metric arrays and the
+    two selected rows outlive their block.
     """
     if tuple(mu.tickers) != tuple(cov.tickers):
         raise AllocationError(
@@ -238,30 +284,43 @@ def mvp_optimize(mu, cov, n_samples=10000, risk_free_rate=0.0, seed=0):
         )
     if n_samples < 1:
         raise AllocationError("n_samples must be at least 1")
+    if seed is None:  # fix the entropy, so that samples can redraw these weights
+        seed = np.random.SeedSequence().entropy
+    elif isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise AllocationError("seed must be an int: MvpResult.samples redraws from it")
     n = len(mu.tickers)
 
-    rng = np.random.default_rng(seed)
-    # normalised in place: the same true_divide as draws / draws.sum(...),
-    # so the bits match, with one (n_samples, n) matrix alive instead of two
-    weights = rng.random((n_samples, n))
-    weights /= weights.sum(axis=1, keepdims=True)
-    if not (np.all(np.isfinite(weights)) and weights.min() >= 0.0
-            and np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-9):
-        raise AllocationError("sample weights must be finite, non-negative and sum to 1")
-    weights.setflags(write=False)
+    rets, vols, sharpe = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
+    # (key, index, row) of the best sample so far; a later block replaces it
+    # only with a strictly better key, so ties keep the lowest index as
+    # argmax/argmin over all samples would
+    top = low = None
+    start = 0
+    for w in _weight_blocks(seed, n_samples, n):
+        stop = start + len(w)
+        # each row scores with the bits of a whole-matrix call (_MVP_BLOCK_ROWS)
+        r = rets[start:stop] = w @ mu.mu_annual
+        daily_var = np.einsum("ij,jk,ik->i", w, cov.values, w)
+        v = vols[start:stop] = np.sqrt(mu.annualization_days * np.maximum(daily_var, 0.0))
+        # sharpe_ratio's rule on arrays: 0/0 is 0.0, any other x/0 undefined (nan)
+        excess = r - risk_free_rate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = sharpe[start:stop] = np.where(
+                v == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / v
+            )
+        key = np.where(np.isnan(s), -np.inf, s)  # undefined Sharpe never wins
+        j = int(np.argmax(key))
+        if top is None or key[j] > top[0]:
+            top = (key[j], start + j, w[j].copy())
+        j = int(np.argmin(v))
+        if low is None or v[j] < low[0]:
+            low = (v[j], start + j, w[j].copy())
+        start = stop
+        del w
 
-    rets = weights @ mu.mu_annual
-    daily_var = np.einsum("ij,jk,ik->i", weights, cov.values, weights)
-    vols = np.sqrt(mu.annualization_days * np.maximum(daily_var, 0.0))
-    # sharpe_ratio's rule on arrays: 0/0 is 0.0, any other x/0 undefined (nan)
-    excess = rets - risk_free_rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sharpe = np.where(vols == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / vols)
-
-    def sample(i):
+    def sample(i, row):
         s = None if np.isnan(sharpe[i]) else float(sharpe[i])
-        w = WeightVector(mu.tickers, weights[i])
-        return FrontierSample(w, float(rets[i]), float(vols[i]), s)
+        return FrontierSample(WeightVector(mu.tickers, row), float(rets[i]), float(vols[i]), s)
 
     # Pareto scan: dominated iff another sample has strictly lower volatility
     # and strictly higher return.  In volatility order, a sample is kept iff
@@ -273,9 +332,7 @@ def mvp_optimize(mu, cov, n_samples=10000, risk_free_rate=0.0, seed=0):
     best_below = np.where(group_start > 0, best[group_start - 1], -np.inf)
     frontier = np.sort(order[r >= best_below])
 
-    max_sharpe = sample(int(np.argmax(np.where(np.isnan(sharpe), -np.inf, sharpe))))
-    min_vol = sample(int(np.argmin(vols)))
-    return MvpResult(weights, rets, vols, sharpe, max_sharpe, min_vol, frontier)
+    return MvpResult(seed, rets, vols, sharpe, sample(*top[1:]), sample(*low[1:]), frontier)
 
 
 def write_weights_csv(weights, path):

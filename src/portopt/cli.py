@@ -215,23 +215,36 @@ def _cmd_dendrogram(cfg, args):
 
 
 def _read_metrics(path):
+    """The PerfMetrics of one report JSON; a missing file or one that is not
+    a report is a DataError naming it."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except OSError:
         raise DataError(f"missing report file: {path}") from None
-    m = payload["metrics"]
-    return PerfMetrics(
-        m["annual_return"], m["annual_volatility"], m["sharpe"], m.get("risk_free_rate", 0.0)
-    )
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting depth
+        raise DataError(f"{path}: not a report JSON: {exc}") from None
+    m = payload.get("metrics") if isinstance(payload, dict) else None
+    if not isinstance(m, dict):
+        raise DataError(f"{path}: no 'metrics' object")
+    fields = []
+    for key in ("annual_return", "annual_volatility", "sharpe", "risk_free_rate"):
+        if key not in m and key != "risk_free_rate":
+            raise DataError(f"{path}: metrics has no {key!r}")
+        value = m.get(key, 0.0)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number or key == "sharpe" and value is None):  # undefined Sharpe: null
+            raise DataError(f"{path}: metrics {key!r} is not a number: {value!r}")
+        fields.append(value)
+    return PerfMetrics(*fields)
 
 
 def _cmd_report(cfg, args):
     reports_dir = Path(args.reports_dir) if args.reports_dir else Path(cfg.output_dir)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     methods = list(cfg.methods)
-    for period in PERIODS:
-        metrics = {
+    # every report is read before any summary is written, so a bad one
+    # leaves no partial output
+    metrics = {
+        period: {
             sector: {
                 METHOD_LABELS[method]: _read_metrics(
                     reports_dir / sector / f"{method}_{period}_report.json"
@@ -240,7 +253,12 @@ def _cmd_report(cfg, args):
             }
             for sector in sorted(cfg.sectors)
         }
-        paths = write_summaries({period: metrics}, methods, out)
+        for period in PERIODS
+    }
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = write_summaries(metrics, methods, out)
+    for period in PERIODS:
         print(f"{period}: {paths[period]['table']}")
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -490,3 +491,63 @@ class TestOtherSubcommands:
         )
         assert code == 2
         assert "missing report" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fixture_reports(synthetic_fixture, tmp_path_factory):
+    """The report JSONs of one run over the synthetic fixture."""
+    out = tmp_path_factory.mktemp("reports")
+    assert main(["run", *_cfg(synthetic_fixture), "--out", str(out)]) == 0
+    return out
+
+
+class TestReportInputs:
+    """A bad report file exits 2 naming it, before any summary is written."""
+
+    BAD = {
+        "invalid_utf8": b'{"metrics": {"annual_return": "\xff"}}',
+        "truncated": b"{",
+        "nested_too_deep": b"[" * 100_000,
+        "not_an_object": b"[1, 2]",
+        "no_metrics": b'{"period": "test"}',
+        "metrics_not_an_object": b'{"metrics": [0.1, 0.2, 0.5]}',
+        "missing_field": b'{"metrics": {"annual_return": 0.1, "sharpe": 0.5}}',
+        "string_field": b'{"metrics": {"annual_return": "0.1", "annual_volatility": 0.2, "sharpe": 0.5}}',
+        "bool_field": b'{"metrics": {"annual_return": 0.1, "annual_volatility": true, "sharpe": 0.5}}',
+        "null_return": b'{"metrics": {"annual_return": null, "annual_volatility": 0.2, "sharpe": 0.5}}',
+        "string_risk_free_rate": (
+            b'{"metrics": {"annual_return": 0.1, "annual_volatility": 0.2, "sharpe": 0.5,'
+            b' "risk_free_rate": "0"}}'
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_test_report_exits_2_and_writes_nothing(
+        self, synthetic_fixture, fixture_reports, tmp_path, capsys, case
+    ):
+        reports = tmp_path / "reports"
+        shutil.copytree(fixture_reports, reports)
+        bad = reports / "beta" / "herc_test_report.json"  # read last
+        bad.write_bytes(self.BAD[case])
+        out = tmp_path / "summary"
+        code = main(
+            ["report", *_cfg(synthetic_fixture), "--out", str(out), "--reports-dir", str(reports)]
+        )
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_null_sharpe_and_absent_risk_free_rate_are_read(
+        self, synthetic_fixture, fixture_reports, tmp_path
+    ):
+        reports = tmp_path / "reports"
+        shutil.copytree(fixture_reports, reports)
+        (reports / "beta" / "herc_test_report.json").write_text(
+            '{"metrics": {"annual_return": 0.1, "annual_volatility": 0, "sharpe": null}}'
+        )
+        out = tmp_path / "summary"
+        code = main(
+            ["report", *_cfg(synthetic_fixture), "--out", str(out), "--reports-dir", str(reports)]
+        )
+        assert code == 0
+        assert (out / "summary_test.csv").is_file()
