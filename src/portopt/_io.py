@@ -1,10 +1,16 @@
-"""Atomic artifact writes: every output file goes through write_text."""
+"""Atomic artifact writes: every output file goes through write_text.  A name
+that becomes part of a file path must pass is_path_component."""
 
 from __future__ import annotations
 
 import json
 import os
 from pathlib import Path
+
+
+def is_path_component(name):
+    """Whether name is one path component: no '/', not empty, '.' or '..'."""
+    return name not in ("", ".", "..") and "/" not in name and os.sep not in name
 
 
 def write_text(path, text):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from portopt._io import write_text
+from portopt._io import is_path_component, write_text
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
 
 RISK_MEASURES = ("std_dev", "variance")
@@ -344,11 +344,12 @@ def write_weights_csv(weights, path):
 
 
 def read_weights_csv(path):
-    """Load a 'ticker,weight' CSV written by write_weights_csv."""
+    """Load a 'ticker,weight' CSV written by write_weights_csv.  Each ticker
+    names its price CSV, so it must be one path component, listed once."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise AllocationError(f"{path}: cannot read weights file: {exc}") from None
     if not lines or lines[0] != "ticker,weight":
         raise AllocationError(f"{path}: expected 'ticker,weight' header")
@@ -361,6 +362,12 @@ def read_weights_csv(path):
             values.append(float(raw))
         except ValueError:
             raise AllocationError(f"{path}: line {line_no}: bad row {line!r}") from None
+        if not is_path_component(ticker):
+            raise AllocationError(
+                f"{path}: line {line_no}: ticker {ticker!r} is not one path component"
+            )
+        if ticker in tickers:
+            raise AllocationError(f"{path}: line {line_no}: repeated ticker {ticker!r}")
         tickers.append(ticker)
     return WeightVector(tuple(tickers), np.array(values))
 

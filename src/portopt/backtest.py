@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from portopt._io import write_text
+from portopt._io import render_json, write_text
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
@@ -194,17 +194,17 @@ def report_to_dict(report):
 
 
 def render_report_json(report, date_blocks=None):
-    """report_to_dict(report) in write_json's layout (indent 2, sorted keys,
-    trailing newline), joined from float.__repr__ of the series (json's text
-    for a finite float) and a rendered block of ISO dates.
+    """render_json(report_to_dict(report)), joined from float.__repr__ of
+    the series (json's text for a finite float) and a rendered block of ISO
+    dates.
 
     date_blocks is an optional caller-owned {dates: block} mapping, so
     reports over the same dates render them once.  An empty or non-finite
-    series goes through json.dumps.
+    series goes through render_json itself.
     """
     series = report.cumulative_series
     if series.size == 0 or not np.isfinite(series).all():
-        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        return render_json(report_to_dict(report))
     if date_blocks is None:
         date_blocks = {}
     dates = date_blocks.get(report.dates)

@@ -22,7 +22,7 @@ import os
 import sys
 from pathlib import Path
 
-from portopt._io import write_json
+from portopt._io import is_path_component, write_json
 from portopt._version import __version__
 from portopt.allocators import read_weights_csv
 from portopt.backtest import BacktestError, write_report_json
@@ -171,7 +171,7 @@ def _cmd_optimize(cfg, args):
 def _cmd_backtest(cfg, args):
     # the label names the report files, so it must stay one path component
     label = args.label
-    if label in ("", ".", "..") or "/" in label or os.sep in label:
+    if not is_path_component(label):
         raise ConfigError(f"--label: expected a file name part without '/', got {label!r}")
     weights = read_weights_csv(args.weights)
     data = prepare_sector(cfg, weights.tickers)

@@ -27,14 +27,16 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import yaml
 
+from portopt._io import is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
+from portopt.market_data import ALIGN_POLICIES
+from portopt.pipeline import TREE_METHODS
 
 KNOWN_METHODS = ("mvp", "hrp", "herc")
 
@@ -82,7 +84,7 @@ class RunConfig:
             raise ConfigError("sectors: at least one sector is required")
         for name, tickers in self.sectors.items():
             for part in (name, *tickers):  # an output directory or a CSV name
-                if part in ("", ".", "..") or "/" in part or os.sep in part:
+                if not is_path_component(part):
                     raise ConfigError(
                         f"sectors.{name}: {part!r} is not one path component "
                         "(no '/', not '.' or '..')"
@@ -118,7 +120,7 @@ class RunConfig:
                 )
             if "seed" in params:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
-        tree_methods = [m for m in ("hrp", "herc") if m in self.methods]
+        tree_methods = [m for m in TREE_METHODS if m in self.methods]
         if tree_methods:
             self.check_clusterable(self.sectors, "/".join(tree_methods))
         herc = self.methods.get("herc", {})
@@ -130,20 +132,16 @@ class RunConfig:
             _check_int(herc["gap_b_refs"], "methods.herc.gap_b_refs")
         if herc.get("gap_k_max") is not None:
             _check_int(herc["gap_k_max"], "methods.herc.gap_k_max", high=fewest)
-        if herc.get("risk_measure", "std_dev") not in RISK_MEASURES:
-            raise ConfigError(
-                f"methods.herc.risk_measure: expected one of {RISK_MEASURES}"
-            )
-        if herc.get("cluster_weighting", "inverse") not in CLUSTER_WEIGHTINGS:
-            raise ConfigError(
-                f"methods.herc.cluster_weighting: expected one of {CLUSTER_WEIGHTINGS}"
-            )
+        herc_choices = {"risk_measure": RISK_MEASURES, "cluster_weighting": CLUSTER_WEIGHTINGS}
+        for key, choices in herc_choices.items():
+            if key in herc and herc[key] not in choices:
+                raise ConfigError(f"methods.herc.{key}: expected one of {choices}")
         if "n_samples" in self.methods.get("mvp", {}):
             _check_int(self.methods["mvp"]["n_samples"], "methods.mvp.n_samples")
         if self.linkage_rule not in LINKAGE_RULES:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
-        if self.align not in ("intersect", "ffill"):
-            raise ConfigError("align: expected 'intersect' or 'ffill'")
+        if self.align not in ALIGN_POLICIES:
+            raise ConfigError(f"align: expected one of {ALIGN_POLICIES}")
         _check_int(self.annualization_days, "annualization_days")
         rate = self.risk_free_rate
         finite = isinstance(rate, (int, float)) and math.isfinite(rate)
@@ -164,25 +162,16 @@ class RunConfig:
 
     def echo(self):
         """JSON-ready copy of the configuration, for the run manifest."""
-        return {
-            "sectors": {name: list(t) for name, t in self.sectors.items()},
-            "data_dir": str(self.data_dir),
-            "output_dir": str(self.output_dir),
-            "train_start": self.train_start.isoformat(),
-            "train_end": self.train_end.isoformat(),
-            "test_end": self.test_end.isoformat(),
-            "methods": {m: dict(p) for m, p in self.methods.items()},
-            "annualization_days": self.annualization_days,
-            "risk_free_rate": self.risk_free_rate,
-            "linkage_rule": self.linkage_rule,
-            "close_column": self.close_column,
-            "date_column": self.date_column,
-            "align": self.align,
-        }
+        echo = asdict(self)
+        for key in ("data_dir", "output_dir"):
+            echo[key] = str(echo[key])
+        for key in ("train_start", "train_end", "test_end"):
+            echo[key] = echo[key].isoformat()
+        return echo
 
 
 def _parse_date(raw, key):
-    if isinstance(raw, dt.date):
+    if type(raw) is dt.date:  # not a YAML timestamp, a datetime
         return raw
     try:
         return dt.date.fromisoformat(str(raw))
@@ -190,23 +179,22 @@ def _parse_date(raw, key):
         raise ConfigError(f"{key}: unparsable date {raw!r} (expected YYYY-MM-DD)") from None
 
 
-def load_config(path, base_dir=None):
+def load_config(path):
     """Load and validate a RunConfig from a YAML file.
 
     Relative data_dir/output_dir paths resolve against the config file's
-    directory (or base_dir when given).
+    directory.
     """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
 
-    base = Path(base_dir) if base_dir is not None else path.parent
     for key in ("sectors", "data_dir", "output_dir", "train_start", "train_end", "test_end"):
         if key not in raw:
             raise ConfigError(f"{key}: required key missing")
@@ -229,7 +217,7 @@ def load_config(path, base_dir=None):
 
     def resolve(p):
         p = Path(p)
-        return p if p.is_absolute() else base / p
+        return p if p.is_absolute() else path.parent / p
 
     cfg = RunConfig(
         sectors={str(k): [str(t) for t in v] for k, v in sectors.items()},

@@ -47,26 +47,10 @@ class LinkageTree:
             raise ClusterError("tree needs at least one leaf")
         if len(merges) != n - 1:
             raise ClusterError(f"expected {n - 1} merges, got {len(merges)}")
-        sizes = {i: 1 for i in range(n)}
-        used = set()
-        for k, merge in enumerate(merges):
-            node = n + k
-            for child in (merge.left, merge.right):
-                if child not in sizes:
-                    raise ClusterError(f"merge {k} references unknown node {child}")
-                if child in used:
-                    raise ClusterError(f"node {child} appears twice as a child")
-                used.add(child)
-            if merge.height < 0.0 or not math.isfinite(merge.height):
-                raise ClusterError(f"merge {k} has invalid height {merge.height}")
-            if merge.size != sizes[merge.left] + sizes[merge.right]:
-                raise ClusterError(
-                    f"merge {k} size {merge.size} does not equal the sum of "
-                    "its child sizes"
-                )
-            sizes[node] = merge.size
-        if n > 1 and sizes[2 * n - 2] != n:
-            raise ClusterError("root size does not equal the leaf count")
+        left, right, size = np.array(
+            [(m.left, m.right, m.size) for m in merges], dtype=int
+        ).reshape(-1, 3).T[:, None]
+        _check_merges(left, right, np.array([[m.height for m in merges]], dtype=float), size)
         object.__setattr__(self, "merges", merges)
 
     @property
@@ -179,10 +163,7 @@ def agglomerate(dist, linkage_rule="ward"):
 
 def quasi_diagonalize(tree):
     """Dendrogram leaf order: expand each merge into its children, left first."""
-    order = tree.leaves_under(tree.root) if tree.n_leaves > 1 else [0]
-    if sorted(order) != list(range(tree.n_leaves)):
-        raise ClusterError("malformed tree: leaf expansion is not a permutation")
-    return order
+    return tree.leaves_under(tree.root) if tree.n_leaves > 1 else [0]
 
 
 def cut_k(tree, k):
@@ -245,16 +226,22 @@ def _unit_distances(sq):
     return values
 
 
-def _check_merges(left, right, height):
-    """LinkageTree's checks on a stack of merge histories: finite heights
-    >= 0, and every node but the root a child once, of a later node."""
+def _check_merges(left, right, height, size):
+    """Validity of a stack of merge histories, (batch, n-1) arrays: each
+    child a node formed before its merge, every node but the root a child
+    once, heights finite and >= 0, and each size the sum of its children's."""
     n = left.shape[1] + 1
+    node = np.arange(n, 2 * n - 1)
+    if np.any((left < 0) | (left >= node) | (right < 0) | (right >= node)):
+        raise ClusterError("merge history references an unknown node")
+    # 2n-2 children below 2n-2: any gap in the sorted ids is a repeat
+    if np.any(np.sort(np.concatenate([left, right], axis=1), axis=1) != np.arange(2 * n - 2)):
+        raise ClusterError("merge history uses a node twice as a child")
     if not np.all(np.isfinite(height) & (height >= 0.0)):
         raise ClusterError("merge history has an invalid height")
-    node = np.arange(n, 2 * n - 1)
-    children = np.sort(np.concatenate([left, right], axis=1), axis=1)
-    if np.any(left >= node) or np.any(right >= node) or np.any(children != np.arange(2 * n - 2)):
-        raise ClusterError("merge history does not use each node once as a child")
+    sizes = np.concatenate([np.ones((len(size), n), dtype=int), size], axis=1)
+    if np.any(size != np.take_along_axis(sizes, left, 1) + np.take_along_axis(sizes, right, 1)):
+        raise ClusterError("merge size does not equal the sum of its child sizes")
 
 
 def _log_w_curves(sets, k_hi, linkage_rule):
@@ -269,7 +256,7 @@ def _log_w_curves(sets, k_hi, linkage_rule):
     batch, n = sets.shape[:2]
     sq = _pairwise_sq_dists(sets)
     left, right, height, merge_sizes = _lance_williams(_unit_distances(sq), linkage_rule)
-    _check_merges(left, right, height)
+    _check_merges(left, right, height, merge_sizes)
     rows = np.arange(batch)
     members = np.zeros((batch, 2 * n - 1, n), dtype=bool)
     members[:, np.arange(n), np.arange(n)] = True

@@ -22,11 +22,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from portopt._io import write_text
+
+
+ALIGN_POLICIES = ("intersect", "ffill")
 
 
 class DataError(Exception):
@@ -260,14 +262,14 @@ def _read_close_series(path, date_column, close_column):
 
 
 def parse_csvs(paths, *, date_column="Date", close_column="Close"):
-    """Parse each CSV once into a parsed mapping for load_price_table.  A CSV
-    that fails is left out, so each load that lists it raises its error."""
+    """Parse each CSV once: the {path: (day ordinals, closes) or the DataError
+    the file raised} mapping that load_price_table takes as parsed."""
     parsed = {}
     for path in dict.fromkeys(paths):
         try:
             parsed[path] = _read_close_series(path, date_column, close_column)
-        except DataError:
-            pass
+        except DataError as exc:
+            parsed[path] = exc
     return parsed
 
 
@@ -282,36 +284,34 @@ def load_price_table(
 ):
     """Load per-ticker CSVs into a single aligned PriceTable.
 
-    sources maps ticker -> CSV path (or is an iterable of (ticker, path)
-    pairs).  Column order follows the source order.  align='intersect' keeps
-    only dates present for every ticker; align='ffill' keeps the union of
-    dates and forward-fills gaps, rejecting tickers whose history starts after
-    the first date of the union calendar.  When require_start is given, any
-    ticker whose history begins after that date is rejected (insufficient
-    history is a data-curation problem, not something to patch silently).
+    sources maps ticker -> CSV path.  Column order follows the source order.
+    align='intersect' keeps only dates present for every ticker;
+    align='ffill' keeps the union of dates and forward-fills gaps, rejecting
+    tickers whose history starts after the first date of the union calendar.
+    When require_start is given, any ticker whose history begins after that
+    date is rejected (insufficient history is a data-curation problem, not
+    something to patch silently).
 
-    parsed, when given, is a mutable {path: parsed series} mapping shared by
-    calls with the same columns: a path found there is not read again, and
-    every path read is added to it.
+    parsed, when given, is a parse_csvs mapping made with the same columns:
+    a path found there is not read again, and a recorded error is raised.
+    Paths it lacks are parsed here; parsed itself is never changed.
     """
-    if isinstance(sources, Mapping):
-        pairs = list(sources.items())
-    else:
-        pairs = list(sources)
-    if not pairs:
+    if not sources:
         raise DataError("no price sources given")
-    if align not in ("intersect", "ffill"):
+    if align not in ALIGN_POLICIES:
         raise DataError(f"unknown alignment policy {align!r}")
+    parsed = {} if parsed is None else parsed
+    fresh = parse_csvs(
+        [path for path in sources.values() if path not in parsed],
+        date_column=date_column,
+        close_column=close_column,
+    )
 
     per_ticker = {}
-    for ticker, path in pairs:
-        if ticker in per_ticker:
-            raise DataError(f"duplicate ticker {ticker!r} in sources")
-        series = None if parsed is None else parsed.get(path)
-        if series is None:
-            series = _read_close_series(path, date_column, close_column)
-            if parsed is not None:
-                parsed[path] = series
+    for ticker, path in sources.items():
+        series = fresh[path] if path in fresh else parsed[path]
+        if isinstance(series, DataError):
+            raise series.with_traceback(None)
         first = dt.date.fromordinal(int(series[0][0]))
         if require_start is not None and first > require_start:
             raise DataError(

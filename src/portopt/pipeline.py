@@ -96,9 +96,9 @@ def ticker_csv(cfg, ticker):
 
 
 def parse_sectors(cfg, sectors):
-    """Parse every ticker CSV the sectors list, once each: the {csv path:
-    parsed series} mapping to pass to sector_prices.  A CSV that fails is left
-    out, so each sector that lists it reads it again and raises its error."""
+    """Parse every ticker CSV the sectors list, once each: the parse_csvs
+    mapping to pass to sector_prices.  A CSV that fails is read once too, and
+    each sector that lists it raises its error."""
     paths = (ticker_csv(cfg, t) for sector in sectors for t in cfg.sectors[sector])
     return parse_csvs(paths, date_column=cfg.date_column, close_column=cfg.close_column)
 
@@ -149,7 +149,6 @@ def fit_method(cfg, method, data):
 
     Returns (weights, mvp_result) where mvp_result is None for hrp/herc.
     """
-    params = cfg.methods.get(method, {})
     if method == "mvp":
         mu = expected_returns(data.train_returns, cfg.annualization_days)
         result = mvp_optimize(
@@ -163,14 +162,10 @@ def fit_method(cfg, method, data):
     if method == "hrp":
         return hrp_allocate(data.cov, data.tree), None
     if method == "herc":
+        # the config's keys, checked by RunConfig.validate; HercParams owns the defaults
+        params = {k: v for k, v in cfg.methods.get("herc", {}).items() if k != "seed"}
         herc = HercParams(
-            k=params.get("k", "auto"),
-            risk_measure=params.get("risk_measure", "std_dev"),
-            cluster_weighting=params.get("cluster_weighting", "inverse"),
-            gap_k_max=params.get("gap_k_max"),
-            gap_b_refs=int(params.get("gap_b_refs", 100)),
-            gap_seed=method_seed(cfg, "herc"),
-            linkage_rule=cfg.linkage_rule,
+            **params, gap_seed=method_seed(cfg, "herc"), linkage_rule=cfg.linkage_rule
         )
         return herc_allocate(data.cov, data.tree, herc, data.train_returns), None
     raise AllocationError(f"unknown method {method!r}")

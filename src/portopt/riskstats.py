@@ -205,14 +205,9 @@ def portfolio_metrics(
     weights, r, risk_free_rate=0.0, annualization_days=DEFAULT_ANNUALIZATION_DAYS
 ):
     """Annualized return, volatility, and Sharpe ratio of a fixed-weight portfolio."""
-    if tuple(weights.tickers) != tuple(r.tickers):
-        raise StatsError(
-            f"weight tickers {weights.tickers} do not match "
-            f"return tickers {r.tickers}"
-        )
+    var_daily = portfolio_variance(weights, covariance(r))  # checks the tickers
     mu = expected_returns(r, annualization_days)
     annual_return = float(weights.weights @ mu.mu_annual)
-    var_daily = portfolio_variance(weights, covariance(r))
     # daily std first so the annualization factor is an exact sqrt(days) multiple
     annual_volatility = math.sqrt(max(var_daily, 0.0)) * math.sqrt(annualization_days)
     sharpe = sharpe_ratio(annual_return, annual_volatility, risk_free_rate)

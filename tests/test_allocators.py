@@ -450,6 +450,23 @@ class TestWeightsCsv:
         with pytest.raises(AllocationError, match="line 3"):
             read_weights_csv(path)
 
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            (b"ticker,weight\nA,0.5\nB,0.5\xff\n", "cannot read"),
+            (b"ticker,weight\nA,0.5\n../x,0.5\n", "line 3: ticker '../x' is not one path"),
+            (b"ticker,weight\nA,0.5\n,0.5\n", "line 3: ticker '' is not one path"),
+            (b"ticker,weight\nA,0.5\nA,0.5\n", "line 3: repeated ticker 'A'"),
+        ],
+        ids=["not_utf8", "dotdot", "empty", "repeated"],
+    )
+    def test_malformed_file_rejected_by_name(self, tmp_path, body, match):
+        path = tmp_path / "w.csv"
+        path.write_bytes(body)
+        with pytest.raises(AllocationError, match=match) as info:
+            read_weights_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 def test_write_frontier_csv_schema(tmp_path):
     rng = np.random.default_rng(6)

@@ -189,13 +189,13 @@ class TestParseOnce:
         message = f"{path}: line 3, column 'Close': unparsable price 'oops'"
         assert manifest["failures"] == {"beta": message, "mixed": message}
         assert set(manifest["outputs"]) == {"alpha"}
-        # a single-process run: the up-front parse leaves the broken CSV out,
-        # so each of the two sectors that list it reads it again
+        # a single-process run: the up-front parse records the broken CSV's
+        # error, so the two sectors that list it raise it without a read
         reads.clear()
         cfg = load_config(fixture_copy / "config.yaml")
         cfg.output_dir = tmp_path / "serial"
         assert run_pipeline(cfg).failures == manifest["failures"]
-        assert reads.count(str(path)) == 3
+        assert reads.count(str(path)) == 1
 
 
 def _tree(root):
@@ -273,6 +273,36 @@ class TestExitCodes:
         path = tmp_path / "config.yaml"
         path.write_text("data_dir: d\n", encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            (b"# Synthetic", b"# \xa0Synthetic", b"config.yaml"),
+            (b"train_end: 2021-06-30", b"train_end: 2021-06-30 00:00:00", b"train_end"),
+        ],
+        ids=["not_utf8", "timestamp_date"],
+    )
+    def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, old, new, named):
+        config = fixture_copy / "config.yaml"
+        config.write_bytes(config.read_bytes().replace(old, new, 1))
+        assert main(["run", *_cfg(fixture_copy), "--out", str(tmp_path / "out")]) == 1
+        assert named.decode() in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"ticker,weight\nAAA,0.5\xff\nAAB,0.5\n", b"ticker,weight\nAAA,0.5\n../x,0.5\n",
+         b"ticker,weight\nAAA,0.5\nAAA,0.5\n"],
+        ids=["not_utf8", "dotdot", "repeated"],
+    )
+    def test_malformed_weights_file_exits_2(self, synthetic_fixture, tmp_path, capsys, body):
+        weights = tmp_path / "w.csv"
+        weights.write_bytes(body)
+        out = tmp_path / "out"
+        argv = ["backtest", *_cfg(synthetic_fixture), "--out", str(out), "--weights", str(weights)]
+        assert main(argv) == 2
+        assert f"data error: {weights}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_exits_1(self, synthetic_fixture, tmp_path, capsys):
         code = main(["run", *_cfg(synthetic_fixture), "--out", str(tmp_path), "--seed", "-1"])

@@ -17,7 +17,8 @@ sectors:
 
 def _write(tmp_path, text):
     path = tmp_path / "config.yaml"
-    path.write_text(text, encoding="utf-8")
+    # a lone surrogate in text writes as that raw byte: a non-UTF-8 file
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -125,6 +126,9 @@ class TestLoadConfig:
                 "alpha: [AAA, AAB]\n  solo: [AAC]\nmethods: [mvp, hrp]",
                 "sectors.solo",
             ),
+            ("train_start: 2020-01-01", "train_start: 2020-01-01 00:00:00", "train_start"),
+            ("test_end: 2021-12-31", "test_end: 2021-12-31T09:30:00Z", "test_end"),
+            ("sectors:", "# caf\udce9\nsectors:", "config.yaml"),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):

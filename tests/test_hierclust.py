@@ -112,6 +112,22 @@ class TestLinkageTree:
         with pytest.raises(ClusterError, match="size"):
             LinkageTree(2, (Merge(0, 1, 0.1, 3),))
 
+    def test_child_not_yet_formed_rejected(self):
+        merges = (Merge(0, 4, 0.1, 2), Merge(1, 2, 0.2, 2), Merge(3, 4, 0.3, 4))
+        with pytest.raises(ClusterError, match="unknown node"):
+            LinkageTree(4, merges)
+
+    def test_negative_child_rejected(self):
+        merges = (Merge(-1, 1, 0.1, 2), Merge(2, 3, 0.2, 3))
+        with pytest.raises(ClusterError, match="unknown node"):
+            LinkageTree(3, merges)
+
+    @pytest.mark.parametrize("height", [float("nan"), -0.1])
+    def test_invalid_height_rejected(self, height):
+        merges = (Merge(0, 1, height, 2), Merge(2, 3, 0.2, 3))
+        with pytest.raises(ClusterError, match="invalid height"):
+            LinkageTree(3, merges)
+
     def test_leaves_under_root_covers_all(self):
         rng = np.random.default_rng(9)
         tree = random_tree(rng, 12)
