@@ -20,6 +20,7 @@ _FRONTIER_BLOCK_ROWS = 1000  # rows write_frontier_csv renders per write
 # own path; a power-of-two block starts every block on a group boundary, so
 # each row gets the bits of one whole-matrix call.
 _MVP_BLOCK_ROWS = 1024
+MVP_SAMPLES = 10000  # mvp_optimize's default sample count
 
 
 class AllocationError(Exception):
@@ -265,7 +266,7 @@ def _weight_blocks(seed, n_samples, n):
         del w  # one block alive at a time: the caller drops its reference too
 
 
-def mvp_optimize(mu, cov, n_samples=10000, risk_free_rate=0.0, seed=0):
+def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
     """Monte-Carlo mean-variance search over random simplex weights.
 
     Draws n_samples weight vectors (independent uniforms normalized by their
@@ -344,11 +345,12 @@ def write_weights_csv(weights, path):
 
 
 def read_weights_csv(path):
-    """Load a 'ticker,weight' CSV written by write_weights_csv.  Each ticker
-    names its price CSV, so it must be one path component, listed once."""
+    """Load a 'ticker,weight' CSV written by write_weights_csv (a UTF-8
+    byte-order mark and CRLF line ends are accepted).  Each ticker names its
+    price CSV, so it must be one path component, listed once."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise AllocationError(f"{path}: cannot read weights file: {exc}") from None
     if not lines or lines[0] != "ticker,weight":

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from portopt._io import is_path_component, write_json
 from portopt._version import __version__
-from portopt.allocators import read_weights_csv
+from portopt.allocators import MVP_SAMPLES, read_weights_csv
 from portopt.backtest import BacktestError, write_report_json
 from portopt.config import KNOWN_METHODS, ConfigError, load_config
 from portopt.hierclust import dendrogram_export
@@ -35,7 +35,6 @@ from portopt.pipeline import (
     PERIODS,
     SECTOR_ERRORS,
     evaluate_periods,
-    mvp_sample_count,
     parse_sectors,
     prepare_sector,
     run_pipeline,
@@ -192,10 +191,10 @@ def _cmd_frontier(cfg, args):
     _enable(cfg, args, "mvp")
     sectors = _sectors(cfg, args)
     parsed = parse_sectors(cfg, sectors)
+    n_samples = cfg.methods["mvp"].get("n_samples", MVP_SAMPLES)
     for sector in sectors:
         outputs, _ = run_sector(cfg, sector, ["mvp"], cfg.output_dir, ["frontier"], parsed)
-        path = outputs["mvp"]["frontier"]
-        print(f"{sector}: {mvp_sample_count(cfg)} samples -> {path}")
+        print(f"{sector}: {n_samples} samples -> {outputs['mvp']['frontier']}")
     return EXIT_OK
 
 

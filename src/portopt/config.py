@@ -21,13 +21,17 @@ Schema (all dates ISO YYYY-MM-DD):
     close_column: Close         # optional
     date_column: Date           # optional
     align: intersect | ffill    # optional
+
+The keys and the defaults of the optional ones are RunConfig's fields.  An
+unknown key, at the top level or under methods.<name>, is rejected by name.
+Every ticker needs a price on or before train_start, under either alignment.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -37,13 +41,14 @@ from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
 from portopt.market_data import ALIGN_POLICIES
 from portopt.pipeline import TREE_METHODS
+from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
 KNOWN_METHODS = ("mvp", "hrp", "herc")
 
 _METHOD_PARAM_KEYS = {
-    "mvp": {"n_samples", "seed"},
-    "hrp": set(),
-    "herc": {"k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"},
+    "mvp": ("n_samples", "seed"),
+    "hrp": (),
+    "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
 }
 
 
@@ -63,6 +68,14 @@ def _check_int(value, key, low=1, high=None):
         raise ConfigError(f"{key}: expected an int {bound}, got {value!r}")
 
 
+def _reject_unknown(mapping, known, prefix=""):
+    """Reject, by name, the first key of mapping that is not in known."""
+    for key in mapping:
+        if key not in known:
+            expected = f"one of {', '.join(known)}" if known else "no keys"
+            raise ConfigError(f"{prefix}{key}: unknown key (expected {expected})")
+
+
 @dataclass
 class RunConfig:
     sectors: dict
@@ -72,7 +85,7 @@ class RunConfig:
     train_end: dt.date
     test_end: dt.date
     methods: dict = field(default_factory=lambda: {m: {} for m in KNOWN_METHODS})
-    annualization_days: int = 252
+    annualization_days: int = DEFAULT_ANNUALIZATION_DAYS
     risk_free_rate: float = 0.0
     linkage_rule: str = "ward"
     close_column: str = "Close"
@@ -103,21 +116,13 @@ class RunConfig:
             )
         if not self.methods:
             raise ConfigError("methods: at least one method must be enabled")
+        _reject_unknown(self.methods, KNOWN_METHODS, "methods.")
         for method, params in self.methods.items():
-            if method not in KNOWN_METHODS:
-                raise ConfigError(
-                    f"methods.{method}: unknown method (expected one of "
-                    f"{', '.join(KNOWN_METHODS)})"
-                )
             if not isinstance(params, dict):
                 raise ConfigError(
                     f"methods.{method}: expected a mapping of parameters, got {params!r}"
                 )
-            unknown = set(params) - _METHOD_PARAM_KEYS[method]
-            if unknown:
-                raise ConfigError(
-                    f"methods.{method}: unknown parameter(s) {sorted(unknown)}"
-                )
+            _reject_unknown(params, _METHOD_PARAM_KEYS[method], f"methods.{method}.")
             if "seed" in params:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
         tree_methods = [m for m in TREE_METHODS if m in self.methods]
@@ -195,9 +200,11 @@ def load_config(path):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
 
-    for key in ("sectors", "data_dir", "output_dir", "train_start", "train_end", "test_end"):
-        if key not in raw:
-            raise ConfigError(f"{key}: required key missing")
+    keys = fields(RunConfig)
+    _reject_unknown(raw, [f.name for f in keys])
+    for f in keys:
+        if f.name not in raw and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{f.name}: required key missing")
     for key in ("data_dir", "output_dir"):
         if not isinstance(raw[key], str):
             raise ConfigError(f"{key}: expected a path string, got {raw[key]!r}")
@@ -208,30 +215,20 @@ def load_config(path):
     ):
         raise ConfigError("sectors: expected a mapping of name -> ticker list")
 
-    methods = raw.get("methods", {m: {} for m in KNOWN_METHODS})
-    if isinstance(methods, list):
-        methods = {m: {} for m in methods}
-    if not isinstance(methods, dict):
-        raise ConfigError("methods: expected a mapping or list of method names")
-    methods = {m: (p or {}) for m, p in methods.items()}
-
-    def resolve(p):
-        p = Path(p)
-        return p if p.is_absolute() else path.parent / p
-
-    cfg = RunConfig(
-        sectors={str(k): [str(t) for t in v] for k, v in sectors.items()},
-        data_dir=resolve(raw["data_dir"]),
-        output_dir=resolve(raw["output_dir"]),
-        train_start=_parse_date(raw["train_start"], "train_start"),
-        train_end=_parse_date(raw["train_end"], "train_end"),
-        test_end=_parse_date(raw["test_end"], "test_end"),
-        methods=methods,
-        annualization_days=raw.get("annualization_days", 252),
-        risk_free_rate=raw.get("risk_free_rate", 0.0),
-        linkage_rule=str(raw.get("linkage_rule", "ward")),
-        close_column=str(raw.get("close_column", "Close")),
-        date_column=str(raw.get("date_column", "Date")),
-        align=str(raw.get("align", "intersect")),
-    )
-    return cfg.validate()
+    # only the keys present: RunConfig holds the defaults
+    values = dict(raw, sectors={str(k): [str(t) for t in v] for k, v in sectors.items()})
+    for key in ("data_dir", "output_dir"):
+        values[key] = path.parent / raw[key]  # an absolute path replaces the parent
+    for key in ("train_start", "train_end", "test_end"):
+        values[key] = _parse_date(raw[key], key)
+    if "methods" in raw:
+        methods = raw["methods"]
+        if isinstance(methods, list):
+            methods = {str(m): {} for m in methods}  # a mapping entry is unhashable
+        if not isinstance(methods, dict):
+            raise ConfigError("methods: expected a mapping or list of method names")
+        values["methods"] = {m: (p or {}) for m, p in methods.items()}
+    for key in ("linkage_rule", "close_column", "date_column", "align"):
+        if key in raw:
+            values[key] = str(raw[key])
+    return RunConfig(**values).validate()

@@ -163,7 +163,7 @@ def agglomerate(dist, linkage_rule="ward"):
 
 def quasi_diagonalize(tree):
     """Dendrogram leaf order: expand each merge into its children, left first."""
-    return tree.leaves_under(tree.root) if tree.n_leaves > 1 else [0]
+    return tree.leaves_under(tree.root)
 
 
 def cut_k(tree, k):
@@ -213,13 +213,10 @@ def _pairwise_sq_dists(sets):
 
 
 def _unit_distances(sq):
-    """Euclidean distances of each squared-distance slice, symmetrised and
-    scaled into [0, 1] (clustering shape is scale-free; the dispersion
+    """Euclidean distances of each (symmetric, zero-diagonal) squared-distance
+    slice, scaled into [0, 1] (clustering shape is scale-free; the dispersion
     statistic uses the raw squared distances)."""
     values = np.sqrt(np.maximum(sq, 0.0))
-    values = (values + values.swapaxes(1, 2)) / 2.0
-    diag = np.arange(sq.shape[1])
-    values[:, diag, diag] = 0.0
     scale = values.max(axis=(1, 2))
     values /= np.where(scale > 0, scale, 1.0)[:, None, None]
     check_distances(values)
@@ -392,5 +389,5 @@ def dendrogram_export(tree, labels):
         "format": "dendrogram",
         "version": DENDROGRAM_SCHEMA_VERSION,
         "n_leaves": tree.n_leaves,
-        "root": node(tree.root) if tree.n_leaves > 1 else node(0),
+        "root": node(tree.root),
     }

@@ -286,11 +286,11 @@ def load_price_table(
 
     sources maps ticker -> CSV path.  Column order follows the source order.
     align='intersect' keeps only dates present for every ticker;
-    align='ffill' keeps the union of dates and forward-fills gaps, rejecting
-    tickers whose history starts after the first date of the union calendar.
-    When require_start is given, any ticker whose history begins after that
-    date is rejected (insufficient history is a data-curation problem, not
-    something to patch silently).
+    align='ffill' keeps the union of dates and forward-fills gaps.  The table
+    starts at require_start when it is given (earlier dates are dropped), else
+    at the calendar's first date, and a ticker with no price on or before that
+    day is rejected by name (insufficient history is a data-curation problem,
+    not something to patch silently).
 
     parsed, when given, is a parse_csvs mapping made with the same columns:
     a path found there is not read again, and a recorded error is raised.
@@ -312,12 +312,6 @@ def load_price_table(
         series = fresh[path] if path in fresh else parsed[path]
         if isinstance(series, DataError):
             raise series.with_traceback(None)
-        first = dt.date.fromordinal(int(series[0][0]))
-        if require_start is not None and first > require_start:
-            raise DataError(
-                f"ticker {ticker!r} has no history on or before {require_start} "
-                f"(first date {first})"
-            )
         per_ticker[ticker] = series
 
     all_days = [days for days, _ in per_ticker.values()]
@@ -325,22 +319,22 @@ def load_price_table(
         days = all_days[0]
         for own in all_days[1:]:
             days = np.intersect1d(days, own, assume_unique=True)
-        if not days.size:
-            raise DataError(
-                "no common dates across tickers "
-                f"({', '.join(per_ticker)}); empty overlap"
-            )
     else:
         # sort and drop repeats by hand: np.unique imports numpy.ma (~0.5 MB)
         days = np.sort(np.concatenate(all_days))
         days = days[np.append(True, days[1:] != days[:-1])]
-        for ticker, own in zip(per_ticker, all_days):
-            if own[0] > days[0]:
-                raise DataError(
-                    f"ticker {ticker!r} has no price on or before "
-                    f"{dt.date.fromordinal(int(days[0]))}; "
-                    "insufficient history for forward-fill alignment"
-                )
+    if require_start is not None:
+        days = days[days >= require_start.toordinal()]
+    if not days.size:
+        since = "" if require_start is None else f" on or after {require_start}"
+        raise DataError(f"no common dates across tickers ({', '.join(per_ticker)}){since}")
+    start = dt.date.fromordinal(int(days[0])) if require_start is None else require_start
+    for ticker, own in zip(per_ticker, all_days):
+        first = dt.date.fromordinal(int(own[0]))
+        if first > start:
+            raise DataError(
+                f"ticker {ticker!r} has no price on or before {start} (first date {first})"
+            )
 
     # the last own date on or before each calendar date: the date itself
     # under intersect, the last known close under ffill
@@ -371,8 +365,6 @@ def split_train_test(table, boundary):
             f"boundary {boundary} must lie strictly inside [{first}, {last}]"
         )
     cut = sum(1 for d in table.dates if d <= boundary)
-    if cut == 0 or cut == table.n_dates:
-        raise DataError(f"boundary {boundary} leaves one side of the split empty")
     head = PriceTable(table.dates[:cut], table.tickers, table.closes[:cut, :])
     tail = PriceTable(table.dates[cut:], table.tickers, table.closes[cut:, :])
     return head, tail

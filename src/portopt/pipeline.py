@@ -140,33 +140,23 @@ def method_seed(cfg, method):
     return int(cfg.methods.get(method, {}).get("seed", 0))
 
 
-def mvp_sample_count(cfg):
-    return int(cfg.methods.get("mvp", {}).get("n_samples", 10000))
-
-
 def fit_method(cfg, method, data):
     """Fit one allocator on the training data.
 
     Returns (weights, mvp_result) where mvp_result is None for hrp/herc.
     """
+    # the config's keys but the seed, checked by RunConfig.validate; the
+    # allocator owns the defaults
+    params = {k: v for k, v in cfg.methods.get(method, {}).items() if k != "seed"}
+    seed = method_seed(cfg, method)
     if method == "mvp":
         mu = expected_returns(data.train_returns, cfg.annualization_days)
-        result = mvp_optimize(
-            mu,
-            data.cov,
-            n_samples=mvp_sample_count(cfg),
-            risk_free_rate=cfg.risk_free_rate,
-            seed=method_seed(cfg, "mvp"),
-        )
+        result = mvp_optimize(mu, data.cov, **params, risk_free_rate=cfg.risk_free_rate, seed=seed)
         return result.max_sharpe.weights, result
     if method == "hrp":
         return hrp_allocate(data.cov, data.tree), None
     if method == "herc":
-        # the config's keys, checked by RunConfig.validate; HercParams owns the defaults
-        params = {k: v for k, v in cfg.methods.get("herc", {}).items() if k != "seed"}
-        herc = HercParams(
-            **params, gap_seed=method_seed(cfg, "herc"), linkage_rule=cfg.linkage_rule
-        )
+        herc = HercParams(**params, gap_seed=seed, linkage_rule=cfg.linkage_rule)
         return herc_allocate(data.cov, data.tree, herc, data.train_returns), None
     raise AllocationError(f"unknown method {method!r}")
 

@@ -169,8 +169,8 @@ def correlation(r):
     for ticker, s in zip(r.tickers, stds):
         if s == 0.0:
             raise StatsError(f"ticker {ticker!r} has zero return variance")
-    values = cov.values / np.outer(stds, stds)
-    values = np.clip((values + values.T) / 2.0, -1.0, 1.0)
+    # symmetric as cov is: each entry and its mirror divide the same operands
+    values = np.clip(cov.values / np.outer(stds, stds), -1.0, 1.0)
     np.fill_diagonal(values, 1.0)
     return CorrMatrix(r.tickers, values)
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from portopt.hierclust import LinkageTree, Merge, cut_k
+from portopt.hierclust import LinkageTree, Merge
 from portopt.market_data import ReturnMatrix
 from portopt.riskstats import CovMatrix, DistanceMatrix
 
@@ -68,8 +68,10 @@ def naive_cut(tree, k):
 
 def naive_log_w_curve(points, k_hi, rule):
     """Gap-statistic log W_k, k = 1..k_hi, one tree at a time: euclidean
-    distances rescaled into [0, 1], the naive_linkage tree, cut_k labels, and
-    W_k summed directly over each label's members in ascending order."""
+    distances rescaled into [0, 1], the naive_linkage merges, the k clusters
+    left by undoing the top k-1 merges (numbered by expanding them from the
+    root, left child first), and W_k summed directly over each cluster's
+    members in ascending order."""
     diff = points[:, None, :] - points[None, :, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     values = np.sqrt(np.maximum(sq, 0.0))
@@ -78,15 +80,26 @@ def naive_log_w_curve(points, k_hi, rule):
     scale = values.max()
     if scale > 0:
         values = values / scale
-    tree = LinkageTree(len(points), tuple(Merge(*m) for m in naive_linkage(values, rule)))
+    merges = naive_linkage(values, rule)
+    n = len(points)
+    members = [[i] for i in range(n)]
+    for left, right, _, _ in merges:
+        members.append(members[left] + members[right])
+
+    def clusters(node, k):
+        # merge node n+s is among the top k-1 merges iff s >= n-k
+        if node < 2 * n - k:
+            return [members[node]]
+        left, right = merges[node - n][:2]
+        return clusters(left, k) + clusters(right, k)
+
     curve = []
     for k in range(1, k_hi + 1):
-        labels = cut_k(tree, k).labels
         total = 0.0
-        for label in range(k):
-            members = [i for i, l in enumerate(labels) if l == label]
-            if len(members) >= 2:
-                total += sq[np.ix_(members, members)].sum() / (2.0 * len(members))
+        for cluster in clusters(2 * n - 2, k):
+            cluster = sorted(cluster)
+            if len(cluster) >= 2:
+                total += sq[np.ix_(cluster, cluster)].sum() / (2.0 * len(cluster))
         curve.append(math.log(max(total, 1e-12)))
     return curve
 

@@ -438,6 +438,14 @@ class TestWeightsCsv:
         write_weights_csv(w, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bom_and_crlf_read_as_plain(self, tmp_path):
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(b"ticker,weight\nA,0.25\nB,0.75\n")
+        bom.write_bytes(b"\xef\xbb\xbfticker,weight\r\nA,0.25\r\nB,0.75\r\n")
+        want, got = read_weights_csv(plain), read_weights_csv(bom)
+        assert got.tickers == want.tickers == ("A", "B")
+        np.testing.assert_array_equal(got.weights, want.weights)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("name,value\nA,1\n", encoding="utf-8")

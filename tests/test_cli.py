@@ -279,8 +279,9 @@ class TestExitCodes:
         [
             (b"# Synthetic", b"# \xa0Synthetic", b"config.yaml"),
             (b"train_end: 2021-06-30", b"train_end: 2021-06-30 00:00:00", b"train_end"),
+            (b"train_end:", b"risk_free_rat: 0.05\ntrain_end:", b"risk_free_rat: unknown key"),
         ],
-        ids=["not_utf8", "timestamp_date"],
+        ids=["not_utf8", "timestamp_date", "unknown_key"],
     )
     def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, old, new, named):
         config = fixture_copy / "config.yaml"
@@ -460,6 +461,18 @@ class TestBacktest:
             payload = json.loads((out / f"demo_{period}_report.json").read_text())
             assert payload["period"] == period
             assert "annual_volatility" in payload["metrics"]
+
+    def test_bom_and_crlf_weights_give_the_same_reports(self, synthetic_fixture, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"ticker,weight\nAAA,0.5\nAAB,0.5\n")
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes().replace(b"\n", b"\r\n"))
+        for weights in (plain, bom):
+            argv = ["backtest", *_cfg(synthetic_fixture), "--weights", str(weights)]
+            assert main([*argv, "--out", str(tmp_path / weights.stem), "--label", "demo"]) == 0
+        for period in ("train", "test"):
+            name = f"demo_{period}_report.json"
+            assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 class TestOtherSubcommands:

@@ -37,6 +37,11 @@ class TestLoadConfig:
         assert cfg.data_dir == tmp_path / "data"
         assert cfg.output_dir == tmp_path / "out"
 
+    def test_absolute_paths_are_kept(self, tmp_path):
+        data = tmp_path / "elsewhere" / "data"
+        cfg = load_config(_write(tmp_path, MINIMAL.replace("data_dir: data", f"data_dir: {data}")))
+        assert cfg.data_dir == data
+
     def test_methods_list_form(self, tmp_path):
         cfg = load_config(_write(tmp_path, MINIMAL + "methods: [hrp, herc]\n"))
         assert cfg.methods == {"hrp": {}, "herc": {}}
@@ -129,6 +134,9 @@ class TestLoadConfig:
             ("train_start: 2020-01-01", "train_start: 2020-01-01 00:00:00", "train_start"),
             ("test_end: 2021-12-31", "test_end: 2021-12-31T09:30:00Z", "test_end"),
             ("sectors:", "# caf\udce9\nsectors:", "config.yaml"),
+            ("test_end", "risk_free_rat: 0.05\ntest_end", "^risk_free_rat: unknown key"),
+            ("test_end", "1: x\ntest_end", "^1: unknown key"),
+            ("test_end", "methods: [{mvp: 1}]\ntest_end", "^methods.{'mvp': 1}: unknown key"),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):

@@ -108,6 +108,56 @@ class TestLoadPriceTable:
                 require_start=dt.date(2021, 1, 1),
             )
 
+    def test_staggered_starts_load_under_ffill(self, tmp_path):
+        # first dates differ but none is after require_start: ffill loads them,
+        # and equals the naive union alignment with the rows before
+        # require_start cut off, bit for bit
+        rng = np.random.default_rng(9)
+        day0 = dt.date(2021, 1, 1)
+        for trial in range(30):
+            require_start = day0 + dt.timedelta(days=int(rng.integers(0, 15)))
+            sources, per_ticker = {}, {}
+            for j in range(int(rng.integers(1, 7))):
+                keep = rng.random(60) < rng.uniform(0.3, 0.95)
+                first = int(rng.integers(0, (require_start - day0).days + 1))
+                keep[:first], keep[first] = False, True
+                days = np.flatnonzero(keep)
+                closes = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, len(days))))
+                series = {
+                    day0 + dt.timedelta(days=int(d)): c for d, c in zip(days, closes.tolist())
+                }
+                path = tmp_path / f"T{trial}_{j}.csv"
+                _write_csv(path, [f"{d.isoformat()},{c!r}" for d, c in series.items()])
+                sources[f"T{j}"] = path
+                per_ticker[f"T{j}"] = series
+            dates, closes = naive_align(per_ticker, "ffill")
+            rows = [i for i, d in enumerate(dates) if d >= require_start]
+            table = load_price_table(sources, align="ffill", require_start=require_start)
+            assert table.dates == tuple(dates[i] for i in rows)
+            assert np.array_equal(table.closes.view(np.uint64), closes[rows].view(np.uint64))
+
+    @pytest.mark.parametrize("align", ["intersect", "ffill"])
+    def test_ticker_starting_after_require_start_is_named(self, tmp_path, align):
+        _write_csv(tmp_path / "A.csv", ["2021-01-01,10", "2021-01-02,11", "2021-01-03,12"])
+        _write_csv(tmp_path / "LATE.csv", ["2021-01-03,20", "2021-01-04,21"])
+        with pytest.raises(DataError, match="'LATE' .* on or before 2021-01-02"):
+            load_price_table(
+                {"A": tmp_path / "A.csv", "LATE": tmp_path / "LATE.csv"},
+                align=align,
+                require_start=dt.date(2021, 1, 2),
+            )
+
+    @pytest.mark.parametrize("align", ["intersect", "ffill"])
+    def test_calendar_emptied_by_require_start_is_an_error(self, tmp_path, align):
+        _write_csv(tmp_path / "A.csv", ["2021-01-01,10", "2021-01-02,11"])
+        _write_csv(tmp_path / "B.csv", ["2021-01-01,20", "2021-01-02,21"])
+        with pytest.raises(DataError, match="no common dates .* on or after 2021-01-05"):
+            load_price_table(
+                {"A": tmp_path / "A.csv", "B": tmp_path / "B.csv"},
+                align=align,
+                require_start=dt.date(2021, 1, 5),
+            )
+
     def test_empty_intersection_is_an_error(self, tmp_path):
         _write_csv(tmp_path / "A.csv", ["2021-01-01,10"])
         _write_csv(tmp_path / "B.csv", ["2021-01-02,20"])
