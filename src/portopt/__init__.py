@@ -6,6 +6,15 @@ them on held-out price data.  ``__all__`` is the library API; the rest is
 reached through the submodules.
 """
 
+import os
+
+# portopt runs in parallel across processes (the run's fork pool), so BLAS
+# helper threads would only compete with the pool's workers, and a wide
+# sector's covariance bits would depend on their count.  Set before numpy's
+# first import; a value the caller set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from portopt.market_data import (
     DataError,
     daily_returns,

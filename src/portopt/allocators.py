@@ -5,11 +5,13 @@ HRP recursive bisection, and HERC top-down risk-contribution allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from portopt._io import is_path_component, write_text
+from portopt._pool import pool_map
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
 
 RISK_MEASURES = ("std_dev", "variance")
@@ -242,28 +244,60 @@ def herc_allocate(cov, tree, params=None, returns=None):
     return WeightVector(cov.tickers, weights)
 
 
-def _weight_blocks(seed, n_samples, n):
-    """Yield the Monte-Carlo weights in blocks of _MVP_BLOCK_ROWS rows (the
-    last block holds the remainder, or _MVP_BLOCK_ROWS + 1 rows).
-
-    The blocks are successive draws from one generator, normalised in place,
-    so stacked they have the bits of draws / draws.sum(axis=1, keepdims=True)
-    for one (n_samples, n) draw.
-    """
-    rng = np.random.default_rng(seed)
-    left = n_samples
-    while left:
+def _block_bounds(n_samples):
+    """(start, rows) of each block of _MVP_BLOCK_ROWS samples; the last block
+    holds the remainder, or _MVP_BLOCK_ROWS + 1 rows."""
+    bounds, start = [], 0
+    while start < n_samples:
+        left = n_samples - start
         # a lone last row joins its block: a one-row product takes another
         # BLAS path than the last row of a larger matrix
         rows = left if left <= _MVP_BLOCK_ROWS + 1 else _MVP_BLOCK_ROWS
-        left -= rows
-        w = rng.random((rows, n))
-        w /= w.sum(axis=1, keepdims=True)
-        if not (np.all(np.isfinite(w)) and w.min() >= 0.0
-                and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9):
-            raise AllocationError("sample weights must be finite, non-negative and sum to 1")
-        yield w
-        del w  # one block alive at a time: the caller drops its reference too
+        bounds.append((start, rows))
+        start += rows
+    return bounds
+
+
+def _weight_block(seed, n, start, rows):
+    """Monte-Carlo weight rows start..start+rows-1, normalised in place.
+
+    The block's uniforms follow the start * n that PCG64(seed) draws before
+    them, so stacked blocks have the bits of draws / draws.sum(axis=1,
+    keepdims=True) for one (n_samples, n) draw from default_rng(seed).
+    """
+    bits = np.random.PCG64(seed)
+    bits.advance(start * n)
+    w = np.random.Generator(bits).random((rows, n))
+    w /= w.sum(axis=1, keepdims=True)
+    if not (np.all(np.isfinite(w)) and w.min() >= 0.0
+            and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9):
+        raise AllocationError("sample weights must be finite, non-negative and sum to 1")
+    return w
+
+
+def _weight_blocks(seed, n_samples, n):
+    """Yield the Monte-Carlo weights block by block (_block_bounds)."""
+    for start, rows in _block_bounds(n_samples):
+        yield _weight_block(seed, n, start, rows)
+
+
+def _score_block(seed, mu_annual, cov, annualization_days, risk_free_rate, bounds):
+    """Draw and score one block of samples: its annual returns, volatilities
+    and Sharpe ratios, then the (key, sample index, row) of its max-Sharpe
+    and of its min-vol sample (first index on ties)."""
+    start, rows = bounds
+    w = _weight_block(seed, len(mu_annual), start, rows)
+    # each row scores with the bits of a whole-matrix call (_MVP_BLOCK_ROWS)
+    r = w @ mu_annual
+    daily_var = np.einsum("ij,jk,ik->i", w, cov, w)
+    v = np.sqrt(annualization_days * np.maximum(daily_var, 0.0))
+    # sharpe_ratio's rule on arrays: 0/0 is 0.0, any other x/0 undefined (nan)
+    excess = r - risk_free_rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(v == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / v)
+    key = np.where(np.isnan(s), -np.inf, s)  # undefined Sharpe never wins
+    top, low = int(np.argmax(key)), int(np.argmin(v))
+    return r, v, s, (key[top], start + top, w[top].copy()), (v[low], start + low, w[low].copy())
 
 
 def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
@@ -275,9 +309,9 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
     Pareto-nondominated frontier.  Deterministic for a fixed int seed (None
     draws one); argmax and argmin ties break on the lowest sample index.
 
-    Samples are drawn and scored in blocks of _MVP_BLOCK_ROWS rows, so the
-    peak memory is O(block x n + n_samples): only the metric arrays and the
-    two selected rows outlive their block.
+    Samples are drawn and scored in blocks of _MVP_BLOCK_ROWS rows, mapped
+    with pool_map, so the peak memory is O(block x n + n_samples): only the
+    metric arrays and each block's two selected rows outlive their block.
     """
     if tuple(mu.tickers) != tuple(cov.tickers):
         raise AllocationError(
@@ -287,37 +321,23 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
         raise AllocationError("n_samples must be at least 1")
     if seed is None:  # fix the entropy, so that samples can redraw these weights
         seed = np.random.SeedSequence().entropy
-    elif isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+    elif not isinstance(seed, (int, np.integer)):
         raise AllocationError("seed must be an int: MvpResult.samples redraws from it")
-    n = len(mu.tickers)
 
-    rets, vols, sharpe = np.empty(n_samples), np.empty(n_samples), np.empty(n_samples)
-    # (key, index, row) of the best sample so far; a later block replaces it
+    score = partial(
+        _score_block, seed, mu.mu_annual, cov.values, mu.annualization_days, risk_free_rate
+    )
+    blocks = pool_map(score, _block_bounds(n_samples))
+    rets, vols, sharpe = (np.concatenate([b[i] for b in blocks]) for i in range(3))
+    # the best (key, index, row) in block order: a later block replaces it
     # only with a strictly better key, so ties keep the lowest index as
     # argmax/argmin over all samples would
-    top = low = None
-    start = 0
-    for w in _weight_blocks(seed, n_samples, n):
-        stop = start + len(w)
-        # each row scores with the bits of a whole-matrix call (_MVP_BLOCK_ROWS)
-        r = rets[start:stop] = w @ mu.mu_annual
-        daily_var = np.einsum("ij,jk,ik->i", w, cov.values, w)
-        v = vols[start:stop] = np.sqrt(mu.annualization_days * np.maximum(daily_var, 0.0))
-        # sharpe_ratio's rule on arrays: 0/0 is 0.0, any other x/0 undefined (nan)
-        excess = r - risk_free_rate
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = sharpe[start:stop] = np.where(
-                v == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / v
-            )
-        key = np.where(np.isnan(s), -np.inf, s)  # undefined Sharpe never wins
-        j = int(np.argmax(key))
-        if top is None or key[j] > top[0]:
-            top = (key[j], start + j, w[j].copy())
-        j = int(np.argmin(v))
-        if low is None or v[j] < low[0]:
-            low = (v[j], start + j, w[j].copy())
-        start = stop
-        del w
+    top, low = blocks[0][3], blocks[0][4]
+    for block in blocks[1:]:
+        if block[3][0] > top[0]:
+            top = block[3]
+        if block[4][0] < low[0]:
+            low = block[4]
 
     def sample(i, row):
         s = None if np.isnan(sharpe[i]) else float(sharpe[i])

@@ -128,7 +128,7 @@ def _cpus():
 
 
 def _cmd_run(cfg, args):
-    manifest = run_pipeline(cfg, workers=min(_cpus(), len(cfg.sectors)))
+    manifest = run_pipeline(cfg, workers=_cpus())
     for sector, message in sorted(manifest.failures.items()):
         print(f"sector {sector!r} failed: {message}", file=sys.stderr)
     print(f"manifest: {Path(cfg.output_dir) / MANIFEST_NAME}")

@@ -192,7 +192,9 @@ def load_config(path):
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        # libyaml's parser when PyYAML was built with it: the same documents
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        raw = yaml.load(path.read_text(encoding="utf-8"), loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
@@ -208,6 +210,9 @@ def load_config(path):
     for key in ("data_dir", "output_dir"):
         if not isinstance(raw[key], str):
             raise ConfigError(f"{key}: expected a path string, got {raw[key]!r}")
+    for key in ("linkage_rule", "close_column", "date_column", "align"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
 
     sectors = raw["sectors"]
     if not isinstance(sectors, dict) or not all(
@@ -228,7 +233,4 @@ def load_config(path):
         if not isinstance(methods, dict):
             raise ConfigError("methods: expected a mapping or list of method names")
         values["methods"] = {m: (p or {}) for m, p in methods.items()}
-    for key in ("linkage_rule", "close_column", "date_column", "align"):
-        if key in raw:
-            values[key] = str(raw[key])
     return RunConfig(**values).validate()

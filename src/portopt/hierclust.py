@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from portopt._pool import pool_map
 from portopt.riskstats import check_distances, corr_to_distance, correlation
 
 LINKAGE_RULES = ("ward", "single")
@@ -297,31 +299,43 @@ def _log_w_curves(sets, k_hi, linkage_rule):
     return np.array([[math.log(max(x, _LOG_FLOOR)) for x in row] for row in w.tolist()])
 
 
-def _gap_curves(points, k_hi, b_refs, seed, linkage_rule):
-    """log W_k curves, k = 1..k_hi: row 0 for the observed points, row b for
-    reference set b.
+def _batch_curves(points, k_hi, seed, linkage_rule, ids):
+    """log W_k curves of the point sets ids (a range): set 0 is the observed
+    points, set i >= 1 reference set i.
 
-    Reference sets are drawn uniformly over each column's observed range,
-    each from its own SeedSequence child, when its batch is clustered.
-    Batches hold as many sets as fit _BATCH_BYTES of node-id matrices.
+    Reference set i is drawn uniformly over each column's observed range
+    from SeedSequence(seed, spawn_key=(i - 1,)), which is child i - 1 of
+    SeedSequence(seed).spawn, so a set has the same bits in any batch.
     """
-    n = points.shape[0]
     lo, hi = points.min(axis=0), points.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    streams = np.random.SeedSequence(seed).spawn(b_refs)
 
     def point_set(i):
         if i == 0:
             return points
-        return lo + np.random.default_rng(streams[i - 1]).random(points.shape) * span
+        stream = np.random.SeedSequence(seed, spawn_key=(i - 1,))
+        return lo + np.random.default_rng(stream).random(points.shape) * span
 
+    return _log_w_curves(np.stack([point_set(i) for i in ids]), k_hi, linkage_rule)
+
+
+def _gap_curves(points, k_hi, b_refs, seed, linkage_rule):
+    """log W_k curves, k = 1..k_hi: row 0 for the observed points, row b for
+    reference set b.
+
+    The sets are clustered in batches of as many as fit _BATCH_BYTES of
+    node-id matrices, mapped with pool_map.
+    """
+    n = points.shape[0]
+    if seed is None:  # one entropy for every batch
+        seed = np.random.SeedSequence().entropy
     per_batch = max(1, _BATCH_BYTES // (8 * (2 * n - 1) ** 2))
-    curves = np.empty((b_refs + 1, k_hi))
-    for start in range(0, b_refs + 1, per_batch):
-        stop = min(start + per_batch, b_refs + 1)
-        sets = np.stack([point_set(i) for i in range(start, stop)])
-        curves[start:stop] = _log_w_curves(sets, k_hi, linkage_rule)
-    return curves
+    batches = [
+        range(start, min(start + per_batch, b_refs + 1))
+        for start in range(0, b_refs + 1, per_batch)
+    ]
+    curves = pool_map(partial(_batch_curves, points, k_hi, seed, linkage_rule), batches)
+    return np.concatenate(curves)
 
 
 def gap_optimal_k(r, k_max=None, b_refs=100, seed=0, linkage_rule="ward"):

@@ -4,8 +4,9 @@ cross-sector summary tables plus a JSON manifest of every artifact.
 
 Sectors are processed independently: a failure in one sector is recorded in
 the manifest and does not abort the run.  run_pipeline can therefore fit them
-in a pool of forked worker processes; the artifacts and the manifest's order
-are the same as a single-process run's.  All outputs are written atomically
+in a pool of forked worker processes, or, for a lone sector, score its MVP
+blocks and gap batches there; the artifacts and the manifest's order are the
+same as a single-process run's.  All outputs are written atomically
 (temp file + rename) and are byte-identical across reruns for fixed seeds.
 
 Every subcommand that fits a method drives run_sector with a selection of
@@ -19,10 +20,12 @@ single-process run makes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 from portopt._io import render_json, write_json, write_text
+from portopt._pool import fork_pool, pool_map
 from portopt._version import __version__
 from portopt.allocators import (
     AllocationError,
@@ -236,47 +239,40 @@ def write_summaries(metrics_by_period, methods, out_root):
     return paths
 
 
-def _fit_sector(cfg, methods, out_root, parsed, sector):
+# the running run_pipeline's parse_sectors mapping: its pool's workers fork
+# after the parse and read their copy of it, instead of receiving it with
+# every task
+_parsed = None
+
+
+def _fit_sector(cfg, methods, out_root, sector):
     """run_sector's (outputs, metrics), or the message of a sector error."""
     try:
-        return run_sector(cfg, sector, methods, out_root, parsed=parsed)
+        return run_sector(cfg, sector, methods, out_root, parsed=_parsed)
     except SECTOR_ERRORS as exc:
         return str(exc)
-
-
-def _init_worker(*args):
-    global _worker_args  # (cfg, methods, out_root, parsed) of this pool worker
-    _worker_args = args
-
-
-def _pool_sector(sector):
-    return _fit_sector(*_worker_args, sector)
 
 
 def run_pipeline(cfg, workers=1):
     """Run the full study described by cfg and return the RunManifest.
 
-    With workers > 1, the sectors are fitted in up to that many forked
-    processes; every artifact has the same bytes as with one process.
+    With workers > 1, the run opens a pool of forked processes: several
+    sectors are fitted in up to `workers` of them, while a lone sector is
+    fitted here and its MVP sample blocks and gap reference batches go to
+    `workers` of them (portopt._pool).  Every artifact has the same bytes as
+    with one process.
     """
+    global _parsed
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     methods = list(cfg.methods)
     sectors = sorted(cfg.sectors)
-    args = (cfg, methods, out_root, parse_sectors(cfg, sectors))
-    if workers > 1 and len(sectors) > 1:
-        # imported here so that single-process runs do not pay for it
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork hands the initializer's arguments to the workers unpickled
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            min(workers, len(sectors)), fork, initializer=_init_worker, initargs=args
-        ) as pool:
-            results = list(pool.map(_pool_sector, sectors))
-    else:
-        results = [_fit_sector(*args, sector) for sector in sectors]
+    _parsed = parse_sectors(cfg, sectors)
+    try:
+        with fork_pool(workers if len(sectors) == 1 else min(workers, len(sectors))):
+            results = pool_map(partial(_fit_sector, cfg, methods, out_root), sectors)
+    finally:
+        _parsed = None
 
     manifest = RunManifest(
         version=__version__,

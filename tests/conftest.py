@@ -68,3 +68,39 @@ def fixture_copy(synthetic_fixture, tmp_path):
     dest = tmp_path / "synthetic"
     shutil.copytree(synthetic_fixture, dest)
     return dest
+
+
+@pytest.fixture
+def one_sector(tmp_path):
+    """Factory for a seeded one-sector study: n tickers in 4 correlated
+    blocks, 366 daily closes each, under tmp_path/<name>.  Returns the path
+    of its config.yaml (MVP, HRP, and HERC with the gap statistic)."""
+    import datetime as dt
+
+    import numpy as np
+
+    def make(n, gap_b_refs, n_samples=10000, name="one_sector"):
+        root = tmp_path / name
+        (root / "data").mkdir(parents=True)
+        rng = np.random.default_rng(n)
+        days = 366
+        factors = rng.standard_normal((days, 4))[:, np.arange(n) % 4]
+        returns = 0.01 * (0.8 * factors + 0.6 * rng.standard_normal((days, n)))
+        closes = 100.0 * np.cumprod(1.0 + returns, axis=0)
+        dates = [(dt.date(2020, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(days)]
+        tickers = [f"T{i:03d}" for i in range(n)]
+        for j, ticker in enumerate(tickers):
+            rows = "".join(f"{d},{c:.6f}\n" for d, c in zip(dates, closes[:, j]))
+            (root / "data" / f"{ticker}.csv").write_text("Date,Close\n" + rows, encoding="utf-8")
+        config = root / "config.yaml"
+        config.write_text(
+            "data_dir: data\noutput_dir: out\n"
+            "train_start: 2020-01-01\ntrain_end: 2020-09-30\ntest_end: 2020-12-31\n"
+            f"sectors:\n  wide: [{', '.join(tickers)}]\n"
+            f"methods:\n  mvp: {{n_samples: {n_samples}, seed: 5}}\n  hrp: {{}}\n"
+            f"  herc: {{k: auto, gap_b_refs: {gap_b_refs}, seed: 2}}\n",
+            encoding="utf-8",
+        )
+        return config
+
+    return make

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from portopt import allocators
+from portopt._pool import fork_pool
 from portopt.allocators import (
     AllocationError,
     HercParams,
@@ -320,6 +321,18 @@ class TestMvpBlocks:
                 got = mvp_optimize(mu, cov, n_samples=n_samples, seed=n_samples)
                 assert got.samples.tobytes() == want.samples.tobytes()
             assert _mvp_fields(got) == _mvp_fields(want)
+
+    @pytest.mark.parametrize("case", sorted(TIES))
+    def test_block_boundaries_through_a_pool(self, monkeypatch, case):
+        mu, cov = self.TIES[case]
+        block = 4
+        counts = (1, block, block + 1, 2 * block + 1, 4 * block + 1)
+        want = [mvp_optimize(mu, cov, n_samples=c, seed=c) for c in counts]
+        monkeypatch.setattr(allocators, "_MVP_BLOCK_ROWS", block)
+        with fork_pool(2):
+            got = [mvp_optimize(mu, cov, n_samples=c, seed=c) for c in counts]
+        for c, g, w in zip(counts, got, want):
+            assert _mvp_fields(g) == _mvp_fields(w), c
 
     @pytest.mark.parametrize("case", ["zero_cov", "zero_cov_zero_mean"])
     def test_ties_across_blocks_go_to_sample_0(self, monkeypatch, case):

@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,6 +18,9 @@ from portopt.pipeline import parse_sectors, run_pipeline, sector_prices
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("PORTOPT_CONFIG", raising=False)
+
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _cfg(path):
@@ -233,22 +238,61 @@ class TestParallelRun:
         assert list(pooled.failures.items()) == list(serial.failures.items())
         assert bool(serial.failures) == (edit == "missing_ticker")
 
-    def test_one_sector_starts_no_pool(self, fixture_copy, tmp_path, monkeypatch):
-        import concurrent.futures
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-sector run started a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        config = fixture_copy / "config.yaml"
-        config.write_text(config.read_text().replace("  beta: [BBA, BBB, BBC]\n", ""), encoding="utf-8")
-        cfg = load_config(config)
-        cfg.output_dir = tmp_path / "out"
-        assert list(run_pipeline(cfg, workers=2).outputs) == ["alpha"]
-
-    def test_run_uses_one_worker_per_cpu_up_to_the_sector_count(
-        self, synthetic_fixture, tmp_path, monkeypatch
+    def test_one_sector_run_maps_mvp_blocks_and_gap_batches_over_the_pool(
+        self, one_sector, tmp_path, monkeypatch
     ):
+        from concurrent.futures import ProcessPoolExecutor
+
+        mapped = []  # (task function, task count) of each map over the pool
+        pool_map = ProcessPoolExecutor.map
+
+        def recording(self, fn, *iterables, **kwargs):
+            iterables = [list(items) for items in iterables]
+            mapped.append((fn.func.__name__, len(iterables[0])))
+            return pool_map(self, fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", recording)
+        # 10 000 samples are 10 MVP blocks; 51 point sets at n = 40 are 3 gap batches
+        config = one_sector(40, gap_b_refs=50)
+        trees = []
+        for workers in (1, 2):
+            cfg = load_config(config)
+            cfg.output_dir = tmp_path / f"workers{workers}"
+            assert list(run_pipeline(cfg, workers=workers).outputs) == ["wide"]
+            trees.append(_tree(cfg.output_dir))
+        assert trees[0] == trees[1]
+        assert mapped == [("_score_block", 10), ("_batch_curves", 3)]
+
+    def test_failing_lone_sector_fails_alike_in_the_pool(self, fixture_copy, tmp_path):
+        data = fixture_copy / "data"
+        flat = [line.split(",")[0] + ",100.0" for line in (data / "AAA.csv").read_text().splitlines()[1:]]
+        (data / "ZZZ.csv").write_text("Date,Close\n" + "\n".join(flat) + "\n", encoding="utf-8")
+        config = fixture_copy / "config.yaml"
+        text = config.read_text().replace("  beta: [BBA, BBB, BBC]\n", "")
+        config.write_text(text.replace("[AAA, AAB, AAC]", "[AAA, ZZZ, AAC]"), encoding="utf-8")
+        failures = []
+        for workers in (1, 2):
+            cfg = load_config(config)
+            cfg.output_dir = tmp_path / f"workers{workers}"
+            failures.append(run_pipeline(cfg, workers=workers).failures)
+        assert failures[0] == failures[1]
+        assert "ZZZ" in failures[0]["alpha"]
+
+    def test_pool_owner_leaves_numpy_random_to_the_workers(self, one_sector, tmp_path):
+        config = one_sector(40, gap_b_refs=50)
+        script = (
+            "import sys\n"
+            "from portopt.config import load_config\n"
+            "from portopt.pipeline import run_pipeline\n"
+            "cfg = load_config(sys.argv[1])\n"
+            "cfg.output_dir = sys.argv[2]\n"
+            "assert not run_pipeline(cfg, workers=2).failures\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        out = _python(["-c", script, str(config), str(tmp_path / "out")])
+        assert out.stdout == "False\n"
+
+    def test_run_passes_the_cpu_count(self, synthetic_fixture, tmp_path, monkeypatch):
         from portopt import cli
 
         seen = []
@@ -261,7 +305,46 @@ class TestParallelRun:
         for cpus in ({0}, {0, 1, 2, 3}):
             monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
             assert main(["run", *_cfg(synthetic_fixture), "--out", str(tmp_path / "out")]) == 0
-        assert seen == ([1, 2] if sys.platform == "linux" else [1, 1])
+        assert seen == ([1, 4] if sys.platform == "linux" else [1, 1])
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(args, **kwargs):
+    """Run python with args in a fresh interpreter that finds this checkout's
+    portopt, with no BLAS thread setting of its own; fail on a non-zero exit."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300, **kwargs
+    )
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_import_pins_blas_to_one_thread():
+    script = (
+        "import os, portopt, numpy as np\n"
+        "a = np.ones((300, 300))\n"
+        "a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    assert _python(["-c", script]).stdout == "1\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_wide_sector_tree_does_not_depend_on_the_cpu_count(one_sector, tmp_path):
+    # at n >= 100 a multi-threaded BLAS gives covariance bits that depend on
+    # the thread count; one CPU also means no pool
+    config = one_sector(150, gap_b_refs=20, n_samples=3000)
+    trees = []
+    for name, pin in (("default", None), ("cpu0", lambda: os.sched_setaffinity(0, {0}))):
+        out = tmp_path / name
+        _python(["-m", "portopt.cli", "run", "--config", str(config), "--out", str(out)], preexec_fn=pin)
+        trees.append(_tree(out))
+    assert trees[0] == trees[1]
 
 
 class TestExitCodes:
@@ -280,8 +363,9 @@ class TestExitCodes:
             (b"# Synthetic", b"# \xa0Synthetic", b"config.yaml"),
             (b"train_end: 2021-06-30", b"train_end: 2021-06-30 00:00:00", b"train_end"),
             (b"train_end:", b"risk_free_rat: 0.05\ntrain_end:", b"risk_free_rat: unknown key"),
+            (b"train_end:", b"close_column: null\ntrain_end:", b"close_column: expected a string"),
         ],
-        ids=["not_utf8", "timestamp_date", "unknown_key"],
+        ids=["not_utf8", "timestamp_date", "unknown_key", "null_close_column"],
     )
     def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, old, new, named):
         config = fixture_copy / "config.yaml"

@@ -1,6 +1,7 @@
 import datetime as dt
 
 import pytest
+import yaml
 
 from portopt.config import ConfigError, load_config
 
@@ -163,6 +164,28 @@ class TestLoadConfig:
     def test_bad_linkage_rule_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="linkage_rule"):
             load_config(_write(tmp_path, MINIMAL + "linkage_rule: centroid\n"))
+
+    @pytest.mark.parametrize("value", ["null", "1", "[Close]", "{a: b}", "2020-01-01"])
+    @pytest.mark.parametrize("key", ["close_column", "date_column", "linkage_rule", "align"])
+    def test_non_string_setting_rejected_by_name(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}: expected a string"):
+            load_config(_write(tmp_path, MINIMAL + f"{key}: {value}\n"))
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    def test_both_yaml_loaders_read_the_same_config(self, tmp_path, monkeypatch, loader):
+        if loader == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        text = MINIMAL + "methods:\n  mvp: {n_samples: 500, seed: 3}\n  herc: {k: 2}\nalign: ffill\n"
+        bom_crlf = tmp_path / "bom_crlf.yaml"
+        bom_crlf.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        cfg = load_config(_write(tmp_path, text))
+        assert load_config(bom_crlf).echo() == cfg.echo()
+        assert cfg.methods == {"mvp": {"n_samples": 500, "seed": 3}, "herc": {"k": 2}}
+        assert (cfg.align, cfg.train_end) == ("ffill", dt.date(2021, 6, 30))
+        with pytest.raises(ConfigError, match="invalid YAML"):
+            load_config(_write(tmp_path, "sectors: [unclosed\n"))
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
