@@ -1,11 +1,11 @@
 """The run's process pool: one map that every parallel step goes through.
 
-run_pipeline opens one pool of forked workers for a run.  A several-sector
-run maps its sectors over it; a one-sector run fits its sector in the
-owning process, which then maps the MVP sample blocks and the gap
-statistic's reference batches over the pool.  Everywhere else (library
-calls, a one-worker run, code inside a pool worker) pool_map is a plain
-map, so each task must give the same bits wherever it runs.
+pipeline.map_sectors opens one pool of forked workers per subcommand.  Several
+sectors are mapped over it; a lone sector runs in the owning process, which
+then maps the MVP sample blocks and the gap statistic's reference batches
+over the pool.  Everywhere else (library calls, a one-worker run, code
+inside a pool worker) pool_map is a plain map, so each task must give the
+same bits wherever it runs.
 """
 
 from __future__ import annotations

@@ -20,26 +20,27 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
-from portopt._io import is_path_component, write_json
+from portopt._io import is_path_component
 from portopt._version import __version__
 from portopt.allocators import MVP_SAMPLES, read_weights_csv
 from portopt.backtest import BacktestError, write_report_json
 from portopt.config import KNOWN_METHODS, ConfigError, load_config
-from portopt.hierclust import dendrogram_export
-from portopt.market_data import DataError, write_wide_csv
+from portopt.market_data import DataError
 from portopt.pipeline import (
     MANIFEST_NAME,
     METHOD_LABELS,
     PERIODS,
     SECTOR_ERRORS,
+    dendrogram_sector,
     evaluate_periods,
-    parse_sectors,
+    ingest_sector,
+    map_sectors,
     prepare_sector,
     run_pipeline,
     run_sector,
-    sector_prices,
     write_summaries,
 )
 from portopt.riskstats import PerfMetrics
@@ -123,8 +124,17 @@ def _sectors(cfg, args):
 
 
 def _cpus():
-    """CPUs this process may run on; 1 outside Linux, as run's pool forks."""
+    """CPUs this process may run on; 1 outside Linux, as the pool forks."""
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+
+
+def _sector_results(cfg, sectors, task):
+    """(sector, result) of map_sectors with _cpus() workers, in sector order;
+    the first failed sector's error is raised after every sector has run."""
+    for sector, result in zip(sectors, map_sectors(cfg, sectors, task, workers=_cpus())):
+        if isinstance(result, Exception):
+            raise result
+        yield sector, result
 
 
 def _cmd_run(cfg, args):
@@ -136,15 +146,8 @@ def _cmd_run(cfg, args):
 
 
 def _cmd_ingest(cfg, args):
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    sectors = _sectors(cfg, args)
-    parsed = parse_sectors(cfg, sectors)
-    for sector in sectors:
-        table = sector_prices(cfg, cfg.sectors[sector], parsed)
-        path = out / f"{sector}_prices.csv"
-        write_wide_csv(table, path, date_column=cfg.date_column)
-        print(f"{sector}: {table.n_dates} dates x {len(table.tickers)} tickers -> {path}")
+    for sector, (dates, tickers, path) in _sector_results(cfg, _sectors(cfg, args), ingest_sector):
+        print(f"{sector}: {dates} dates x {tickers} tickers -> {path}")
     return EXIT_OK
 
 
@@ -157,12 +160,8 @@ def _enable(cfg, args, method):
 
 def _cmd_optimize(cfg, args):
     _enable(cfg, args, args.method)
-    sectors = _sectors(cfg, args)
-    parsed = parse_sectors(cfg, sectors)
-    for sector in sectors:
-        outputs, _ = run_sector(
-            cfg, sector, [args.method], cfg.output_dir, ["weights"], parsed
-        )
+    task = partial(run_sector, methods=[args.method], artifacts=["weights"])
+    for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
         print(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
     return EXIT_OK
 
@@ -174,8 +173,7 @@ def _cmd_backtest(cfg, args):
         raise ConfigError(f"--label: expected a file name part without '/', got {label!r}")
     weights = read_weights_csv(args.weights)
     data = prepare_sector(cfg, weights.tickers)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = cfg.make_output_dir()
     for period, report in evaluate_periods(cfg, weights, data, label).items():
         path = out / f"{label}_{period}_report.json"
         write_report_json(report, path)
@@ -189,11 +187,9 @@ def _cmd_backtest(cfg, args):
 
 def _cmd_frontier(cfg, args):
     _enable(cfg, args, "mvp")
-    sectors = _sectors(cfg, args)
-    parsed = parse_sectors(cfg, sectors)
     n_samples = cfg.methods["mvp"].get("n_samples", MVP_SAMPLES)
-    for sector in sectors:
-        outputs, _ = run_sector(cfg, sector, ["mvp"], cfg.output_dir, ["frontier"], parsed)
+    task = partial(run_sector, methods=["mvp"], artifacts=["frontier"])
+    for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
         print(f"{sector}: {n_samples} samples -> {outputs['mvp']['frontier']}")
     return EXIT_OK
 
@@ -201,14 +197,7 @@ def _cmd_frontier(cfg, args):
 def _cmd_dendrogram(cfg, args):
     sectors = _sectors(cfg, args)
     cfg.check_clusterable(sectors, "dendrogram")
-    out = Path(cfg.output_dir)
-    parsed = parse_sectors(cfg, sectors)
-    for sector in sectors:
-        data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True, parsed=parsed)
-        sector_dir = out / sector
-        sector_dir.mkdir(parents=True, exist_ok=True)
-        path = sector_dir / "dendrogram.json"
-        write_json(path, dendrogram_export(data.tree, data.train_returns.tickers))
+    for sector, path in _sector_results(cfg, sectors, dendrogram_sector):
         print(f"{sector}: {path}")
     return EXIT_OK
 
@@ -254,9 +243,7 @@ def _cmd_report(cfg, args):
         }
         for period in PERIODS
     }
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = write_summaries(metrics, methods, out)
+    paths = write_summaries(metrics, methods, cfg.make_output_dir())
     for period in PERIODS:
         print(f"{period}: {paths[period]['table']}")
     return EXIT_OK

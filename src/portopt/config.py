@@ -165,6 +165,14 @@ class RunConfig:
                     f"sectors.{name}: {what} clustering needs at least 2 tickers, got {count}"
                 )
 
+    def make_output_dir(self):
+        """Create output_dir with its parents, or raise ConfigError; return it."""
+        try:
+            Path(self.output_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: cannot create {self.output_dir}: {exc.strerror}") from None
+        return Path(self.output_dir)
+
     def echo(self):
         """JSON-ready copy of the configuration, for the run manifest."""
         echo = asdict(self)

@@ -2,19 +2,15 @@
 returns, evaluate on both periods, and write weights, plot data, reports, and
 cross-sector summary tables plus a JSON manifest of every artifact.
 
-Sectors are processed independently: a failure in one sector is recorded in
-the manifest and does not abort the run.  run_pipeline can therefore fit them
-in a pool of forked worker processes, or, for a lone sector, score its MVP
-blocks and gap batches there; the artifacts and the manifest's order are the
-same as a single-process run's.  All outputs are written atomically
-(temp file + rename) and are byte-identical across reruns for fixed seeds.
-
-Every subcommand that fits a method drives run_sector with a selection of
-methods and artifacts, so each artifact has one code path.  Every subcommand
-parses the ticker CSVs its sectors list once, up front, through
-parse_sectors.  Layers are called through the names this module imports, so
-wrapping one of those attributes (as bench/tracer.py does) sees every call a
-single-process run makes.
+Every per-sector subcommand runs one task per sector through map_sectors,
+which owns the up-front parse of the ticker CSVs, the pool of forked workers
+and the capture of sector errors, so a failed sector never stops the others.
+The task is run_sector with a selection of methods and artifacts (run,
+optimize, frontier), so each artifact has one code path, or ingest_sector or
+dendrogram_sector.  Artifacts are written atomically and are byte-identical
+to a single-process run's and across reruns for fixed seeds.  Layers are
+called through the names this module imports, so wrapping one of them (as
+bench/tracer.py does) sees every call a single-process run makes.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ from portopt.market_data import (
     load_price_table,
     parse_csvs,
     split_train_test,
+    write_wide_csv,
 )
 from portopt.riskstats import (
     StatsError,
@@ -98,19 +95,9 @@ def ticker_csv(cfg, ticker):
     return Path(cfg.data_dir) / f"{ticker}.csv"
 
 
-def parse_sectors(cfg, sectors):
-    """Parse every ticker CSV the sectors list, once each: the parse_csvs
-    mapping to pass to sector_prices.  A CSV that fails is read once too, and
-    each sector that lists it raises its error."""
-    paths = (ticker_csv(cfg, t) for sector in sectors for t in cfg.sectors[sector])
-    return parse_csvs(paths, date_column=cfg.date_column, close_column=cfg.close_column)
-
-
 def sector_prices(cfg, tickers, parsed=None):
-    """Load and clean the price panel for tickers over the study window.
-
-    parsed is the mapping from parse_sectors, or None to read every CSV.
-    """
+    """Load and clean the price panel for tickers over the study window;
+    parsed is a parse_csvs mapping, or None to read every CSV."""
     sources = {t: ticker_csv(cfg, t) for t in tickers}
     table = load_price_table(
         sources,
@@ -179,17 +166,16 @@ def evaluate_periods(cfg, weights, data, portfolio):
     }
 
 
-def run_sector(cfg, sector, methods, out_dir, artifacts=ARTIFACTS, parsed=None):
+def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
     """Fit methods on one sector and write the selected artifacts under
-    out_dir/<sector>/.  parsed is passed on to sector_prices.
+    <output_dir>/<sector>/.  parsed is passed on to sector_prices.
 
     Returns (outputs, metrics): {method: {artifact: path}} and
-    {period: {method label: PerfMetrics}}.  Errors propagate; the caller
-    decides whether a failed sector aborts.
+    {period: {method label: PerfMetrics}}.  Errors propagate.
     """
     with_tree = any(m in TREE_METHODS for m in methods)
     data = prepare_sector(cfg, cfg.sectors[sector], with_tree, parsed)
-    sector_dir = Path(out_dir) / sector
+    sector_dir = Path(cfg.output_dir) / sector
     sector_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     metrics = {period: {} for period in PERIODS}
@@ -239,40 +225,59 @@ def write_summaries(metrics_by_period, methods, out_root):
     return paths
 
 
-# the running run_pipeline's parse_sectors mapping: its pool's workers fork
-# after the parse and read their copy of it, instead of receiving it with
-# every task
+def ingest_sector(cfg, sector, parsed=None):
+    """Write <output_dir>/<sector>_prices.csv; return (dates, tickers, path)."""
+    table = sector_prices(cfg, cfg.sectors[sector], parsed)
+    path = Path(cfg.output_dir) / f"{sector}_prices.csv"
+    write_wide_csv(table, path, date_column=cfg.date_column)
+    return table.n_dates, len(table.tickers), path
+
+
+def dendrogram_sector(cfg, sector, parsed=None):
+    """Write <output_dir>/<sector>/dendrogram.json, the linkage tree; return its path."""
+    data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True, parsed=parsed)
+    path = Path(cfg.output_dir) / sector / "dendrogram.json"
+    path.parent.mkdir(exist_ok=True)
+    write_json(path, dendrogram_export(data.tree, data.train_returns.tickers))
+    return path
+
+
+# the running map_sectors' parse: its pool's workers fork after the parse and
+# read their copy of it, instead of receiving it with every task
 _parsed = None
 
 
-def _fit_sector(cfg, methods, out_root, sector):
-    """run_sector's (outputs, metrics), or the message of a sector error."""
+def _sector_task(task, cfg, sector):
+    """task(cfg, sector, parsed), or the sector error it raised."""
     try:
-        return run_sector(cfg, sector, methods, out_root, parsed=_parsed)
+        return task(cfg, sector, _parsed)
     except SECTOR_ERRORS as exc:
-        return str(exc)
+        return exc
+
+
+def map_sectors(cfg, sectors, task, workers=1):
+    """[task(cfg, sector, parsed), or the sector error it raised, per sector in
+    order], after making the output root and parsing every CSV they list once.
+    With workers > 1, several sectors run in a pool of up to `workers` forked
+    processes, while a lone sector runs here and its MVP sample blocks and gap
+    batches go to the pool (portopt._pool); the bytes are those of one process."""
+    global _parsed
+    cfg.make_output_dir()
+    paths = (ticker_csv(cfg, t) for sector in sectors for t in cfg.sectors[sector])
+    _parsed = parse_csvs(paths, date_column=cfg.date_column, close_column=cfg.close_column)
+    try:
+        with fork_pool(workers if len(sectors) == 1 else min(workers, len(sectors))):
+            return pool_map(partial(_sector_task, task, cfg), sectors)
+    finally:
+        _parsed = None
 
 
 def run_pipeline(cfg, workers=1):
-    """Run the full study described by cfg and return the RunManifest.
-
-    With workers > 1, the run opens a pool of forked processes: several
-    sectors are fitted in up to `workers` of them, while a lone sector is
-    fitted here and its MVP sample blocks and gap reference batches go to
-    `workers` of them (portopt._pool).  Every artifact has the same bytes as
-    with one process.
-    """
-    global _parsed
-    out_root = Path(cfg.output_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
+    """Run the full study described by cfg through map_sectors with
+    `workers`, and return the RunManifest, which records failed sectors."""
     methods = list(cfg.methods)
     sectors = sorted(cfg.sectors)
-    _parsed = parse_sectors(cfg, sectors)
-    try:
-        with fork_pool(workers if len(sectors) == 1 else min(workers, len(sectors))):
-            results = pool_map(partial(_fit_sector, cfg, methods, out_root), sectors)
-    finally:
-        _parsed = None
+    results = map_sectors(cfg, sectors, partial(run_sector, methods=methods), workers)
 
     manifest = RunManifest(
         version=__version__,
@@ -281,15 +286,15 @@ def run_pipeline(cfg, workers=1):
     )
     metrics_by_period = {period: {} for period in PERIODS}
     for sector, result in zip(sectors, results):
-        if isinstance(result, str):
-            manifest.failures[sector] = result
+        if isinstance(result, Exception):
+            manifest.failures[sector] = str(result)
             continue
         manifest.outputs[sector], metrics = result
         for period in PERIODS:
             metrics_by_period[period][sector] = metrics[period]
 
     if manifest.outputs:
-        manifest.summaries = write_summaries(metrics_by_period, methods, out_root)
+        manifest.summaries = write_summaries(metrics_by_period, methods, cfg.output_dir)
 
-    write_json(out_root / MANIFEST_NAME, asdict(manifest))
+    write_json(Path(cfg.output_dir) / MANIFEST_NAME, asdict(manifest))
     return manifest

@@ -12,7 +12,7 @@ from portopt import market_data, pipeline
 from portopt.allocators import read_weights_csv
 from portopt.cli import main
 from portopt.config import load_config
-from portopt.pipeline import parse_sectors, run_pipeline, sector_prices
+from portopt.pipeline import map_sectors, run_pipeline, sector_prices
 
 
 @pytest.fixture(autouse=True)
@@ -170,14 +170,16 @@ class TestParseOnce:
         assert set(manifest.outputs) == {"alpha", "beta", "mixed"}
         assert len(reads) == len(set(reads)) == 6
 
-    def test_parse_sectors_parses_each_listed_csv_once(self, fixture_copy, reads):
+    def test_map_sectors_parses_each_listed_csv_once(self, fixture_copy, reads):
         _add_shared_sector(fixture_copy)
         cfg = load_config(fixture_copy / "config.yaml")
-        parsed = parse_sectors(cfg, ["alpha", "mixed"])
-        assert sorted(Path(p).stem for p in parsed) == ["AAA", "AAB", "AAC", "BBA"]
+
+        def task(cfg, sector, parsed):
+            return sorted(Path(p).stem for p in parsed), sector_prices(cfg, cfg.sectors[sector], parsed)
+
+        (stems, _), (_, table) = map_sectors(cfg, ["alpha", "mixed"], task)
+        assert stems == ["AAA", "AAB", "AAC", "BBA"]
         assert len(reads) == len(set(reads)) == 4
-        table = sector_prices(cfg, cfg.sectors["mixed"], parsed)
-        assert len(reads) == 4
         fresh = sector_prices(cfg, cfg.sectors["mixed"])
         assert table.dates == fresh.dates
         np.testing.assert_array_equal(table.closes, fresh.closes)
@@ -216,6 +218,46 @@ def _tree(root):
     return files
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Make the CLI see cpus as the CPUs it may run on."""
+    from portopt import cli
+
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
+def _cli_runs(config, argv, tmp_path, monkeypatch, capsys, cpu_sets=({0}, {0, 1, 2})):
+    """[(exit code, tree, stdout, stderr)] of `portopt <argv>` under each set of
+    CPUs, each into its own output root; the root's path reads <out>."""
+    runs = []
+    for cpus in cpu_sets:
+        _set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        code = main([argv[0], "--config", str(config), "--out", str(out), *argv[1:]])
+        std = capsys.readouterr()
+        runs.append((code, _tree(out), std.out.replace(str(out), "<out>"), std.err))
+    return runs
+
+
+@pytest.fixture
+def pool_maps(monkeypatch):
+    """(task function, task count) of each map over a process pool."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    mapped = []
+    pool_map = ProcessPoolExecutor.map
+
+    def recording(self, fn, *iterables, **kwargs):
+        iterables = [list(items) for items in iterables]
+        mapped.append((fn.func.__name__, len(iterables[0])))
+        return pool_map(self, fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", recording)
+    return mapped
+
+
+SUBCOMMANDS = [["ingest"], ["optimize", "--method", "herc"], ["frontier"], ["dendrogram"]]
+
+
 class TestParallelRun:
     @pytest.mark.parametrize("edit", ["none", "shared_sector", "missing_ticker"])
     def test_pool_matches_one_process(self, fixture_copy, tmp_path, edit):
@@ -239,19 +281,9 @@ class TestParallelRun:
         assert bool(serial.failures) == (edit == "missing_ticker")
 
     def test_one_sector_run_maps_mvp_blocks_and_gap_batches_over_the_pool(
-        self, one_sector, tmp_path, monkeypatch
+        self, one_sector, tmp_path, pool_maps
     ):
-        from concurrent.futures import ProcessPoolExecutor
-
-        mapped = []  # (task function, task count) of each map over the pool
-        pool_map = ProcessPoolExecutor.map
-
-        def recording(self, fn, *iterables, **kwargs):
-            iterables = [list(items) for items in iterables]
-            mapped.append((fn.func.__name__, len(iterables[0])))
-            return pool_map(self, fn, *iterables, **kwargs)
-
-        monkeypatch.setattr(ProcessPoolExecutor, "map", recording)
+        mapped = pool_maps
         # 10 000 samples are 10 MVP blocks; 51 point sets at n = 40 are 3 gap batches
         config = one_sector(40, gap_b_refs=50)
         trees = []
@@ -262,6 +294,42 @@ class TestParallelRun:
             trees.append(_tree(cfg.output_dir))
         assert trees[0] == trees[1]
         assert mapped == [("_score_block", 10), ("_batch_curves", 3)]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_subcommand_pool_matches_one_process(
+        self, synthetic_fixture, tmp_path, monkeypatch, capsys, argv
+    ):
+        config = synthetic_fixture / "config.yaml"
+        one, pooled = _cli_runs(config, argv, tmp_path, monkeypatch, capsys)
+        assert one == pooled
+        assert one[0] == 0 and one[1]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the CLI pools only on Linux")
+    def test_lone_sector_optimize_maps_gap_batches_over_the_pool(
+        self, one_sector, tmp_path, monkeypatch, capsys, pool_maps
+    ):
+        # 51 point sets at n = 40 are 3 gap batches
+        config = one_sector(40, gap_b_refs=50)
+        argv = ["optimize", "--method", "herc"]
+        one, pooled = _cli_runs(config, argv, tmp_path, monkeypatch, capsys, ({0}, {0, 1}))
+        assert one == pooled
+        assert list(one[1]) == ["wide/herc_weights.csv"]
+        assert pool_maps == [("_batch_curves", 3)]
+
+    def test_failed_sector_fails_alike_in_the_pool(self, fixture_copy, tmp_path, monkeypatch, capsys):
+        _add_shared_sector(fixture_copy)
+        config = fixture_copy / "config.yaml"
+        text = config.read_text().replace("beta: [BBA, BBB, BBC]", "beta: [BBA, MISSING, BBC]")
+        config.write_text(text, encoding="utf-8")
+        argv = ["optimize", "--method", "hrp"]
+        one, pooled = _cli_runs(config, argv, tmp_path, monkeypatch, capsys)
+        assert one == pooled
+        code, tree, out, err = one
+        assert code == 2
+        assert err.startswith("data error: ") and "MISSING" in err
+        assert out == "alpha/hrp: <out>/alpha/hrp_weights.csv\n"
+        # every sector runs, so the healthy sector after the failed one is written too
+        assert sorted(tree) == ["alpha/hrp_weights.csv", "mixed/hrp_weights.csv"]
 
     def test_failing_lone_sector_fails_alike_in_the_pool(self, fixture_copy, tmp_path):
         data = fixture_copy / "data"
@@ -297,15 +365,23 @@ class TestParallelRun:
 
         seen = []
 
-        def recording(cfg, workers=1):
-            seen.append(workers)
-            return run_pipeline(cfg)
+        def recording(real):
+            def call(*args, workers=1):
+                seen.append(workers)
+                return real(*args)
 
-        monkeypatch.setattr(cli, "run_pipeline", recording)
+            return call
+
+        # run passes the count to run_pipeline, the other subcommands to map_sectors
+        monkeypatch.setattr(cli, "run_pipeline", recording(run_pipeline))
+        monkeypatch.setattr(cli, "map_sectors", recording(map_sectors))
         for cpus in ({0}, {0, 1, 2, 3}):
-            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
-            assert main(["run", *_cfg(synthetic_fixture), "--out", str(tmp_path / "out")]) == 0
-        assert seen == ([1, 4] if sys.platform == "linux" else [1, 1])
+            _set_cpus(monkeypatch, cpus)
+            for argv in (["run"], *SUBCOMMANDS):
+                out = tmp_path / "out"
+                assert main([argv[0], *_cfg(synthetic_fixture), "--out", str(out), *argv[1:]]) == 0
+        calls = 1 + len(SUBCOMMANDS)
+        assert seen == ([1] * calls + [4] * calls if sys.platform == "linux" else [1] * 2 * calls)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -479,6 +555,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error: sectors." in err and "one path component" in err
         assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["ingest"],
+            ["optimize", "--method", "hrp"],
+            ["backtest", "--weights", "{reports}/alpha/hrp_weights.csv"],
+            ["frontier"],
+            ["dendrogram"],
+            ["report", "--reports-dir", "{reports}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_uncreatable_output_dir_exits_1(
+        self, synthetic_fixture, fixture_reports, tmp_path, capsys, argv
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        rest = [arg.format(reports=fixture_reports) for arg in argv[1:]]
+        assert main([argv[0], *_cfg(synthetic_fixture), "--out", str(out), *rest]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: output_dir: cannot create {out}: ")
+        assert err.count("\n") == 1
 
     def test_missing_data_exits_2(self, fixture_copy, tmp_path, capsys):
         config = fixture_copy / "config.yaml"
