@@ -3,7 +3,8 @@
 The portfolio is a daily-rebalanced constant mix: every day's return is the
 weighted sum of that day's asset returns at the original weights, as if the
 holdings were reset to those weights each day.  Buy-and-hold drift (weights
-moving with relative prices) is not modeled.
+moving with relative prices) is not modeled.  A report's dates are a view of
+its returns' read-only datetime64[D] array (market_data.as_dates).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from portopt._io import render_json, write_text
+from portopt.market_data import as_dates
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
@@ -35,16 +37,17 @@ class BacktestReport:
 
     portfolio: str
     period: str
-    dates: tuple
+    dates: np.ndarray
     cumulative_series: np.ndarray
     metrics: PerfMetrics
 
     def __post_init__(self):
+        dates = as_dates(self.dates)
         series = np.asarray(self.cumulative_series, dtype=float)
-        if series.shape != (len(self.dates),):
+        if series.shape != dates.shape:
             raise BacktestError("cumulative series length must match the period")
         series.setflags(write=False)
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "cumulative_series", series)
 
 
@@ -182,7 +185,7 @@ def report_to_dict(report):
     return {
         "portfolio": report.portfolio,
         "period": report.period,
-        "dates": [d.isoformat() for d in report.dates],
+        "dates": np.datetime_as_string(report.dates).tolist(),
         "cumulative_series": [float(x) for x in report.cumulative_series],
         "metrics": {
             "annual_return": report.metrics.annual_return,
@@ -193,25 +196,14 @@ def report_to_dict(report):
     }
 
 
-def render_report_json(report, date_blocks=None):
+def render_report_json(report):
     """render_json(report_to_dict(report)), joined from float.__repr__ of
-    the series (json's text for a finite float) and a rendered block of ISO
-    dates.
-
-    date_blocks is an optional caller-owned {dates: block} mapping, so
-    reports over the same dates render them once.  An empty or non-finite
-    series goes through render_json itself.
+    the series (json's text for a finite float) and the ISO dates.  An empty
+    or non-finite series goes through render_json itself.
     """
     series = report.cumulative_series
     if series.size == 0 or not np.isfinite(series).all():
         return render_json(report_to_dict(report))
-    if date_blocks is None:
-        date_blocks = {}
-    dates = date_blocks.get(report.dates)
-    if dates is None:
-        dates = date_blocks[report.dates] = ",\n    ".join(
-            f'"{d.isoformat()}"' for d in report.dates
-        )
     m = report.metrics
     metrics = (
         ("annual_return", m.annual_return),
@@ -223,9 +215,9 @@ def render_report_json(report, date_blocks=None):
         [
             '{\n  "cumulative_series": [\n    ',
             ",\n    ".join(map(float.__repr__, series.tolist())),
-            '\n  ],\n  "dates": [\n    ',
-            dates,
-            '\n  ],\n  "metrics": {\n    ',
+            '\n  ],\n  "dates": [\n    "',
+            '",\n    "'.join(np.datetime_as_string(report.dates).tolist()),
+            '"\n  ],\n  "metrics": {\n    ',
             ",\n    ".join(f'"{k}": {json.dumps(v)}' for k, v in metrics),
             '\n  },\n  "period": ',
             json.dumps(report.period),
@@ -236,6 +228,6 @@ def render_report_json(report, date_blocks=None):
     )
 
 
-def write_report_json(report, path, date_blocks=None):
-    """Write render_report_json(report, date_blocks) to path atomically."""
-    write_text(path, render_report_json(report, date_blocks))
+def write_report_json(report, path):
+    """Write render_report_json(report) to path atomically."""
+    write_text(path, render_report_json(report))

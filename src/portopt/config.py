@@ -7,7 +7,8 @@ Schema (all dates ISO YYYY-MM-DD):
     output_dir: where weights/reports/summaries are written
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
-                                    # names and tickers: one path component each
+                                    # names and tickers: strings (quote 0700,
+                                    # null, true), one path component each
     methods:
       mvp:  {n_samples: 10000, seed: 0}
       hrp:  {}
@@ -97,6 +98,8 @@ class RunConfig:
             raise ConfigError("sectors: at least one sector is required")
         for name, tickers in self.sectors.items():
             for part in (name, *tickers):  # an output directory or a CSV name
+                if not isinstance(part, str):  # YAML reads 0700 as 448, null as None
+                    raise ConfigError(f"sectors.{name}: {part!r} is not a string; quote it")
                 if not is_path_component(part):
                     raise ConfigError(
                         f"sectors.{name}: {part!r} is not one path component "
@@ -229,7 +232,7 @@ def load_config(path):
         raise ConfigError("sectors: expected a mapping of name -> ticker list")
 
     # only the keys present: RunConfig holds the defaults
-    values = dict(raw, sectors={str(k): [str(t) for t in v] for k, v in sectors.items()})
+    values = dict(raw)
     for key in ("data_dir", "output_dir"):
         values[key] = path.parent / raw[key]  # an absolute path replaces the parent
     for key in ("train_start", "train_end", "test_end"):

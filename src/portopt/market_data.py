@@ -10,7 +10,9 @@ After loading, all tickers share one calendar: by default the intersection of
 each ticker's dates; a forward-fill mode is available for callers that prefer
 to carry the last known price across gaps.  A cleaned panel can be exported as
 one wide CSV (date column plus one close column per ticker); nothing reads
-that format back.
+that format back.  The parse keeps dates as int32 day ordinals; tables and
+return matrices hold them as one read-only datetime64[D] array (as_dates),
+sliced as views and rendered in one np.datetime_as_string call.
 """
 
 from __future__ import annotations
@@ -60,33 +62,48 @@ def _parse_price(raw, path, line_no, column):
     return value
 
 
+def as_dates(dates):
+    """dates (datetime.date objects, ISO texts or datetime64 values) as a
+    read-only datetime64[D] array; a view of one already in that form."""
+    dates = np.asarray(dates, dtype="datetime64[D]")
+    dates.setflags(write=False)
+    return dates
+
+
+def _panel(panel, name, what):
+    """Freeze panel's dates and tickers, and return its `name` matrix as
+    floats once it has one row per date and one column per ticker."""
+    dates, tickers = as_dates(panel.dates), tuple(panel.tickers)
+    object.__setattr__(panel, "dates", dates)
+    object.__setattr__(panel, "tickers", tickers)
+    values = np.asarray(getattr(panel, name), dtype=float)
+    if values.shape != (*dates.shape, len(tickers)):
+        raise DataError(
+            f"{what} matrix shape {values.shape} does not match "
+            f"{dates.size} dates x {len(tickers)} tickers"
+        )
+    return values
+
+
 @dataclass(frozen=True)
 class PriceTable:
     """Date-aligned close-price panel: one row per date, one column per ticker."""
 
-    dates: tuple
+    dates: np.ndarray
     tickers: tuple
     closes: np.ndarray
 
     def __post_init__(self):
-        dates = tuple(self.dates)
-        tickers = tuple(self.tickers)
-        closes = np.asarray(self.closes, dtype=float)
-        if closes.shape != (len(dates), len(tickers)):
-            raise DataError(
-                f"close matrix shape {closes.shape} does not match "
-                f"{len(dates)} dates x {len(tickers)} tickers"
-            )
-        if len(set(tickers)) != len(tickers):
+        closes = _panel(self, "closes", "close")
+        if len(set(self.tickers)) != len(self.tickers):
             raise DataError("duplicate tickers in price table")
-        for a, b in zip(dates, dates[1:]):
-            if not a < b:
-                raise DataError(f"dates not strictly increasing at {a} -> {b}")
+        unordered = np.flatnonzero(~(self.dates[1:] > self.dates[:-1]))  # NaT compares false
+        if unordered.size:
+            a, b = self.dates[unordered[0] : unordered[0] + 2]
+            raise DataError(f"dates not strictly increasing at {a} -> {b}")
         if closes.size and (not np.all(np.isfinite(closes)) or np.any(closes <= 0.0)):
             raise DataError("all prices must be strictly positive and finite")
         closes.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "tickers", tickers)
         object.__setattr__(self, "closes", closes)
 
     @property
@@ -95,42 +112,28 @@ class PriceTable:
 
     def restrict(self, start=None, end=None):
         """Return the sub-panel with start <= date <= end."""
-        keep = [
-            i
-            for i, d in enumerate(self.dates)
-            if (start is None or d >= start) and (end is None or d <= end)
-        ]
-        if not keep:
-            raise DataError(f"no dates remain in range [{start}, {end}]")
-        return PriceTable(
-            tuple(self.dates[i] for i in keep), self.tickers, self.closes[keep, :]
+        keep = slice(
+            None if start is None else self.dates.searchsorted(np.datetime64(start, "D")),
+            None if end is None else self.dates.searchsorted(np.datetime64(end, "D"), "right"),
         )
+        if not self.dates[keep].size:
+            raise DataError(f"no dates remain in range [{start}, {end}]")
+        return PriceTable(self.dates[keep], self.tickers, self.closes[keep])
 
 
 @dataclass(frozen=True)
 class ReturnMatrix:
     """Daily simple returns; row t is the return from date t to date t+1."""
 
-    dates: tuple
+    dates: np.ndarray
     tickers: tuple
     returns: np.ndarray
 
     def __post_init__(self):
-        dates = tuple(self.dates)
-        tickers = tuple(self.tickers)
-        returns = np.asarray(self.returns, dtype=float)
-        if returns.shape != (len(dates), len(tickers)):
-            raise DataError(
-                f"return matrix shape {returns.shape} does not match "
-                f"{len(dates)} dates x {len(tickers)} tickers"
-            )
-        if returns.size and (
-            not np.all(np.isfinite(returns)) or np.any(returns <= -1.0)
-        ):
+        returns = _panel(self, "returns", "return")
+        if returns.size and (not np.all(np.isfinite(returns)) or np.any(returns <= -1.0)):
             raise DataError("all returns must be finite and greater than -1")
         returns.setflags(write=False)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "tickers", tickers)
         object.__setattr__(self, "returns", returns)
 
 
@@ -341,7 +344,7 @@ def load_price_table(
     closes = np.empty((len(days), len(per_ticker)))
     for j, (own, own_closes) in enumerate(per_ticker.values()):
         closes[:, j] = own_closes[np.searchsorted(own, days, side="right") - 1]
-    dates = tuple(map(dt.date.fromordinal, days.tolist()))
+    dates = (days - 719163).astype("datetime64[D]")  # day 0 is ordinal 719163, 1970-01-01
     return PriceTable(dates, tuple(per_ticker), closes)
 
 
@@ -349,8 +352,8 @@ def write_wide_csv(table, path, *, date_column="Date"):
     """Export a PriceTable as a wide CSV; output is bit-identical across runs."""
     header = ",".join([date_column, *table.tickers]) + "\n"
     rows = (
-        ",".join([date.isoformat(), *(format(x, ".12g") for x in row)]) + "\n"
-        for date, row in zip(table.dates, table.closes)
+        ",".join([date, *(format(x, ".12g") for x in row)]) + "\n"
+        for date, row in zip(np.datetime_as_string(table.dates).tolist(), table.closes)
     )
     write_text(path, itertools.chain([header], rows))
 
@@ -360,11 +363,12 @@ def split_train_test(table, boundary):
     if table.n_dates < 2:
         raise DataError("price table too short to split")
     first, last = table.dates[0], table.dates[-1]
-    if boundary < first or boundary >= last:
+    day = np.datetime64(boundary, "D")
+    if day < first or day >= last:
         raise DataError(
             f"boundary {boundary} must lie strictly inside [{first}, {last}]"
         )
-    cut = sum(1 for d in table.dates if d <= boundary)
+    cut = table.dates.searchsorted(day, "right")
     head = PriceTable(table.dates[:cut], table.tickers, table.closes[:cut, :])
     tail = PriceTable(table.dates[cut:], table.tickers, table.closes[cut:, :])
     return head, tail

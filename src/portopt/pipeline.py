@@ -179,7 +179,6 @@ def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
     sector_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
     metrics = {period: {} for period in PERIODS}
-    date_blocks = {}  # each period's dates, rendered once for every method
     dendrogram = None  # the tree's JSON, rendered once for hrp and herc
     if with_tree and "dendrogram" in artifacts:
         dendrogram = render_json(dendrogram_export(data.tree, data.train_returns.tickers))
@@ -203,7 +202,7 @@ def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
             reports = evaluate_periods(cfg, weights, data, f"{sector}/{label}")
             for period, report in reports.items():
                 path = sector_dir / f"{method}_{period}_report.json"
-                write_report_json(report, path, date_blocks)
+                write_report_json(report, path)
                 paths[f"{period}_report"] = str(path)
                 metrics[period][label] = report.metrics
         outputs[method] = paths

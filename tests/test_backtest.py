@@ -1,3 +1,4 @@
+import datetime as dt
 import json
 import math
 
@@ -62,7 +63,12 @@ class TestEvaluate:
         w = WeightVector(("T0", "T1"), np.array([0.5, 0.5]))
         report = evaluate(w, r, portfolio="demo", period="train")
         assert report.portfolio == "demo"
-        assert report.dates == r.dates
+        assert report.dates.tolist() == r.dates.tolist()
+        # one read-only datetime64[D] calendar, shared by the report as a view
+        for dates in (r.dates, report.dates):
+            assert dates.dtype == np.dtype("datetime64[D]")
+            assert not dates.flags.writeable
+        assert np.shares_memory(report.dates, r.dates)
         assert len(report.cumulative_series) == 3
         daily = portfolio_return_series(w, r)
         assert report.metrics.annual_return == pytest.approx(252 * daily.mean(), abs=1e-12)
@@ -159,7 +165,7 @@ class TestReportJson:
         payload = json.loads(path.read_text())
         assert payload["portfolio"] == "p"
         assert payload["period"] == "test"
-        assert payload["dates"] == [d.isoformat() for d in r.dates]
+        assert payload["dates"] == [d.isoformat() for d in r.dates.tolist()]
         assert payload["metrics"]["annual_return"] == report.metrics.annual_return
         assert payload["cumulative_series"] == pytest.approx([0.01, -0.0001], abs=1e-12)
 
@@ -204,14 +210,16 @@ class TestRenderReportJson:
         assert render_report_json(report) == _dumps(report)
 
     def test_extreme_finite_values(self):
-        base = _seeded_report(4, 6)
+        years = [dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(1000, 1, 1)]
+        years += [dt.date(2021, 1, 4), dt.date(9999, 12, 30), dt.date(9999, 12, 31)]
         report = BacktestReport(
             "p",
             "test",
-            base.dates,
+            years,
             np.array([-0.0, 1e-300, 1e16, 5e-324, -1e16, 0.1]),
             PerfMetrics(-0.0, 1e-300, 1e16, -0.0),
         )
+        assert report_to_dict(report)["dates"] == [d.isoformat() for d in years]
         assert render_report_json(report) == _dumps(report)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -225,16 +233,3 @@ class TestRenderReportJson:
     def test_label_with_quote_backslash_and_non_ascii(self):
         report = _seeded_report(6, 20, portfolio='s\u00e9c"t\\or/HRP \u2013 \U0001f4c8')
         assert render_report_json(report) == _dumps(report)
-
-    def test_shared_date_blocks(self, tmp_path):
-        train = _seeded_report(7, 30)
-        other = BacktestReport(
-            "other", "train", train.dates, train.cumulative_series * 2.0, train.metrics
-        )
-        blocks = {}
-        for i, report in enumerate((train, other)):
-            assert render_report_json(report, blocks) == _dumps(report)
-            path = tmp_path / f"{i}.json"
-            write_report_json(report, path, blocks)
-            assert path.read_text(encoding="utf-8") == _dumps(report)
-        assert list(blocks) == [train.dates]

@@ -181,7 +181,7 @@ class TestParseOnce:
         assert stems == ["AAA", "AAB", "AAC", "BBA"]
         assert len(reads) == len(set(reads)) == 4
         fresh = sector_prices(cfg, cfg.sectors["mixed"])
-        assert table.dates == fresh.dates
+        assert table.dates.tolist() == fresh.dates.tolist()
         np.testing.assert_array_equal(table.closes, fresh.closes)
 
     def test_broken_csv_fails_every_sector_that_lists_it(self, fixture_copy, tmp_path, reads):

@@ -126,6 +126,9 @@ class TestLoadConfig:
             ("test_end", "methods:\n  herc: {k: 3}\ntest_end", "methods.herc.k"),  # sector has 2
             ("test_end", "methods:\n  herc: {k: 99}\ntest_end", "methods.herc.k"),
             ("alpha: [AAA, AAB]", "alpha: [AAA, AAB, AAA]", "sectors.alpha"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, 0700]", r"^sectors\.alpha: 448 is not a str"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, null]", r"^sectors\.alpha: None is not a str"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, AAB]\n  true: [AAC, AAD]", r"^sectors\.True: "),
             ("alpha: [AAA, AAB]", "alpha: [AAA, AAB]\n  solo: [AAC]", "sectors.solo"),
             (
                 "alpha: [AAA, AAB]",

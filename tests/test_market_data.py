@@ -33,7 +33,7 @@ class TestLoadPriceTable:
         _write_csv(tmp_path / "A.csv", ["2021-01-01,10", "2021-01-02,11", "2021-01-03,12"])
         _write_csv(tmp_path / "B.csv", ["2021-01-02,20", "2021-01-03,21", "2021-01-04,22"])
         table = load_price_table({"A": tmp_path / "A.csv", "B": tmp_path / "B.csv"})
-        assert table.dates == (D[1], D[2])
+        assert table.dates.tolist() == [D[1], D[2]]
         assert table.tickers == ("A", "B")
         assert table.closes.tolist() == [[11.0, 20.0], [12.0, 21.0]]
 
@@ -43,7 +43,7 @@ class TestLoadPriceTable:
         table = load_price_table(
             {"A": tmp_path / "A.csv", "B": tmp_path / "B.csv"}, align="ffill"
         )
-        assert table.dates == (D[0], D[1], D[2])
+        assert table.dates.tolist() == [D[0], D[1], D[2]]
         assert table.closes[:, 1].tolist() == [20.0, 20.0, 21.0]
 
     def test_ffill_equals_intersect_on_gap_free_data(self, tmp_path):
@@ -59,7 +59,7 @@ class TestLoadPriceTable:
                 sources[f"T{j}"] = path
             intersect = load_price_table(sources)
             ffill = load_price_table(sources, align="ffill")
-            assert ffill.dates == intersect.dates == tuple(dates)
+            assert ffill.dates.tolist() == intersect.dates.tolist() == dates
             assert ffill.tickers == intersect.tickers
             np.testing.assert_array_equal(ffill.closes, intersect.closes)
 
@@ -86,7 +86,7 @@ class TestLoadPriceTable:
             for align in ("intersect", "ffill"):
                 dates, closes = naive_align(per_ticker, align)
                 table = load_price_table(sources, align=align)
-                assert table.dates == dates
+                assert table.dates.tolist() == list(dates)
                 assert table.tickers == tuple(per_ticker)
                 assert table.closes.shape == closes.shape
                 assert np.array_equal(table.closes.view(np.uint64), closes.view(np.uint64))
@@ -133,7 +133,7 @@ class TestLoadPriceTable:
             dates, closes = naive_align(per_ticker, "ffill")
             rows = [i for i, d in enumerate(dates) if d >= require_start]
             table = load_price_table(sources, align="ffill", require_start=require_start)
-            assert table.dates == tuple(dates[i] for i in rows)
+            assert table.dates.tolist() == [dates[i] for i in rows]
             assert np.array_equal(table.closes.view(np.uint64), closes[rows].view(np.uint64))
 
     @pytest.mark.parametrize("align", ["intersect", "ffill"])
@@ -180,7 +180,7 @@ class TestLoadPriceTable:
         path = tmp_path / "A.csv"
         _write_csv(path, ["2021-01-01,10", "", "2021-01-02,11"])
         table = load_price_table({"A": path})
-        assert table.dates == (D[0], D[1])
+        assert table.dates.tolist() == [D[0], D[1]]
         assert table.closes[:, 0].tolist() == [10.0, 11.0]
 
     def test_short_row_reads_missing_price_as_none(self, tmp_path):
@@ -201,7 +201,7 @@ class TestLoadPriceTable:
         path = tmp_path / "A.csv"
         _write_csv(path, ["2021-01-03,12", "2021-01-01,10", "2021-01-02,11"])
         table = load_price_table({"A": path})
-        assert table.dates == (D[0], D[1], D[2])
+        assert table.dates.tolist() == [D[0], D[1], D[2]]
         assert table.closes[:, 0].tolist() == [10.0, 11.0, 12.0]
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
@@ -260,7 +260,7 @@ class TestLoadPriceTable:
         assert copies["AAA"].read_bytes().startswith(b"\xef\xbb\xbfDate,Close\r\n")
         expected = load_price_table(originals)
         loaded = load_price_table(copies)
-        assert loaded.dates == expected.dates
+        assert loaded.dates.tolist() == expected.dates.tolist()
         assert loaded.tickers == expected.tickers
         np.testing.assert_array_equal(loaded.closes, expected.closes)
 
@@ -446,7 +446,7 @@ class TestBulkParse:
             encoding="utf-8",
         )
         table = load_price_table({"W": wide})
-        assert table.dates == (D[0], D[3])
+        assert table.dates.tolist() == [D[0], D[3]]
         assert table.closes[:, 0].tolist() == [8.75, 10.25]
 
 
@@ -454,16 +454,27 @@ class TestPriceTable:
     def test_restrict_is_inclusive_on_both_ends(self):
         table = _table(D[:4], ["A"], [[1], [2], [3], [4]])
         sub = table.restrict(D[1], D[2])
-        assert sub.dates == (D[1], D[2])
+        assert sub.dates.tolist() == [D[1], D[2]]
 
     def test_restrict_empty_range_errors(self):
         table = _table(D[:2], ["A"], [[1], [2]])
-        with pytest.raises(DataError, match="no dates remain"):
+        message = r"^no dates remain in range \[2021-01-06, 2021-01-07\]$"
+        with pytest.raises(DataError, match=message):
             table.restrict(D[5], D[6])
 
     def test_dates_must_increase(self):
-        with pytest.raises(DataError, match="strictly increasing"):
-            _table([D[1], D[0]], ["A"], [[1], [2]])
+        for dates, at in [([D[1], D[0]], 0), ([D[0], D[2], D[2]], 1)]:
+            message = f"^dates not strictly increasing at {dates[at]} -> {dates[at + 1]}$"
+            with pytest.raises(DataError, match=message):
+                _table(dates, ["A"], [[1]] * len(dates))
+
+    def test_dates_are_one_read_only_day_array(self):
+        table = _table(D[:3], ["A"], [[1], [2], [3]])
+        r = daily_returns(table)
+        for dates in (table.dates, table.restrict(D[1]).dates, r.dates):
+            assert dates.dtype == np.dtype("datetime64[D]")
+            assert not dates.flags.writeable
+        assert np.shares_memory(r.dates, table.dates)
 
     def test_duplicate_tickers_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
@@ -474,28 +485,31 @@ class TestSplitTrainTest:
     def test_boundary_date_goes_to_train(self):
         table = _table(D[:4], ["A"], [[1], [2], [3], [4]])
         train, test = split_train_test(table, D[1])
-        assert train.dates == (D[0], D[1])
-        assert test.dates == (D[2], D[3])
+        assert train.dates.tolist() == [D[0], D[1]]
+        assert test.dates.tolist() == [D[2], D[3]]
 
     def test_boundary_between_dates_splits_on_le(self):
         table = _table([D[0], D[2], D[4]], ["A"], [[1], [2], [3]])
         train, test = split_train_test(table, D[1])
-        assert train.dates == (D[0],)
-        assert test.dates == (D[2], D[4])
+        assert train.dates.tolist() == [D[0]]
+        assert test.dates.tolist() == [D[2], D[4]]
 
     def test_boundary_outside_range_errors(self):
         table = _table(D[:3], ["A"], [[1], [2], [3]])
-        with pytest.raises(DataError, match="strictly inside"):
+        inside = r"must lie strictly inside \[2021-01-01, 2021-01-03\]$"
+        with pytest.raises(DataError, match="^boundary 2021-01-06 " + inside):
             split_train_test(table, D[5])
-        with pytest.raises(DataError, match="strictly inside"):
+        with pytest.raises(DataError, match="^boundary 2021-01-03 " + inside):
             split_train_test(table, D[2])  # boundary at last date: empty test
+        with pytest.raises(DataError, match="^boundary 2020-12-31 " + inside):
+            split_train_test(table, dt.date(2020, 12, 31))
 
 
 class TestDailyReturns:
     def test_hand_fixture(self):
         table = _table(D[:3], ["A"], [[100], [90], [99]])
         r = daily_returns(table)
-        assert r.dates == (D[1], D[2])
+        assert r.dates.tolist() == [D[1], D[2]]
         np.testing.assert_allclose(r.returns[:, 0], [-0.10, 0.10], atol=1e-15)
 
     def test_needs_two_dates(self):
@@ -522,7 +536,7 @@ class TestWideCsv:
     def _joined(self, table, date_column="Date"):
         # the one-string join that the streamed writer replaced
         lines = [",".join([date_column, *table.tickers])]
-        for date, row in zip(table.dates, table.closes):
+        for date, row in zip(table.dates.tolist(), table.closes):
             lines.append(",".join([date.isoformat(), *(format(x, ".12g") for x in row)]))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -535,7 +549,9 @@ class TestWideCsv:
 
     def test_seeded_49_ticker_bytes_match_the_join(self, tmp_path):
         rng = np.random.default_rng(49)
-        dates = [dt.date(2019, 1, 1) + dt.timedelta(days=i) for i in range(300)]
+        dates = [dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(1000, 1, 1)]
+        dates += [dt.date(2019, 1, 1) + dt.timedelta(days=i) for i in range(296)]
+        dates.append(dt.date(9999, 12, 31))
         closes = 100.0 * np.cumprod(1.0 + rng.normal(0.0, 0.02, size=(300, 49)), axis=0)
         closes[::37, ::5] = [1 / 3, 1e16, 5e-324, 2.5e-7, 123456789012.5, 1.0, 0.1, 7.0, 1e-300, 42.0]
         table = _table(dates, [f"T{j:02d}" for j in range(49)], closes)
