@@ -87,12 +87,9 @@ class MvpResult:
     def samples(self):
         """The read-only (n_samples, n) weight matrix (row i is sample i),
         drawn anew on each access."""
-        n_samples, n = len(self.sharpe), len(self.max_sharpe.weights.tickers)
-        weights = np.empty((n_samples, n))
-        start = 0
-        for block in _weight_blocks(self.seed, n_samples, n):
-            weights[start:start + len(block)] = block
-            start += len(block)
+        n = len(self.max_sharpe.weights.tickers)
+        bounds = _block_bounds(len(self.sharpe))
+        weights = np.concatenate([_weight_block(self.seed, n, *b) for b in bounds])
         weights.setflags(write=False)
         return weights
 
@@ -273,12 +270,6 @@ def _weight_block(seed, n, start, rows):
             and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-9):
         raise AllocationError("sample weights must be finite, non-negative and sum to 1")
     return w
-
-
-def _weight_blocks(seed, n_samples, n):
-    """Yield the Monte-Carlo weights block by block (_block_bounds)."""
-    for start, rows in _block_bounds(n_samples):
-        yield _weight_block(seed, n, start, rows)
 
 
 def _score_block(seed, mu_annual, cov, annualization_days, risk_free_rate, bounds):

@@ -24,7 +24,8 @@ Schema (all dates ISO YYYY-MM-DD):
     align: intersect | ffill    # optional
 
 The keys and the defaults of the optional ones are RunConfig's fields.  An
-unknown key, at the top level or under methods.<name>, is rejected by name.
+unknown key, at the top level or under methods.<name>, is rejected by name, and
+so is a key given twice in one mapping (with its line).
 Every ticker needs a price on or before train_start, under either alignment.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -195,6 +197,23 @@ def _parse_date(raw, key):
         raise ConfigError(f"{key}: unparsable date {raw!r} (expected YYYY-MM-DD)") from None
 
 
+class _UniqueKeys:
+    """Loader mixin: a key given twice in one mapping is a YAML error naming it
+    and its line, not a silent override.  `<<` merges are left to PyYAML."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node in [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]:
+            key = self.construct_object(key_node)
+            if not isinstance(key, Hashable):
+                break  # PyYAML's own unhashable-key error follows
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path):
     """Load and validate a RunConfig from a YAML file.
 
@@ -204,7 +223,7 @@ def load_config(path):
     path = Path(path)
     try:
         # libyaml's parser when PyYAML was built with it: the same documents
-        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        loader = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
         raw = yaml.load(path.read_text(encoding="utf-8"), loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

@@ -10,9 +10,9 @@ After loading, all tickers share one calendar: by default the intersection of
 each ticker's dates; a forward-fill mode is available for callers that prefer
 to carry the last known price across gaps.  A cleaned panel can be exported as
 one wide CSV (date column plus one close column per ticker); nothing reads
-that format back.  The parse keeps dates as int32 day ordinals; tables and
-return matrices hold them as one read-only datetime64[D] array (as_dates),
-sliced as views and rendered in one np.datetime_as_string call.
+that format back.  The parse keeps dates as int32 datetime64[D] day numbers;
+tables and return matrices hold them as one read-only datetime64[D] array
+(as_dates), sliced as views and rendered in one np.datetime_as_string call.
 """
 
 from __future__ import annotations
@@ -137,17 +137,10 @@ class ReturnMatrix:
         object.__setattr__(self, "returns", returns)
 
 
-# days before each month of a common year and its length, indexed by month
-_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-# place values of YYYY-MM-DD's characters in its year, month and day
-_DATE_PLACES = np.array([[1e3, 100, 10, 1] + [0] * 6, [0] * 5 + [10, 1, 0, 0, 0], [0] * 8 + [10, 1]])
-
-
 def _bulk_series(data, date_column, close_column):
-    """The row loop's unfrozen (day ordinals, closes) for a plain CSV's bytes,
-    parsed in one numpy pass, or None for any other file, valid or not: quotes,
-    NULs, bare CRs, ragged lines, other date forms, bad or repeated values."""
+    """The row loop's unfrozen (int32 datetime64[D] day numbers, closes) for a
+    plain CSV's bytes in one numpy pass, or None for any other file, valid or
+    not: quotes, NULs, bare CRs, ragged lines, odd dates, bad or repeated values."""
     # the row loop skips blank lines, so trailing ones may go
     data = data.removeprefix(b"\xef\xbb\xbf").replace(b"\r\n", b"\n").rstrip(b"\n") + b"\n"
     if not data.isascii() or b"\r" in data or b'"' in data or b"\0" in data:
@@ -170,20 +163,17 @@ def _bulk_series(data, date_column, close_column):
     starts = (grid[:-1, -1] if di == 0 else grid[1:, di - 1]) + 1
     if (grid[1:, di] - starts != 10).any():
         return None
-    # the date fields as (rows, 10) digits, with 0 at each '-' and anything else > 9
-    windows = np.ndarray((text.size - 9, 10), np.uint8, data, 0, (1, 1))
-    chars = windows[starts] - np.frombuffer(b"0000-00-00", dtype=np.uint8)
+    # the date fields as (rows, 10) bytes: digits, with a '-' at 4 and at 7
+    stamps = np.ndarray((text.size - 9, 10), np.uint8, data, 0, (1, 1))[starts]
+    chars = stamps - np.frombuffer(b"0000-00-00", dtype=np.uint8)
     if (chars > 9).any() or chars[:, [4, 7]].any():
         return None
-    year, month, day = (_DATE_PLACES @ chars.T).astype(int)  # small integers: exact
-    if not ((year >= 1) & (month >= 1) & (month <= 12)).all():
-        return None
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    if ((day < 1) | (day > _DAYS_IN_MONTH[month] + (leap & (month == 2)))).any():
-        return None
-    y = year - 1  # proleptic Gregorian ordinals, as date.toordinal()
-    days = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[month] + day
-    days += leap & (month > 2)
+    try:
+        days = stamps.view("S10").ravel().astype("datetime64[D]")
+    except ValueError:
+        return None  # a month or day out of range
+    if (days < np.datetime64("0001-01-01")).any():
+        return None  # year 0000, which numpy reads and date.fromisoformat refuses
     # the builtin float on each close field accepts what the row loop does
     fields = data[:-1].replace(b"\n", b",").split(b",")
     try:
@@ -192,7 +182,7 @@ def _bulk_series(data, date_column, close_column):
         return None
     if not (np.isfinite(closes) & (closes > 0.0)).all():
         return None
-    # int32 holds every date ordinal and keeps a run's shared series small
+    # int32 holds every day of years 1-9999 and keeps a run's shared series small
     order = np.argsort(days)
     days, closes = days[order].astype(np.int32), closes[order]
     if (days[1:] == days[:-1]).any():
@@ -201,8 +191,8 @@ def _bulk_series(data, date_column, close_column):
 
 
 def _row_series(data, path, date_column, close_column):
-    """Parse one per-ticker CSV's bytes row by row into unfrozen sorted (day
-    ordinals, closes) arrays, or raise a DataError naming the first fault.
+    """Parse one per-ticker CSV's bytes row by row into unfrozen sorted (int32
+    datetime64[D] day numbers, closes), or raise a DataError naming the first fault.
 
     Rows are read as csv.DictReader would: blank lines are skipped, a header
     name given twice means its last column, and a field missing from a short
@@ -230,26 +220,23 @@ def _row_series(data, path, date_column, close_column):
                 continue
             line_no = reader.line_num
             raw_date = row[di] if di < len(row) else None
-            day = _parse_date(raw_date, path, line_no, date_column).toordinal()
-            if day in series:
-                raise DataError(
-                    f"{path}: line {line_no}: duplicate date {dt.date.fromordinal(day)}"
-                )
+            date = _parse_date(raw_date, path, line_no, date_column)
+            if date in series:
+                raise DataError(f"{path}: line {line_no}: duplicate date {date}")
             raw_close = row[ci] if ci < len(row) else None
-            series[day] = _parse_price(raw_close, path, line_no, close_column)
+            series[date] = _parse_price(raw_close, path, line_no, close_column)
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not series:
         raise DataError(f"{path}: no data rows")
-    days = np.fromiter(series, dtype=np.int32, count=len(series))
-    closes = np.fromiter(series.values(), dtype=float, count=len(series))
-    order = np.argsort(days)
-    return days[order], closes[order]
+    dates = sorted(series)
+    days = np.array(dates, dtype="datetime64[D]").astype(np.int32)
+    return days, np.array([series[date] for date in dates], dtype=float)
 
 
 def _read_close_series(path, date_column, close_column):
-    """Parse one per-ticker CSV into sorted (day ordinals, closes) arrays:
-    in one pass when the file is plain, else row by row."""
+    """Parse one per-ticker CSV into sorted (int32 datetime64[D] day numbers,
+    closes) arrays: in one pass when the file is plain, else row by row."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -265,8 +252,8 @@ def _read_close_series(path, date_column, close_column):
 
 
 def parse_csvs(paths, *, date_column="Date", close_column="Close"):
-    """Parse each CSV once: the {path: (day ordinals, closes) or the DataError
-    the file raised} mapping that load_price_table takes as parsed."""
+    """Parse each CSV once: the {path: (int32 datetime64[D] day numbers, closes)
+    or the DataError it raised} mapping that load_price_table takes as parsed."""
     parsed = {}
     for path in dict.fromkeys(paths):
         try:
@@ -327,13 +314,13 @@ def load_price_table(
         days = np.sort(np.concatenate(all_days))
         days = days[np.append(True, days[1:] != days[:-1])]
     if require_start is not None:
-        days = days[days >= require_start.toordinal()]
+        days = days[days >= np.datetime64(require_start, "D").astype(int)]
     if not days.size:
         since = "" if require_start is None else f" on or after {require_start}"
         raise DataError(f"no common dates across tickers ({', '.join(per_ticker)}){since}")
-    start = dt.date.fromordinal(int(days[0])) if require_start is None else require_start
+    start = np.datetime64(int(days[0]) if require_start is None else require_start, "D")
     for ticker, own in zip(per_ticker, all_days):
-        first = dt.date.fromordinal(int(own[0]))
+        first = np.datetime64(int(own[0]), "D")
         if first > start:
             raise DataError(
                 f"ticker {ticker!r} has no price on or before {start} (first date {first})"
@@ -344,8 +331,7 @@ def load_price_table(
     closes = np.empty((len(days), len(per_ticker)))
     for j, (own, own_closes) in enumerate(per_ticker.values()):
         closes[:, j] = own_closes[np.searchsorted(own, days, side="right") - 1]
-    dates = (days - 719163).astype("datetime64[D]")  # day 0 is ordinal 719163, 1970-01-01
-    return PriceTable(dates, tuple(per_ticker), closes)
+    return PriceTable(days.astype("datetime64[D]"), tuple(per_ticker), closes)
 
 
 def write_wide_csv(table, path, *, date_column="Date"):

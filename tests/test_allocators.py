@@ -346,7 +346,7 @@ class TestMvpBlocks:
     def test_a_lone_last_row_joins_its_block(self, monkeypatch):
         monkeypatch.setattr(allocators, "_MVP_BLOCK_ROWS", 4)
         for n_samples, sizes in ((1, [1]), (4, [4]), (5, [5]), (6, [4, 2]), (9, [4, 5]), (12, [4, 4, 4])):
-            got = [len(w) for w in allocators._weight_blocks(0, n_samples, 3)]
+            got = [rows for _, rows in allocators._block_bounds(n_samples)]
             assert got == sizes, n_samples
 
     @pytest.mark.parametrize("n", [1, 2, 10, 49, 72])

@@ -141,6 +141,14 @@ class TestLoadConfig:
             ("test_end", "risk_free_rat: 0.05\ntest_end", "^risk_free_rat: unknown key"),
             ("test_end", "1: x\ntest_end", "^1: unknown key"),
             ("test_end", "methods: [{mvp: 1}]\ntest_end", "^methods.{'mvp': 1}: unknown key"),
+            # a repeated key is named with its line, not silently overridden
+            ("test_end", "train_end: 2020-01-10\ntest_end", r"duplicate key 'train_end'\n.*line 5,"),
+            (
+                "alpha: [AAA, AAB]",
+                "alpha: [AAA, AAB]\n  alpha: [AAC, AAD]",
+                r"duplicate key 'alpha'\n.*line 8,",
+            ),
+            ("test_end", "methods:\n  herc: {k: 2, k: 3}\ntest_end", r"duplicate key 'k'\n.*line 6,"),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):
@@ -189,6 +197,11 @@ class TestLoadConfig:
         assert (cfg.align, cfg.train_end) == ("ffill", dt.date(2021, 6, 30))
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(_write(tmp_path, "sectors: [unclosed\n"))
+        with pytest.raises(ConfigError, match=r"duplicate key 'align'\n.*line 12,"):
+            load_config(_write(tmp_path, text + "align: intersect\n"))
+        # a key given after a << merge overrides the merged one: not a repeat
+        merged = MINIMAL + "methods:\n  mvp: {<<: {n_samples: 500, seed: 1}, seed: 3}\n"
+        assert load_config(_write(tmp_path, merged)).methods == {"mvp": {"n_samples": 500, "seed": 3}}
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -376,8 +376,28 @@ class TestBulkParse:
         assert days.dtype == np.int32 and closes.dtype == np.float64
         assert not days.flags.writeable and not closes.flags.writeable
         expected = [dt.date(2019, 12, 31), dt.date(2020, 1, 2), dt.date(2020, 1, 6)]
-        assert days.tolist() == [d.toordinal() for d in expected]
+        assert days.astype("datetime64[D]").tolist() == expected
         assert closes.tolist() == [1.0, 2.0, 3.0]
+
+    def test_every_month_and_day_of_sample_years_matches_the_row_loop(self):
+        # every month length and leap rule, with the field values just outside them
+        loads = 0
+        for year in (0, 1, 4, 100, 400, 1582, 1900, 2000, 2023, 2024, 9999):
+            for month in range(14):
+                for day in range(33):
+                    data = b"Date,Close\n%04d-%02d-%02d,1\n" % (year, month, day)
+                    bulk = market_data._bulk_series(data, "Date", "Close")
+                    try:
+                        rows = market_data._row_series(data, "A.csv", "Date", "Close")
+                    except DataError:
+                        assert bulk is None, data
+                        continue
+                    assert bulk is not None, data  # never declines a date the row loop reads
+                    assert [(a.dtype.str, a.tobytes()) for a in bulk] == [
+                        (a.dtype.str, a.tobytes()) for a in rows
+                    ], data
+                    loads += 1
+        assert loads == 4 * 366 + 6 * 365  # years 4, 400, 2000 and 2024 leap; 0 refused
 
     def test_matches_the_row_loop_on_mutated_fixture_lines(self, synthetic_fixture, tmp_path):
         text = (synthetic_fixture / "data" / "AAA.csv").read_bytes()
