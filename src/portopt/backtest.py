@@ -10,7 +10,7 @@ its returns' read-only datetime64[D] array (market_data.as_dates).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
@@ -187,12 +187,7 @@ def report_to_dict(report):
         "period": report.period,
         "dates": np.datetime_as_string(report.dates).tolist(),
         "cumulative_series": [float(x) for x in report.cumulative_series],
-        "metrics": {
-            "annual_return": report.metrics.annual_return,
-            "annual_volatility": report.metrics.annual_volatility,
-            "sharpe": report.metrics.sharpe,
-            "risk_free_rate": report.metrics.risk_free_rate,
-        },
+        "metrics": asdict(report.metrics),
     }
 
 
@@ -204,13 +199,7 @@ def render_report_json(report):
     series = report.cumulative_series
     if series.size == 0 or not np.isfinite(series).all():
         return render_json(report_to_dict(report))
-    m = report.metrics
-    metrics = (
-        ("annual_return", m.annual_return),
-        ("annual_volatility", m.annual_volatility),
-        ("risk_free_rate", m.risk_free_rate),
-        ("sharpe", m.sharpe),
-    )
+    metrics = sorted(asdict(report.metrics).items())
     return "".join(
         [
             '{\n  "cumulative_series": [\n    ',

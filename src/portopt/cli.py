@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
@@ -214,16 +215,16 @@ def _read_metrics(path):
     m = payload.get("metrics") if isinstance(payload, dict) else None
     if not isinstance(m, dict):
         raise DataError(f"{path}: no 'metrics' object")
-    fields = []
-    for key in ("annual_return", "annual_volatility", "sharpe", "risk_free_rate"):
-        if key not in m and key != "risk_free_rate":
-            raise DataError(f"{path}: metrics has no {key!r}")
-        value = m.get(key, 0.0)
+    values = []
+    for f in fields(PerfMetrics):
+        if f.name not in m and f.default is MISSING:
+            raise DataError(f"{path}: metrics has no {f.name!r}")
+        value = m.get(f.name, f.default)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number or key == "sharpe" and value is None):  # undefined Sharpe: null
-            raise DataError(f"{path}: metrics {key!r} is not a number: {value!r}")
-        fields.append(value)
-    return PerfMetrics(*fields)
+        if not (number or f.name == "sharpe" and value is None):  # undefined Sharpe: null
+            raise DataError(f"{path}: metrics {f.name!r} is not a number: {value!r}")
+        values.append(value)
+    return PerfMetrics(*values)
 
 
 def _cmd_report(cfg, args):

@@ -7,8 +7,8 @@ Schema (all dates ISO YYYY-MM-DD):
     output_dir: where weights/reports/summaries are written
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
-                                    # names and tickers: strings (quote 0700,
-                                    # null, true), one path component each
+                                    # names, tickers: strings (quote 0700, null,
+                                    # true), one path component, no ',' or line break
     methods:
       mvp:  {n_samples: 10000, seed: 0}
       hrp:  {}
@@ -16,7 +16,7 @@ Schema (all dates ISO YYYY-MM-DD):
              cluster_weighting: inverse | paper_literal,
              gap_b_refs: 100, gap_k_max: int (<= smallest sector), seed: 0}
              (a fixed k may not exceed the smallest sector either)
-    annualization_days: 252     # optional, int >= 1
+    annualization_days: 252     # optional, int in 1..366
     risk_free_rate: 0.0         # optional, finite number
     linkage_rule: ward | single # optional
     close_column: Close         # optional
@@ -42,7 +42,7 @@ import yaml
 from portopt._io import is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
-from portopt.market_data import ALIGN_POLICIES
+from portopt.market_data import ALIGN_POLICIES, iso_date
 from portopt.pipeline import TREE_METHODS
 from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
@@ -99,13 +99,13 @@ class RunConfig:
         if not self.sectors:
             raise ConfigError("sectors: at least one sector is required")
         for name, tickers in self.sectors.items():
-            for part in (name, *tickers):  # an output directory or a CSV name
+            for part in (name, *tickers):  # a directory or CSV name, and a CSV cell
                 if not isinstance(part, str):  # YAML reads 0700 as 448, null as None
                     raise ConfigError(f"sectors.{name}: {part!r} is not a string; quote it")
-                if not is_path_component(part):
+                if not is_path_component(part) or any(c in part for c in ",\r\n"):
                     raise ConfigError(
                         f"sectors.{name}: {part!r} is not one path component "
-                        "(no '/', not '.' or '..')"
+                        "(no '/', ',' or line break, not '.' or '..')"
                     )
             if not tickers:
                 raise ConfigError(f"sectors.{name}: empty ticker list")
@@ -152,7 +152,7 @@ class RunConfig:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ALIGN_POLICIES:
             raise ConfigError(f"align: expected one of {ALIGN_POLICIES}")
-        _check_int(self.annualization_days, "annualization_days")
+        _check_int(self.annualization_days, "annualization_days", high=366)
         rate = self.risk_free_rate
         finite = isinstance(rate, (int, float)) and math.isfinite(rate)
         if isinstance(rate, bool) or not finite:
@@ -192,7 +192,7 @@ def _parse_date(raw, key):
     if type(raw) is dt.date:  # not a YAML timestamp, a datetime
         return raw
     try:
-        return dt.date.fromisoformat(str(raw))
+        return iso_date(str(raw))
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: unparsable date {raw!r} (expected YYYY-MM-DD)") from None
 
@@ -224,7 +224,8 @@ def load_config(path):
     try:
         # libyaml's parser when PyYAML was built with it: the same documents
         loader = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
-        raw = yaml.load(path.read_text(encoding="utf-8"), loader)
+        with path.open(encoding="utf-8") as stream:  # so YAML's marks name the file
+            raw = yaml.load(stream, loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:

@@ -74,22 +74,6 @@ class LinkageTree:
         return out
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Flat clustering with k clusters; labels indexed by leaf id."""
-
-    k: int
-    labels: tuple
-
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        if sorted(set(labels)) != list(range(self.k)):
-            raise ClusterError(
-                f"labels must use exactly the values 0..{self.k - 1}"
-            )
-        object.__setattr__(self, "labels", labels)
-
-
 def _py_square(x):
     """x**2 elementwise with the bits of Python's float power (libm pow),
     which can differ from x * x in the last place.  The exponent stays a
@@ -171,8 +155,8 @@ def quasi_diagonalize(tree):
 def cut_k(tree, k):
     """Cut the tree into k flat clusters by removing the top k-1 merges.
 
-    Labels are assigned in quasi-diagonal leaf order: the cluster holding the
-    leftmost leaf gets label 0, and so on.
+    Returns the labels 0..k-1 as a tuple indexed by leaf id, assigned in
+    quasi-diagonal leaf order: the leftmost leaf's cluster gets 0, and so on.
     """
     n = tree.n_leaves
     if not 1 <= k <= n:
@@ -192,7 +176,7 @@ def cut_k(tree, k):
             for leaf in tree.leaves_under(node):
                 labels[leaf] = next_label
             next_label += 1
-    return ClusterAssignment(k, tuple(labels))
+    return tuple(labels)
 
 
 # bytes of node-id matrices the gap statistic clusters in one batch

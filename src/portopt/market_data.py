@@ -22,6 +22,7 @@ import datetime as dt
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,9 +38,16 @@ class DataError(Exception):
     """Price data could not be parsed or violates a panel invariant."""
 
 
+def iso_date(text):
+    """date.fromisoformat of strictly YYYY-MM-DD text on every python, or ValueError."""
+    if not re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_date(raw, path, line_no, column):
     try:
-        return dt.date.fromisoformat(str(raw).strip())
+        return iso_date(str(raw).strip())
     except ValueError:
         raise DataError(
             f"{path}: line {line_no}, column {column!r}: "

@@ -22,15 +22,21 @@ class StatsError(Exception):
     """Invalid input to a statistics routine."""
 
 
-def _as_symmetric(values, what):
-    values = np.asarray(values, dtype=float)
+def _as_symmetric(matrix, what):
+    """Check that matrix.values is finite, symmetric and square with one row
+    per ticker; freeze matrix's tickers and values and return the values."""
+    values = np.asarray(matrix.values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise StatsError(f"{what} must be square, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise StatsError(f"{what} contains non-finite entries")
     if values.size and np.max(np.abs(values - values.T)) > _SYM_TOL:
         raise StatsError(f"{what} is not symmetric to {_SYM_TOL}")
+    if values.shape[0] != len(matrix.tickers):
+        raise StatsError(f"{what} does not match ticker count")
     values.setflags(write=False)
+    object.__setattr__(matrix, "tickers", tuple(matrix.tickers))
+    object.__setattr__(matrix, "values", values)
     return values
 
 
@@ -65,15 +71,11 @@ class CovMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_symmetric(self.values, "covariance matrix")
-        if values.shape[0] != len(self.tickers):
-            raise StatsError("covariance matrix does not match ticker count")
+        values = _as_symmetric(self, "covariance matrix")
         if np.any(np.diag(values) < 0.0):
             raise StatsError("covariance diagonal must be non-negative")
         if values.size and np.min(np.linalg.eigvalsh(values)) < _PSD_TOL:
             raise StatsError("covariance matrix is not positive semidefinite")
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,12 @@ class CorrMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_symmetric(self.values, "correlation matrix")
-        if values.shape[0] != len(self.tickers):
-            raise StatsError("correlation matrix does not match ticker count")
+        values = _as_symmetric(self, "correlation matrix")
         if values.size:
             if np.max(np.abs(np.diag(values) - 1.0)) > _SYM_TOL:
                 raise StatsError("correlation diagonal must be 1")
             if np.max(np.abs(values)) > 1.0 + _SYM_TOL:
                 raise StatsError("correlations must lie in [-1, 1]")
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", values)
 
 
 def check_distances(values):
@@ -119,12 +117,7 @@ class DistanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _as_symmetric(self.values, "distance matrix")
-        if values.shape[0] != len(self.tickers):
-            raise StatsError("distance matrix does not match ticker count")
-        check_distances(values)
-        object.__setattr__(self, "tickers", tuple(self.tickers))
-        object.__setattr__(self, "values", values)
+        check_distances(_as_symmetric(self, "distance matrix"))
 
 
 @dataclass(frozen=True)

@@ -213,8 +213,8 @@ def test_criterion_05_mvp_dominance_and_pareto_frontier():
         assert res.min_vol.annual_volatility <= vols.min()
 
         # brute-force dominance flags, blockwise to bound memory
-        dominated = np.empty(len(res.samples), dtype=bool)
-        for lo in range(0, len(res.samples), 1000):
+        dominated = np.empty(len(rets), dtype=bool)
+        for lo in range(0, len(rets), 1000):
             hi = lo + 1000
             dominated[lo:hi] = np.any(
                 (rets[None, :] > rets[lo:hi, None]) & (vols[None, :] < vols[lo:hi, None]),

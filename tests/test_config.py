@@ -149,6 +149,18 @@ class TestLoadConfig:
                 r"duplicate key 'alpha'\n.*line 8,",
             ),
             ("test_end", "methods:\n  herc: {k: 2, k: 3}\ntest_end", r"duplicate key 'k'\n.*line 6,"),
+            # a name or ticker is an unquoted CSV cell in the weights, summary and
+            # ingest files, so it may hold no ',' or line break
+            ("alpha: [AAA, AAB]", 'alpha: [AAA, "A,B"]', r"^sectors\.alpha: 'A,B' is not"),
+            ("alpha: [AAA, AAB]", 'alpha: [AAA, "A\\nB"]', r"^sectors\.alpha: 'A\\nB' is not"),
+            ("alpha: [AAA, AAB]", 'alpha: [AAA, "A\\rB"]', r"^sectors\.alpha: 'A\\rB' is not"),
+            ("alpha: [AAA, AAB]", '"al,pha": [AAA, AAB]', r"^sectors\.al,pha: 'al,pha' is not"),
+            # a daily calendar has at most 366 days a year
+            ("test_end", "annualization_days: 367\ntest_end", "^annualization_days: .* 1..366"),
+            ("test_end", f"annualization_days: {'9' * 401}\ntest_end", "^annualization_days: "),
+            # date.fromisoformat takes these on python >= 3.11, not on 3.10
+            ("train_start: 2020-01-01", "train_start: 20200101", "^train_start: unparsable"),
+            ("train_start: 2020-01-01", "train_start: 2020-W01-3", "^train_start: unparsable"),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):
@@ -197,7 +209,8 @@ class TestLoadConfig:
         assert (cfg.align, cfg.train_end) == ("ffill", dt.date(2021, 6, 30))
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(_write(tmp_path, "sectors: [unclosed\n"))
-        with pytest.raises(ConfigError, match=r"duplicate key 'align'\n.*line 12,"):
+        # the mark names the file, not "<unicode string>"
+        with pytest.raises(ConfigError, match=r'duplicate key \'align\'\n  in ".*config\.yaml", line 12,'):
             load_config(_write(tmp_path, text + "align: intersect\n"))
         # a key given after a << merge overrides the merged one: not a repeat
         merged = MINIMAL + "methods:\n  mvp: {<<: {n_samples: 500, seed: 1}, seed: 3}\n"

@@ -228,6 +228,14 @@ class TestLoadPriceTable:
         with pytest.raises(DataError, match="'01/02/2021'"):
             load_price_table({"A": path})
 
+    @pytest.mark.parametrize("raw", ["20210102", "2021-W01-6", "2021-1-02", " 2021-01-2"])
+    def test_date_must_be_yyyy_mm_dd_on_every_python(self, tmp_path, raw):
+        # date.fromisoformat takes the first two on python >= 3.11 only
+        path = tmp_path / "A.csv"
+        _write_csv(path, ["2021-01-01,10", f"{raw},11"])
+        with pytest.raises(DataError, match=rf"A\.csv: line 3, column 'Date': unparsable date '{raw}'"):
+            load_price_table({"A": path})
+
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "A.csv"
         _write_csv(path, ["2021-01-01,10"], header="Date,Px")
