@@ -54,9 +54,6 @@ class WeightVector:
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "weights", weights)
 
-    def as_dict(self):
-        return {t: float(w) for t, w in zip(self.tickers, self.weights)}
-
 
 @dataclass(frozen=True)
 class FrontierSample:
@@ -87,9 +84,7 @@ class MvpResult:
     def samples(self):
         """The read-only (n_samples, n) weight matrix (row i is sample i),
         drawn anew on each access."""
-        n = len(self.max_sharpe.weights.tickers)
-        bounds = _block_bounds(len(self.sharpe))
-        weights = np.concatenate([_weight_block(self.seed, n, *b) for b in bounds])
+        weights = _weight_block(self.seed, len(self.max_sharpe.weights.tickers), 0, len(self.sharpe))
         weights.setflags(write=False)
         return weights
 
@@ -272,10 +267,15 @@ def _weight_block(seed, n, start, rows):
     return w
 
 
+def _picks(sharpe, vols):
+    """Indices of the max-Sharpe and of the min-vol sample; an undefined (nan)
+    Sharpe ratio never wins, and ties go to the lowest index."""
+    return int(np.argmax(np.where(np.isnan(sharpe), -np.inf, sharpe))), int(np.argmin(vols))
+
+
 def _score_block(seed, mu_annual, cov, annualization_days, risk_free_rate, bounds):
     """Draw and score one block of samples: its annual returns, volatilities
-    and Sharpe ratios, then the (key, sample index, row) of its max-Sharpe
-    and of its min-vol sample (first index on ties)."""
+    and Sharpe ratios, then {sample index: row} of its _picks."""
     start, rows = bounds
     w = _weight_block(seed, len(mu_annual), start, rows)
     # each row scores with the bits of a whole-matrix call (_MVP_BLOCK_ROWS)
@@ -286,9 +286,7 @@ def _score_block(seed, mu_annual, cov, annualization_days, risk_free_rate, bound
     excess = r - risk_free_rate
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(v == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / v)
-    key = np.where(np.isnan(s), -np.inf, s)  # undefined Sharpe never wins
-    top, low = int(np.argmax(key)), int(np.argmin(v))
-    return r, v, s, (key[top], start + top, w[top].copy()), (v[low], start + low, w[low].copy())
+    return r, v, s, {start + i: w[i].copy() for i in _picks(s, v)}
 
 
 def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
@@ -296,13 +294,13 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
 
     Draws n_samples weight vectors (independent uniforms normalized by their
     sum), scores each with annualized return, volatility, and Sharpe ratio,
-    and reports the max-Sharpe sample, the min-volatility sample, and the
-    Pareto-nondominated frontier.  Deterministic for a fixed int seed (None
-    draws one); argmax and argmin ties break on the lowest sample index.
+    and reports the max-Sharpe and min-vol samples (_picks over all samples)
+    and the Pareto-nondominated frontier.  Deterministic for a fixed int seed
+    (None draws one).
 
     Samples are drawn and scored in blocks of _MVP_BLOCK_ROWS rows, mapped
     with pool_map, so the peak memory is O(block x n + n_samples): only the
-    metric arrays and each block's two selected rows outlive their block.
+    metric arrays and the rows of each block's _picks outlive their block.
     """
     if tuple(mu.tickers) != tuple(cov.tickers):
         raise AllocationError(
@@ -320,19 +318,13 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
     )
     blocks = pool_map(score, _block_bounds(n_samples))
     rets, vols, sharpe = (np.concatenate([b[i] for b in blocks]) for i in range(3))
-    # the best (key, index, row) in block order: a later block replaces it
-    # only with a strictly better key, so ties keep the lowest index as
-    # argmax/argmin over all samples would
-    top, low = blocks[0][3], blocks[0][4]
-    for block in blocks[1:]:
-        if block[3][0] > top[0]:
-            top = block[3]
-        if block[4][0] < low[0]:
-            low = block[4]
+    # a pick over all samples is also the first pick of its own block, so
+    # its row is among the blocks' rows
+    rows = {i: row for b in blocks for i, row in b[3].items()}
 
-    def sample(i, row):
+    def sample(i):
         s = None if np.isnan(sharpe[i]) else float(sharpe[i])
-        return FrontierSample(WeightVector(mu.tickers, row), float(rets[i]), float(vols[i]), s)
+        return FrontierSample(WeightVector(mu.tickers, rows[i]), float(rets[i]), float(vols[i]), s)
 
     # Pareto scan: dominated iff another sample has strictly lower volatility
     # and strictly higher return.  In volatility order, a sample is kept iff
@@ -344,7 +336,7 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
     best_below = np.where(group_start > 0, best[group_start - 1], -np.inf)
     frontier = np.sort(order[r >= best_below])
 
-    return MvpResult(seed, rets, vols, sharpe, sample(*top[1:]), sample(*low[1:]), frontier)
+    return MvpResult(seed, rets, vols, sharpe, *map(sample, _picks(sharpe, vols)), frontier)
 
 
 def write_weights_csv(weights, path):

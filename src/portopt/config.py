@@ -8,7 +8,8 @@ Schema (all dates ISO YYYY-MM-DD):
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
                                     # names, tickers: strings (quote 0700, null,
-                                    # true), one path component, no ',' or line break
+                                    # true), one path component, no ',' or line break;
+                                    # no name of a file run writes at the output root
     methods:
       mvp:  {n_samples: 10000, seed: 0}
       hrp:  {}
@@ -43,7 +44,7 @@ from portopt._io import is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
 from portopt.market_data import ALIGN_POLICIES, iso_date
-from portopt.pipeline import TREE_METHODS
+from portopt.pipeline import ROOT_FILES, TREE_METHODS
 from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
 KNOWN_METHODS = ("mvp", "hrp", "herc")
@@ -107,6 +108,8 @@ class RunConfig:
                         f"sectors.{name}: {part!r} is not one path component "
                         "(no '/', ',' or line break, not '.' or '..')"
                     )
+            if name.removesuffix(".tmp") in ROOT_FILES:  # the run's own files
+                raise ConfigError(f"sectors.{name}: {name!r} names a file run writes in output_dir")
             if not tickers:
                 raise ConfigError(f"sectors.{name}: empty ticker list")
             repeated = sorted({t for t in tickers if tickers.count(t) > 1})
@@ -152,6 +155,8 @@ class RunConfig:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ALIGN_POLICIES:
             raise ConfigError(f"align: expected one of {ALIGN_POLICIES}")
+        if self.close_column == self.date_column:
+            raise ConfigError(f"close_column: {self.close_column!r} is also date_column")
         _check_int(self.annualization_days, "annualization_days", high=366)
         rate = self.risk_free_rate
         finite = isinstance(rate, (int, float)) and math.isfinite(rate)

@@ -68,6 +68,10 @@ TREE_METHODS = ("hrp", "herc")
 PERIODS = ("train", "test")
 
 MANIFEST_NAME = "manifest.json"
+# {period: (table, winners)}: the summaries written beside the sector directories
+SUMMARY_NAMES = {p: (f"summary_{p}.csv", f"summary_{p}_winners.json") for p in PERIODS}
+# every file run writes at the output root, so no sector may take these names
+ROOT_FILES = (MANIFEST_NAME, *(name for names in SUMMARY_NAMES.values() for name in names))
 
 
 class SectorData(NamedTuple):
@@ -216,9 +220,8 @@ def write_summaries(metrics_by_period, methods, out_root):
     paths = {}
     for period, metrics in metrics_by_period.items():
         table = summarize(metrics, order)
-        csv_path = Path(out_root) / f"summary_{period}.csv"
+        csv_path, winners_path = (Path(out_root) / name for name in SUMMARY_NAMES[period])
         write_text(csv_path, summary_to_csv(table))
-        winners_path = Path(out_root) / f"summary_{period}_winners.json"
         write_json(winners_path, summary_winners_dict(table))
         paths[period] = {"table": str(csv_path), "winners": str(winners_path)}
     return paths

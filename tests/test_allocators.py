@@ -56,10 +56,6 @@ class TestWeightVector:
         w = WeightVector(("A", "B"), np.array([1.0 + 1e-13, -1e-13]))
         assert w.weights[1] == 0.0
 
-    def test_as_dict(self):
-        w = WeightVector(("A", "B"), np.array([0.25, 0.75]))
-        assert w.as_dict() == {"A": 0.25, "B": 0.75}
-
 
 class TestIvpWeights:
     def test_hand_fixture(self):
@@ -319,8 +315,14 @@ class TestMvpBlocks:
             with monkeypatch.context() as m:
                 m.setattr(allocators, "_MVP_BLOCK_ROWS", block)
                 got = mvp_optimize(mu, cov, n_samples=n_samples, seed=n_samples)
-                assert got.samples.tobytes() == want.samples.tobytes()
+                samples = got.samples
+                assert samples.tobytes() == want.samples.tobytes()
             assert _mvp_fields(got) == _mvp_fields(want)
+            # each pick's row is the row of samples at its argmax / argmin
+            top = np.argmax(np.where(np.isnan(got.sharpe), -np.inf, got.sharpe))
+            low = np.argmin(got.annual_volatility)
+            assert got.max_sharpe.weights.weights.tobytes() == samples[top].tobytes()
+            assert got.min_vol.weights.weights.tobytes() == samples[low].tobytes()
 
     @pytest.mark.parametrize("case", sorted(TIES))
     def test_block_boundaries_through_a_pool(self, monkeypatch, case):

@@ -440,8 +440,10 @@ class TestExitCodes:
             (b"train_end: 2021-06-30", b"train_end: 2021-06-30 00:00:00", b"train_end"),
             (b"train_end:", b"risk_free_rat: 0.05\ntrain_end:", b"risk_free_rat: unknown key"),
             (b"train_end:", b"close_column: null\ntrain_end:", b"close_column: expected a string"),
+            (b"train_end:", b"close_column: Date\ntrain_end:", b"close_column: 'Date' is also"),
         ],
-        ids=["not_utf8", "timestamp_date", "unknown_key", "null_close_column"],
+        ids=["not_utf8", "timestamp_date", "unknown_key", "null_close_column",
+             "close_column_is_date_column"],
     )
     def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, old, new, named):
         config = fixture_copy / "config.yaml"
@@ -532,20 +534,26 @@ class TestExitCodes:
         assert not (tmp_path / "sub").exists()
 
     @pytest.mark.parametrize(
-        "alpha",
+        "alpha, named",
         [
-            "../escaped: [AAA, AAB, AAC]",
-            "a/b: [AAA, AAB, AAC]",
-            "'..': [AAA, AAB, AAC]",
-            "'': [AAA, AAB, AAC]",
-            "alpha: [AAA, ../data/AAB, AAC]",
-            "alpha: [AAA, '.', AAC]",
+            ("../escaped: [AAA, AAB, AAC]", "one path component"),
+            ("a/b: [AAA, AAB, AAC]", "one path component"),
+            ("'..': [AAA, AAB, AAC]", "one path component"),
+            ("'': [AAA, AAB, AAC]", "one path component"),
+            ("alpha: [AAA, ../data/AAB, AAC]", "one path component"),
+            ("alpha: [AAA, '.', AAC]", "one path component"),
+            # run writes these beside the sector directories
+            ("manifest.json: [AAA, AAB, AAC]", "sectors.manifest.json: "),
+            ("summary_test.csv: [AAA, AAB, AAC]", "sectors.summary_test.csv: "),
+            ("summary_train_winners.json: [AAA, AAB, AAC]", "sectors.summary_train_winners.json: "),
+            ("manifest.json.tmp: [AAA, AAB, AAC]", "sectors.manifest.json.tmp: "),
         ],
         ids=["dotdot_name", "slash_name", "dotdot_only_name", "empty_name",
-             "slash_ticker", "dot_ticker"],
+             "slash_ticker", "dot_ticker", "manifest_name", "summary_name",
+             "winners_name", "manifest_tmp_name"],
     )
     def test_sector_names_and_tickers_must_be_one_path_component(
-        self, fixture_copy, tmp_path, capsys, alpha
+        self, fixture_copy, tmp_path, capsys, alpha, named
     ):
         config = fixture_copy / "config.yaml"
         text = config.read_text().replace("alpha: [AAA, AAB, AAC]", alpha)
@@ -553,7 +561,8 @@ class TestExitCodes:
         out = tmp_path / "sub" / "out"
         assert main(["run", *_cfg(fixture_copy), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "configuration error: sectors." in err and "one path component" in err
+        assert "configuration error: sectors." in err and named in err
+        assert "Traceback" not in err
         assert not (tmp_path / "sub").exists()
 
     @pytest.mark.parametrize(

@@ -194,6 +194,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"^{key}: expected a string"):
             load_config(_write(tmp_path, MINIMAL + f"{key}: {value}\n"))
 
+    @pytest.mark.parametrize(
+        "columns",
+        ["close_column: Date", "date_column: Close", "close_column: Day\ndate_column: Day"],
+        ids=["close_is_date", "date_is_close", "both_day"],
+    )
+    def test_close_column_may_not_be_the_date_column(self, tmp_path, columns):
+        # else every close would be parsed from the date field, a data error
+        with pytest.raises(ConfigError, match="^close_column: '(Date|Close|Day)' is also date_column"):
+            load_config(_write(tmp_path, MINIMAL + columns + "\n"))
+
     @pytest.mark.parametrize("loader", ["libyaml", "python"])
     def test_both_yaml_loaders_read_the_same_config(self, tmp_path, monkeypatch, loader):
         if loader == "python":
