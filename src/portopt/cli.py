@@ -32,6 +32,7 @@ from portopt.config import KNOWN_METHODS, ConfigError, load_config
 from portopt.market_data import DataError
 from portopt.pipeline import (
     MANIFEST_NAME,
+    METHOD_KEYS,
     METHOD_LABELS,
     PERIODS,
     SECTOR_ERRORS,
@@ -102,17 +103,22 @@ def _build_parser():
 
 
 def _load_config(args):
+    """The file's config with --out, the method optimize or frontier fits (its
+    defaults unless listed) and --seed for each method with a seed; validated."""
     if not args.config:
         raise ConfigError("no configuration given (use --config or $PORTOPT_CONFIG)")
     cfg = load_config(args.config)
     if args.out:
         cfg.output_dir = Path(args.out)
+    if args.command in ("optimize", "frontier"):
+        cfg.methods.setdefault(getattr(args, "method", "mvp"), {})
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected an int >= 0, got {args.seed}")
-        for params in cfg.methods.values():
-            params["seed"] = args.seed
-    return cfg
+        for method, params in cfg.methods.items():
+            if "seed" in METHOD_KEYS[method]:
+                params["seed"] = args.seed
+    return cfg.validate()
 
 
 def _sectors(cfg, args):
@@ -152,15 +158,7 @@ def _cmd_ingest(cfg, args):
     return EXIT_OK
 
 
-def _enable(cfg, args, method):
-    """Fit a method the config does not list, with default parameters."""
-    if method not in cfg.methods:
-        cfg.methods[method] = {} if args.seed is None else {"seed": args.seed}
-        cfg.validate()
-
-
 def _cmd_optimize(cfg, args):
-    _enable(cfg, args, args.method)
     task = partial(run_sector, methods=[args.method], artifacts=["weights"])
     for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
         print(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
@@ -187,7 +185,6 @@ def _cmd_backtest(cfg, args):
 
 
 def _cmd_frontier(cfg, args):
-    _enable(cfg, args, "mvp")
     n_samples = cfg.methods["mvp"].get("n_samples", MVP_SAMPLES)
     task = partial(run_sector, methods=["mvp"], artifacts=["frontier"])
     for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):

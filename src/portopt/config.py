@@ -21,7 +21,7 @@ Schema (all dates ISO YYYY-MM-DD):
     risk_free_rate: 0.0         # optional, finite number
     linkage_rule: ward | single # optional
     close_column: Close         # optional
-    date_column: Date           # optional
+    date_column: Date           # optional; no ',' or line break, and no ticker
     align: intersect | ffill    # optional
 
 The keys and the defaults of the optional ones are RunConfig's fields.  An
@@ -44,16 +44,10 @@ from portopt._io import is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
 from portopt.market_data import ALIGN_POLICIES, iso_date
-from portopt.pipeline import ROOT_FILES, TREE_METHODS
+from portopt.pipeline import METHOD_KEYS, ROOT_FILES, TREE_METHODS
 from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
-KNOWN_METHODS = ("mvp", "hrp", "herc")
-
-_METHOD_PARAM_KEYS = {
-    "mvp": ("n_samples", "seed"),
-    "hrp": (),
-    "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
-}
+KNOWN_METHODS = tuple(METHOD_KEYS)
 
 
 class ConfigError(Exception):
@@ -115,6 +109,8 @@ class RunConfig:
             repeated = sorted({t for t in tickers if tickers.count(t) > 1})
             if repeated:
                 raise ConfigError(f"sectors.{name}: duplicate ticker(s) {repeated}")
+            if self.date_column in tickers:  # ingest's header would name it twice
+                raise ConfigError(f"sectors.{name}: {self.date_column!r} is also date_column")
         if not any(len(t) >= 2 for t in self.sectors.values()):
             raise ConfigError("sectors: at least one sector needs >= 2 tickers")
         if not self.train_start < self.train_end < self.test_end:
@@ -130,7 +126,7 @@ class RunConfig:
                 raise ConfigError(
                     f"methods.{method}: expected a mapping of parameters, got {params!r}"
                 )
-            _reject_unknown(params, _METHOD_PARAM_KEYS[method], f"methods.{method}.")
+            _reject_unknown(params, METHOD_KEYS[method], f"methods.{method}.")
             if "seed" in params:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
         tree_methods = [m for m in TREE_METHODS if m in self.methods]
@@ -155,6 +151,8 @@ class RunConfig:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ALIGN_POLICIES:
             raise ConfigError(f"align: expected one of {ALIGN_POLICIES}")
+        if any(c in self.date_column for c in ",\r\n"):  # ingest's first header cell
+            raise ConfigError(f"date_column: {self.date_column!r} holds a ',' or line break")
         if self.close_column == self.date_column:
             raise ConfigError(f"close_column: {self.close_column!r} is also date_column")
         _check_int(self.annualization_days, "annualization_days", high=366)

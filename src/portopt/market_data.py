@@ -362,10 +362,7 @@ def split_train_test(table, boundary):
         raise DataError(
             f"boundary {boundary} must lie strictly inside [{first}, {last}]"
         )
-    cut = table.dates.searchsorted(day, "right")
-    head = PriceTable(table.dates[:cut], table.tickers, table.closes[:cut, :])
-    tail = PriceTable(table.dates[cut:], table.tickers, table.closes[cut:, :])
-    return head, tail
+    return table.restrict(None, day), table.restrict(day + 1, None)
 
 
 def daily_returns(table):

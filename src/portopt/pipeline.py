@@ -57,6 +57,12 @@ from portopt.riskstats import (
 )
 
 METHOD_LABELS = {"mvp": "MVP", "hrp": "HRP", "herc": "HERC"}
+# {method: the keys methods.<method> may hold}; a method with a seed draws random numbers
+METHOD_KEYS = {
+    "mvp": ("n_samples", "seed"),
+    "hrp": (),
+    "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
+}
 
 SECTOR_ERRORS = (AllocationError, ClusterError, DataError, StatsError)
 
@@ -284,7 +290,7 @@ def run_pipeline(cfg, workers=1):
     manifest = RunManifest(
         version=__version__,
         config=cfg.echo(),
-        seeds={m: method_seed(cfg, m) for m in methods},
+        seeds={m: method_seed(cfg, m) for m in methods if "seed" in METHOD_KEYS[m]},
     )
     metrics_by_period = {period: {} for period in PERIODS}
     for sector, result in zip(sectors, results):

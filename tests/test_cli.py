@@ -64,7 +64,32 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", *_cfg(synthetic_fixture), "--out", str(out), "--seed", "99"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seeds"] == {"mvp": 99, "hrp": 99, "herc": 99}
+        assert manifest["seeds"] == {"mvp": 99, "herc": 99}
+
+    def test_seed_leaves_an_added_hrp_unseeded(self, fixture_copy, fixture_reports, tmp_path):
+        config = fixture_copy / "config.yaml"
+        text = config.read_text()
+        assert "  hrp: {}\n" in text
+        config.write_text(text.replace("  hrp: {}\n", ""), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["optimize", *_cfg(fixture_copy), "--out", str(out), "--method", "hrp"]
+        assert main([*argv, "--seed", "3"]) == 0
+        for sector in ("alpha", "beta"):  # hrp draws no random numbers
+            got = (out / sector / "hrp_weights.csv").read_bytes()
+            assert got == (fixture_reports / sector / "hrp_weights.csv").read_bytes()
+
+    def test_seed_reaches_an_added_mvp(self, fixture_copy, tmp_path):
+        config = fixture_copy / "config.yaml"
+        text = config.read_text()
+        mvp = "  mvp:\n    n_samples: 2000\n    seed: 7\n"
+        assert mvp in text and "  hrp: {}\n" in text
+        runs = {"added": ("", ["--seed", "3"]), "listed": ("  mvp: {seed: 3}\n", [])}
+        for name, (block, seed) in runs.items():
+            config.write_text(text.replace(mvp, block), encoding="utf-8")
+            assert main(["frontier", *_cfg(fixture_copy), "--out", str(tmp_path / name), *seed]) == 0
+        for sector in ("alpha", "beta"):
+            added, listed = (tmp_path / name / sector / "mvp_frontier.csv" for name in runs)
+            assert added.read_bytes() == listed.read_bytes()
 
 
 class TestSharedPipeline:
@@ -547,10 +572,12 @@ class TestExitCodes:
             ("summary_test.csv: [AAA, AAB, AAC]", "sectors.summary_test.csv: "),
             ("summary_train_winners.json: [AAA, AAB, AAC]", "sectors.summary_train_winners.json: "),
             ("manifest.json.tmp: [AAA, AAB, AAC]", "sectors.manifest.json.tmp: "),
+            # ingest heads each wide CSV with date_column, then the tickers
+            ("alpha: [AAA, Date, AAC]", "sectors.alpha: 'Date' is also date_column"),
         ],
         ids=["dotdot_name", "slash_name", "dotdot_only_name", "empty_name",
              "slash_ticker", "dot_ticker", "manifest_name", "summary_name",
-             "winners_name", "manifest_tmp_name"],
+             "winners_name", "manifest_tmp_name", "date_column_ticker"],
     )
     def test_sector_names_and_tickers_must_be_one_path_component(
         self, fixture_copy, tmp_path, capsys, alpha, named

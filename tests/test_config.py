@@ -155,6 +155,10 @@ class TestLoadConfig:
             ("alpha: [AAA, AAB]", 'alpha: [AAA, "A\\nB"]', r"^sectors\.alpha: 'A\\nB' is not"),
             ("alpha: [AAA, AAB]", 'alpha: [AAA, "A\\rB"]', r"^sectors\.alpha: 'A\\rB' is not"),
             ("alpha: [AAA, AAB]", '"al,pha": [AAA, AAB]', r"^sectors\.al,pha: 'al,pha' is not"),
+            # date_column heads ingest's wide CSVs, so it is one cell, not a ticker's
+            ("test_end", 'date_column: "Da,te"\ntest_end', r"^date_column: 'Da,te' holds"),
+            ("test_end", 'date_column: "Da\\nte"\ntest_end', r"^date_column: 'Da\\nte' holds"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, Date]", r"^sectors\.alpha: 'Date' is also date_co"),
             # a daily calendar has at most 366 days a year
             ("test_end", "annualization_days: 367\ntest_end", "^annualization_days: .* 1..366"),
             ("test_end", f"annualization_days: {'9' * 401}\ntest_end", "^annualization_days: "),
