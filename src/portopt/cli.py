@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -204,7 +205,8 @@ def _read_metrics(path):
     """The PerfMetrics of one report JSON; a missing file or one that is not
     a report is a DataError naming it."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        # every number a float, so a 400-digit int is inf, not a later OverflowError
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
     except OSError:
         raise DataError(f"missing report file: {path}") from None
     except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting depth
@@ -217,9 +219,9 @@ def _read_metrics(path):
         if f.name not in m and f.default is MISSING:
             raise DataError(f"{path}: metrics has no {f.name!r}")
         value = m.get(f.name, f.default)
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number or f.name == "sharpe" and value is None):  # undefined Sharpe: null
-            raise DataError(f"{path}: metrics {f.name!r} is not a number: {value!r}")
+        finite = isinstance(value, float) and math.isfinite(value)  # json reads NaN, Infinity
+        if not (finite or f.name == "sharpe" and value is None):  # undefined Sharpe: null
+            raise DataError(f"{path}: metrics {f.name!r} is not a finite number: {value!r}")
         values.append(value)
     return PerfMetrics(*values)
 

@@ -200,9 +200,18 @@ def _parse_date(raw, key):
         raise ConfigError(f"{key}: unparsable date {raw!r} (expected YYYY-MM-DD)") from None
 
 
-class _UniqueKeys:
+class _Strict:
     """Loader mixin: a key given twice in one mapping is a YAML error naming it
-    and its line, not a silent override.  `<<` merges are left to PyYAML."""
+    and its line, not a silent override (`<<` merges are left to PyYAML), and so
+    is a scalar its tag cannot read (2020-02-30, !!float abc, !!timestamp abc)."""
+
+    def construct_object(self, node, deep=False):
+        try:
+            return super().construct_object(node, deep)
+        except (ValueError, AttributeError):  # PyYAML's !!timestamp abc: AttributeError
+            tag = node.tag.rpartition(":")[2]
+            raise yaml.constructor.ConstructorError(
+                None, None, f"{node.value!r} is not a valid {tag}", node.start_mark) from None
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -226,7 +235,7 @@ def load_config(path):
     path = Path(path)
     try:
         # libyaml's parser when PyYAML was built with it: the same documents
-        loader = type("Loader", (_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
+        loader = type("Loader", (_Strict, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
         with path.open(encoding="utf-8") as stream:  # so YAML's marks name the file
             raw = yaml.load(stream, loader)
     except (OSError, UnicodeDecodeError) as exc:
@@ -266,5 +275,5 @@ def load_config(path):
             methods = {str(m): {} for m in methods}  # a mapping entry is unhashable
         if not isinstance(methods, dict):
             raise ConfigError("methods: expected a mapping or list of method names")
-        values["methods"] = {m: (p or {}) for m, p in methods.items()}
+        values["methods"] = {m: {} if p is None else p for m, p in methods.items()}
     return RunConfig(**values).validate()

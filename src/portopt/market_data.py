@@ -3,8 +3,9 @@
 Input data is one CSV per ticker (date column plus a close column; a UTF-8
 byte-order mark and CRLF line ends are accepted).  A plain file (ASCII, LF or
 CRLF lines of equal field count, YYYY-MM-DD dates) is parsed in one numpy pass
-over its bytes; anything else, valid or not, falls back to a csv.reader row
-loop, which gives the same arrays and words every error.
+over its bytes; anything else, valid or not, falls back to a csv.DictReader
+row loop, which gives the same arrays and words every error.  load_price_table
+takes a parse_csvs mapping of every source path, or parses the sources itself.
 
 After loading, all tickers share one calendar: by default the intersection of
 each ticker's dates; a forward-fill mode is available for callers that prefer
@@ -199,42 +200,31 @@ def _bulk_series(data, date_column, close_column):
 
 
 def _row_series(data, path, date_column, close_column):
-    """Parse one per-ticker CSV's bytes row by row into unfrozen sorted (int32
-    datetime64[D] day numbers, closes), or raise a DataError naming the first fault.
-
-    Rows are read as csv.DictReader would: blank lines are skipped, a header
-    name given twice means its last column, and a field missing from a short
-    row reads as None.
-    """
+    """Parse one per-ticker CSV's bytes row by row with csv.DictReader into
+    unfrozen sorted (int32 datetime64[D] day numbers, closes), or raise a
+    DataError naming the first fault."""
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = len((exc.object[: exc.start] + b"x").splitlines())
         bad = exc.object[exc.start]
         raise DataError(f"{path}: line {line}: not UTF-8 text (byte 0x{bad:02x})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = csv.DictReader(io.StringIO(text, newline=""))
     series = {}
     try:
-        header = next(reader, None)
-        if header is None:
+        if rows.fieldnames is None:
             raise DataError(f"{path}: empty file (header row required)")
-        index = {name: i for i, name in enumerate(header)}
         for column in (date_column, close_column):
-            if column not in index:
-                raise DataError(f"{path}: missing column {column!r} (found {header})")
-        di, ci = index[date_column], index[close_column]
-        for row in reader:
-            if not row:
-                continue
-            line_no = reader.line_num
-            raw_date = row[di] if di < len(row) else None
-            date = _parse_date(raw_date, path, line_no, date_column)
+            if column not in rows.fieldnames:
+                raise DataError(f"{path}: missing column {column!r} (found {rows.fieldnames})")
+        for row in rows:
+            line_no = rows.line_num
+            date = _parse_date(row[date_column], path, line_no, date_column)
             if date in series:
                 raise DataError(f"{path}: line {line_no}: duplicate date {date}")
-            raw_close = row[ci] if ci < len(row) else None
-            series[date] = _parse_price(raw_close, path, line_no, close_column)
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+            series[date] = _parse_price(row[close_column], path, line_no, close_column)
+    except csv.Error as exc:  # DictReader's own line_num still names the row before
+        raise DataError(f"{path}: line {rows.reader.line_num}: {exc}") from None
     if not series:
         raise DataError(f"{path}: no data rows")
     dates = sorted(series)
@@ -290,24 +280,20 @@ def load_price_table(
     day is rejected by name (insufficient history is a data-curation problem,
     not something to patch silently).
 
-    parsed, when given, is a parse_csvs mapping made with the same columns:
-    a path found there is not read again, and a recorded error is raised.
-    Paths it lacks are parsed here; parsed itself is never changed.
+    parsed is a parse_csvs mapping made with the same columns that holds
+    every source path, or None to parse the sources here; a recorded error
+    is raised, and parsed itself is never changed.
     """
     if not sources:
         raise DataError("no price sources given")
     if align not in ALIGN_POLICIES:
         raise DataError(f"unknown alignment policy {align!r}")
-    parsed = {} if parsed is None else parsed
-    fresh = parse_csvs(
-        [path for path in sources.values() if path not in parsed],
-        date_column=date_column,
-        close_column=close_column,
-    )
+    if parsed is None:
+        parsed = parse_csvs(sources.values(), date_column=date_column, close_column=close_column)
 
     per_ticker = {}
     for ticker, path in sources.items():
-        series = fresh[path] if path in fresh else parsed[path]
+        series = parsed[path]
         if isinstance(series, DataError):
             raise series.with_traceback(None)
         per_ticker[ticker] = series

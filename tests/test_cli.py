@@ -779,6 +779,15 @@ class TestReportInputs:
         "string_field": b'{"metrics": {"annual_return": "0.1", "annual_volatility": 0.2, "sharpe": 0.5}}',
         "bool_field": b'{"metrics": {"annual_return": 0.1, "annual_volatility": true, "sharpe": 0.5}}',
         "null_return": b'{"metrics": {"annual_return": null, "annual_volatility": 0.2, "sharpe": 0.5}}',
+        # json.loads reads NaN and Infinity, and a 400-digit int that no float holds
+        "nan_return": b'{"metrics": {"annual_return": NaN, "annual_volatility": 0.2, "sharpe": 0.5}}',
+        "infinite_sharpe": b'{"metrics": {"annual_return": 0.1, "annual_volatility": 0.2, "sharpe": Infinity}}',
+        "minus_infinite_volatility": (
+            b'{"metrics": {"annual_return": 0.1, "annual_volatility": -Infinity, "sharpe": 0.5}}'
+        ),
+        "huge_int_return": (
+            b'{"metrics": {"annual_return": 1' + b"0" * 400 + b', "annual_volatility": 0.2, "sharpe": 0.5}}'
+        ),
         "string_risk_free_rate": (
             b'{"metrics": {"annual_return": 0.1, "annual_volatility": 0.2, "sharpe": 0.5,'
             b' "risk_free_rate": "0"}}'

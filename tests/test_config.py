@@ -119,6 +119,11 @@ class TestLoadConfig:
             ("test_end", "risk_free_rate: .inf\ntest_end", "risk_free_rate"),
             ("test_end", "risk_free_rate: true\ntest_end", "risk_free_rate"),
             ("test_end", "methods:\n  hrp: 5\ntest_end", "methods.hrp"),
+            # only a bare `hrp:` means no parameters
+            ("test_end", "methods:\n  hrp: 0\ntest_end", r"^methods\.hrp: expected a mapping"),
+            ("test_end", "methods:\n  hrp: false\ntest_end", r"^methods\.hrp: expected a mapping"),
+            ("test_end", "methods:\n  hrp: ''\ntest_end", r"^methods\.hrp: expected a mapping"),
+            ("test_end", "methods:\n  hrp: []\ntest_end", r"^methods\.hrp: expected a mapping"),
             ("test_end", "methods:\n  mvp: [n_samples]\ntest_end", "methods.mvp"),
             ("data_dir: data", "data_dir: null", "data_dir"),
             ("data_dir: data", "data_dir: 5", "data_dir"),
@@ -165,6 +170,17 @@ class TestLoadConfig:
             # date.fromisoformat takes these on python >= 3.11, not on 3.10
             ("train_start: 2020-01-01", "train_start: 20200101", "^train_start: unparsable"),
             ("train_start: 2020-01-01", "train_start: 2020-W01-3", "^train_start: unparsable"),
+            # a scalar PyYAML's constructors refuse is invalid YAML at its line
+            (
+                "train_start: 2020-01-01",
+                "train_start: 2020-02-30",
+                r"config\.yaml: invalid YAML: '2020-02-30' is not a valid timestamp\n.*line 3,",
+            ),
+            ("train_start: 2020-01-01", "train_start: 2020-13-01", r"'2020-13-01' is not .*\n.*line 3,"),
+            ("alpha: [AAA, AAB]", "alpha: [AAA, 2020-02-30]", r"'2020-02-30' is not .*\n.*line 7,"),
+            ("test_end", "risk_free_rate: !!float abc\ntest_end", r"'abc' is not a valid float\n.*line 5,"),
+            ("test_end", "annualization_days: !!int abc\ntest_end", r"'abc' is not a valid int\n.*line 5,"),
+            ("train_start: 2020-01-01", "train_start: !!timestamp abc", r"'abc' is not a valid timest"),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):

@@ -284,6 +284,13 @@ class TestLoadPriceTable:
         with pytest.raises(DataError, match=r"A\.csv: line 2: field larger than field limit"):
             load_price_table({"A": path})
 
+    def test_csv_error_after_a_good_row_names_its_own_line(self, tmp_path):
+        # DictReader's own line_num still names the good row when the next one raises
+        path = tmp_path / "A.csv"
+        path.write_text(f"Date,Close\n2021-01-01,10\n2021-01-02,1.{'0' * 200_000}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"A\.csv: line 3: field larger than field limit"):
+            load_price_table({"A": path})
+
 
 LIMIT = csv.field_size_limit()
 PLAIN = b"Date,Close\n2020-01-02,10.5\n2020-01-03,11\n2020-01-06,12.25\n"
