@@ -1,4 +1,5 @@
-"""Fixed-weight portfolio evaluation and cross-method comparison tables.
+"""Fixed-weight portfolio evaluation, its report JSON (written and read back
+here only), and cross-method comparison tables.
 
 The portfolio is a daily-rebalanced constant mix: every day's return is the
 weighted sum of that day's asset returns at the original weights, as if the
@@ -10,13 +11,15 @@ its returns' read-only datetime64[D] array (market_data.as_dates).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import MISSING, asdict, dataclass, fields
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from portopt._io import render_json, write_text
-from portopt.market_data import as_dates
+from portopt.market_data import DataError, as_dates
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
@@ -149,33 +152,19 @@ def _fmt(value):
 def summary_to_csv(table):
     """Render a SummaryTable as CSV: sector rows, method-metric columns, and a
     final Overall row of win counts per method per metric."""
-    header = ["sector"]
-    for method in table.methods:
-        header += [f"{method}_return", f"{method}_volatility", f"{method}_sharpe"]
-    lines = [",".join(header)]
+    columns = [(method, name) for method in table.methods for name in METRIC_NAMES]
+    lines = [",".join(["sector"] + [f"{m}_{n.removeprefix('annual_')}" for m, n in columns])]
     for sector in table.sectors:
-        cells = [sector]
-        for method in table.methods:
-            m = table.rows[sector][method]
-            cells += [_fmt(m.annual_return), _fmt(m.annual_volatility), _fmt(m.sharpe)]
-        lines.append(",".join(cells))
-    overall = ["Overall"]
-    for method in table.methods:
-        overall += [str(table.overall[method][name]) for name in METRIC_NAMES]
-    lines.append(",".join(overall))
+        row = table.rows[sector]
+        lines.append(",".join([sector] + [_fmt(getattr(row[m], n)) for m, n in columns]))
+    lines.append(",".join(["Overall"] + [str(table.overall[m][n]) for m, n in columns]))
     return "\n".join(lines) + "\n"
 
 
 def summary_winners_dict(table):
     """JSON-ready winners and overall counts (includes tie flags)."""
     return {
-        "winners": {
-            sector: {
-                name: {"method": w.method, "tie": w.tie}
-                for name, w in table.winners[sector].items()
-            }
-            for sector in table.sectors
-        },
+        "winners": {s: {n: asdict(w) for n, w in table.winners[s].items()} for s in table.sectors},
         "overall": {m: dict(table.overall[m]) for m in table.methods},
     }
 
@@ -220,3 +209,29 @@ def render_report_json(report):
 def write_report_json(report, path):
     """Write render_report_json(report) to path atomically."""
     write_text(path, render_report_json(report))
+
+
+def read_report_metrics(path):
+    """The PerfMetrics of a report JSON that write_report_json wrote; a missing
+    file or one that is not a report is a DataError naming it."""
+    path = Path(path)
+    try:
+        # every number a float, so a 400-digit int is inf, not a later OverflowError
+        payload = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
+    except OSError:
+        raise DataError(f"missing report file: {path}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting depth
+        raise DataError(f"{path}: not a report JSON: {exc}") from None
+    m = payload.get("metrics") if isinstance(payload, dict) else None
+    if not isinstance(m, dict):
+        raise DataError(f"{path}: no 'metrics' object")
+    values = []
+    for f in fields(PerfMetrics):
+        if f.name not in m and f.default is MISSING:
+            raise DataError(f"{path}: metrics has no {f.name!r}")
+        value = m.get(f.name, f.default)
+        finite = isinstance(value, float) and math.isfinite(value)  # json reads NaN, Infinity
+        if not (finite or f.name == "sharpe" and value is None):  # undefined Sharpe: null
+            raise DataError(f"{path}: metrics {f.name!r} is not a finite number: {value!r}")
+        values.append(value)
+    return PerfMetrics(*values)

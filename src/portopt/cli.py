@@ -17,20 +17,16 @@ sector failure.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
-from dataclasses import MISSING, fields
 from functools import partial
 from pathlib import Path
 
 from portopt._io import is_path_component
 from portopt._version import __version__
 from portopt.allocators import MVP_SAMPLES, read_weights_csv
-from portopt.backtest import BacktestError, write_report_json
+from portopt.backtest import BacktestError, read_report_metrics, write_report_json
 from portopt.config import KNOWN_METHODS, ConfigError, load_config
-from portopt.market_data import DataError
 from portopt.pipeline import (
     MANIFEST_NAME,
     METHOD_KEYS,
@@ -46,7 +42,6 @@ from portopt.pipeline import (
     run_sector,
     write_summaries,
 )
-from portopt.riskstats import PerfMetrics
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -201,31 +196,6 @@ def _cmd_dendrogram(cfg, args):
     return EXIT_OK
 
 
-def _read_metrics(path):
-    """The PerfMetrics of one report JSON; a missing file or one that is not
-    a report is a DataError naming it."""
-    try:
-        # every number a float, so a 400-digit int is inf, not a later OverflowError
-        payload = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
-    except OSError:
-        raise DataError(f"missing report file: {path}") from None
-    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting depth
-        raise DataError(f"{path}: not a report JSON: {exc}") from None
-    m = payload.get("metrics") if isinstance(payload, dict) else None
-    if not isinstance(m, dict):
-        raise DataError(f"{path}: no 'metrics' object")
-    values = []
-    for f in fields(PerfMetrics):
-        if f.name not in m and f.default is MISSING:
-            raise DataError(f"{path}: metrics has no {f.name!r}")
-        value = m.get(f.name, f.default)
-        finite = isinstance(value, float) and math.isfinite(value)  # json reads NaN, Infinity
-        if not (finite or f.name == "sharpe" and value is None):  # undefined Sharpe: null
-            raise DataError(f"{path}: metrics {f.name!r} is not a finite number: {value!r}")
-        values.append(value)
-    return PerfMetrics(*values)
-
-
 def _cmd_report(cfg, args):
     reports_dir = Path(args.reports_dir) if args.reports_dir else Path(cfg.output_dir)
     methods = list(cfg.methods)
@@ -234,7 +204,7 @@ def _cmd_report(cfg, args):
     metrics = {
         period: {
             sector: {
-                METHOD_LABELS[method]: _read_metrics(
+                METHOD_LABELS[method]: read_report_metrics(
                     reports_dir / sector / f"{method}_{period}_report.json"
                 )
                 for method in methods

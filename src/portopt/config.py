@@ -240,10 +240,15 @@ def load_config(path):
             raw = yaml.load(stream, loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, RecursionError) as exc:  # PyYAML's own composer recurses
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    for key, value in raw.items():  # the messages below repr the values they reject
+        try:
+            repr([[value]])  # _check_int reprs a value two calls deeper than here
+        except RecursionError:
+            raise ConfigError(f"{path}: {key}: value nested too deeply") from None
 
     keys = fields(RunConfig)
     _reject_unknown(raw, [f.name for f in keys])

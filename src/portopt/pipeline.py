@@ -64,7 +64,8 @@ METHOD_KEYS = {
     "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
 }
 
-SECTOR_ERRORS = (AllocationError, ClusterError, DataError, StatsError)
+# OSError: an output path the sector cannot write, such as a file named like its directory
+SECTOR_ERRORS = (AllocationError, ClusterError, DataError, OSError, StatsError)
 
 # artifact kinds run_sector can write; run writes all of them
 ARTIFACTS = ("weights", "frontier", "dendrogram", "reports")

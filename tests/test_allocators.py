@@ -461,6 +461,13 @@ class TestWeightsCsv:
         assert got.tickers == want.tickers == ("A", "B")
         np.testing.assert_array_equal(got.weights, want.weights)
 
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_bytes(b"ticker,weight\nA,0.25\n\nB,0.75\n")
+        got = read_weights_csv(path)
+        assert got.tickers == ("A", "B")
+        np.testing.assert_array_equal(got.weights, [0.25, 0.75])
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_text("name,value\nA,1\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from portopt._io import render_json
 from portopt.allocators import WeightVector
 from portopt.backtest import (
     BacktestError,
@@ -12,6 +13,7 @@ from portopt.backtest import (
     cumulative_series,
     evaluate,
     portfolio_return_series,
+    read_report_metrics,
     render_report_json,
     report_to_dict,
     summarize,
@@ -138,7 +140,76 @@ class TestSummarize:
             summarize({})
 
 
+def _bytes_table():
+    """Two sectors: an undefined Sharpe (HRP in S1), an exact tie (S1's
+    volatility) and values whose 12-digit rounding shows (1/3, 0.1 + 0.2)."""
+    return summarize(
+        {
+            "S1": {"HRP": PerfMetrics(1 / 3, 0.15, None), "HERC": PerfMetrics(0.1 + 0.2, 0.15, -0.25)},
+            "S2": {"HRP": PerfMetrics(-0.02, 0.12, -0.1 / 0.6), "HERC": PerfMetrics(0.07, 0.3, 0.25)},
+        },
+        ("HRP", "HERC"),
+    )
+
+
 class TestSummaryCsv:
+    def test_bytes(self):
+        assert summary_to_csv(_bytes_table()) == (
+            "sector,HRP_return,HRP_volatility,HRP_sharpe,HERC_return,HERC_volatility,HERC_sharpe\n"
+            "S1,0.333333333333,0.15,,0.3,0.15,-0.25\n"
+            "S2,-0.02,0.12,-0.166666666667,0.07,0.3,0.25\n"
+            "Overall,1,2,0,1,0,2\n"
+        )
+
+    def test_winners_bytes(self):
+        # the undefined Sharpe never wins, and the tie goes to HRP, flagged
+        assert render_json(summary_winners_dict(_bytes_table())) == """\
+{
+  "overall": {
+    "HERC": {
+      "annual_return": 1,
+      "annual_volatility": 0,
+      "sharpe": 2
+    },
+    "HRP": {
+      "annual_return": 1,
+      "annual_volatility": 2,
+      "sharpe": 0
+    }
+  },
+  "winners": {
+    "S1": {
+      "annual_return": {
+        "method": "HRP",
+        "tie": false
+      },
+      "annual_volatility": {
+        "method": "HRP",
+        "tie": true
+      },
+      "sharpe": {
+        "method": "HERC",
+        "tie": false
+      }
+    },
+    "S2": {
+      "annual_return": {
+        "method": "HERC",
+        "tie": false
+      },
+      "annual_volatility": {
+        "method": "HRP",
+        "tie": false
+      },
+      "sharpe": {
+        "method": "HERC",
+        "tie": false
+      }
+    }
+  }
+}
+"""
+
     def test_layout(self):
         text = summary_to_csv(summarize(_metrics_table()))
         lines = text.splitlines()
@@ -168,6 +239,19 @@ class TestReportJson:
         assert payload["dates"] == [d.isoformat() for d in r.dates.tolist()]
         assert payload["metrics"]["annual_return"] == report.metrics.annual_return
         assert payload["cumulative_series"] == pytest.approx([0.01, -0.0001], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [PerfMetrics(-0.0, 1e-300, 1e16, 5e-324), PerfMetrics(1e16, 5e-324, None, -0.0)],
+        ids=["extremes", "undefined_sharpe"],
+    )
+    def test_read_back_bit_equal(self, tmp_path, metrics):
+        base = _seeded_report(0, 2)
+        report = BacktestReport("p", "test", base.dates, base.cumulative_series, metrics)
+        path = tmp_path / "report.json"
+        write_report_json(report, path)
+        # repr tells -0.0 from 0.0 and is the shortest text that gives the same bits
+        assert repr(read_report_metrics(path)) == repr(metrics)
 
     def test_none_sharpe_serializes_as_null(self):
         r = make_returns([[0.01], [0.01]])

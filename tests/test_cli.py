@@ -646,6 +646,62 @@ class TestExitCodes:
             assert manifest["failures"] == {"beta": message}
             assert set(manifest["outputs"]) == {"alpha"}
 
+
+def _blocked_out(tmp_path, name):
+    """An output root whose entry name is taken: by a directory when name
+    ends in '/', else by an empty file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    blocker = out / name.rstrip("/")
+    blocker.mkdir() if name.endswith("/") else blocker.write_text("", encoding="utf-8")
+    return out, blocker
+
+
+class TestBlockedOutputPath:
+    """A path a sector cannot write fails that sector, by name, and the others complete."""
+
+    def test_run_pipeline_fails_the_sector(self, synthetic_fixture, fixture_reports, tmp_path):
+        out, blocker = _blocked_out(tmp_path, "alpha")
+        cfg = load_config(synthetic_fixture / "config.yaml")
+        cfg.output_dir = out
+        failures = run_pipeline(cfg).failures
+        assert list(failures) == ["alpha"] and str(blocker) in failures["alpha"]
+        assert _tree(out / "beta") == _tree(fixture_reports / "beta")
+        assert not list(out.rglob("*.tmp"))
+
+    def test_pooled_run_exits_3(self, synthetic_fixture, fixture_reports, tmp_path, monkeypatch, capsys):
+        out, blocker = _blocked_out(tmp_path, "alpha")
+        _set_cpus(monkeypatch, {0, 1, 2})
+        assert main(["run", *_cfg(synthetic_fixture), "--out", str(out)]) == 3
+        assert f"sector 'alpha' failed: [Errno 17] File exists: '{blocker}'" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["failures"]) == ["alpha"] and str(blocker) in manifest["failures"]["alpha"]
+        assert _tree(out / "beta") == _tree(fixture_reports / "beta")
+        assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "argv, blocked, written",
+        [
+            (["optimize", "--method", "hrp"], "beta", ["alpha/hrp_weights.csv"]),
+            (["ingest"], "alpha_prices.csv/", ["beta_prices.csv"]),
+            (["backtest", "--weights", "{reports}/alpha/hrp_weights.csv"], "portfolio_train_report.json/", []),
+            (["report", "--reports-dir", "{reports}"], "summary_train.csv/", []),
+        ],
+        ids=["optimize", "ingest", "backtest", "report"],
+    )
+    def test_subcommand_exits_2(
+        self, synthetic_fixture, fixture_reports, tmp_path, capsys, argv, blocked, written
+    ):
+        out, blocker = _blocked_out(tmp_path, blocked)
+        rest = [arg.format(reports=fixture_reports) for arg in argv[1:]]
+        assert main([argv[0], *_cfg(synthetic_fixture), "--out", str(out), *rest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(blocker) in err
+        # the other sector's file, and no temp file
+        files = [p for p in out.rglob("*") if p.is_file() and p != blocker]
+        assert sorted(p.relative_to(out).as_posix() for p in files) == written
+
+
 class TestOptimize:
     def test_hrp_weights_on_pair_fixture(self, pair_data_dir, tmp_path):
         out = tmp_path / "out"

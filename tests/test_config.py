@@ -14,6 +14,7 @@ test_end: 2021-12-31
 sectors:
   alpha: [AAA, AAB]
 """
+DEEP = "[" * 2000 + "]" * 2000
 
 
 def _write(tmp_path, text):
@@ -181,6 +182,41 @@ class TestLoadConfig:
             ("test_end", "risk_free_rate: !!float abc\ntest_end", r"'abc' is not a valid float\n.*line 5,"),
             ("test_end", "annualization_days: !!int abc\ntest_end", r"'abc' is not a valid int\n.*line 5,"),
             ("train_start: 2020-01-01", "train_start: !!timestamp abc", r"'abc' is not a valid timest"),
+            ("sectors:\n  alpha: [AAA, AAB]", "sectors: {}", "^sectors: at least one sector is required"),
+            ("sectors:\n  alpha: [AAA, AAB]", "sectors: [AAA]", "^sectors: expected a mapping of name -> "),
+            ("test_end", "methods: {}\ntest_end", "^methods: at least one method must be enabled"),
+            ("test_end", "methods: 5\ntest_end", "^methods: expected a mapping or list of method names"),
+            (
+                "test_end",
+                "methods:\n  herc: {risk_measure: cubic}\ntest_end",
+                r"^methods\.herc\.risk_measure: expected one of",
+            ),
+            ("test_end", "align: sideways\ntest_end", "^align: expected one of"),
+            # a message's repr of a value nested this deeply would exceed the recursion limit
+            pytest.param(
+                "test_end",
+                f"close_column: {DEEP}\ntest_end",
+                r"config\.yaml: close_column: value nested too deeply$",
+                id="deep_close_column",
+            ),
+            pytest.param(
+                "alpha: [AAA, AAB]",
+                f"alpha: [AAA, {DEEP}]",
+                r"config\.yaml: sectors: value nested too deeply$",
+                id="deep_ticker",
+            ),
+            pytest.param(
+                "test_end",
+                f"methods: [mvp, {DEEP}]\ntest_end",
+                r"config\.yaml: methods: value nested too deeply$",
+                id="deep_methods_list",
+            ),
+            pytest.param(
+                "test_end",
+                f"risk_free_rate: {DEEP}\ntest_end",
+                r"config\.yaml: risk_free_rate: value nested too deeply$",
+                id="deep_risk_free_rate",
+            ),
         ],
     )
     def test_bad_value_rejected_by_name(self, tmp_path, old, new, key):
@@ -239,6 +275,10 @@ class TestLoadConfig:
         assert (cfg.align, cfg.train_end) == ("ffill", dt.date(2021, 6, 30))
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(_write(tmp_path, "sectors: [unclosed\n"))
+        # PyYAML's own composer recurses on a deep value, libyaml's does not
+        deep = "invalid YAML: maximum recursion" if loader == "python" else "close_column: value nested"
+        with pytest.raises(ConfigError, match=rf"config\.yaml: {deep}"):
+            load_config(_write(tmp_path, MINIMAL + f"close_column: {DEEP}\n"))
         # the mark names the file, not "<unicode string>"
         with pytest.raises(ConfigError, match=r'duplicate key \'align\'\n  in ".*config\.yaml", line 12,'):
             load_config(_write(tmp_path, text + "align: intersect\n"))
