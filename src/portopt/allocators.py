@@ -127,12 +127,6 @@ def _variances(cov, members):
     return variances
 
 
-def ivp_weights(cov):
-    """Inverse-variance weights w_i = (1/s_i^2) / sum_j (1/s_j^2)."""
-    inv = 1.0 / _variances(cov, list(range(len(cov.tickers))))
-    return WeightVector(cov.tickers, inv / inv.sum())
-
-
 def cluster_variance(cov, members):
     """Variance of the inverse-variance allocation over a member subset."""
     members = list(members)

@@ -226,6 +226,21 @@ class _Strict:
         return super().construct_mapping(node, deep)
 
 
+def _check_depth(stream, loader, path):
+    """Reject a value nested past 100 collections (a valid config nests 4), by
+    its top-level key, from the parser's events: the composers recurse once a
+    level, and libyaml's, in C, can crash the interpreter.  The cap is small
+    because both scanners slow down with depth."""
+    depth, key = 0, None
+    for ev in yaml.parse(stream, loader):
+        depth += isinstance(ev, yaml.CollectionStartEvent) - isinstance(ev, yaml.CollectionEndEvent)
+        if depth > 100:
+            under = "" if key is None else f" {key}:"
+            raise ConfigError(f"{path}:{under} value nested too deeply")
+        if depth == 1 and isinstance(ev, yaml.ScalarEvent):
+            key = ev.value  # a top-level key, or its value before the next key
+
+
 def load_config(path):
     """Load and validate a RunConfig from a YAML file.
 
@@ -237,6 +252,8 @@ def load_config(path):
         # libyaml's parser when PyYAML was built with it: the same documents
         loader = type("Loader", (_Strict, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
         with path.open(encoding="utf-8") as stream:  # so YAML's marks name the file
+            _check_depth(stream, loader, path)
+            stream.seek(0)
             raw = yaml.load(stream, loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None

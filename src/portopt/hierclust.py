@@ -9,6 +9,7 @@ order is deterministic across platforms.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -161,22 +162,25 @@ def cut_k(tree, k):
     n = tree.n_leaves
     if not 1 <= k <= n:
         raise ClusterError(f"k={k} out of range 1..{n}")
-
-    # expand only the top k-1 merge nodes (ids >= 2n-k), left first; each
-    # subtree left over is one cluster
-    labels = [-1] * n
-    next_label = 0
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node >= 2 * n - k:
-            merge = tree.merges[node - n]
-            stack += [merge.right, merge.left]
-        else:
-            for leaf in tree.leaves_under(node):
-                labels[leaf] = next_label
-            next_label += 1
+    *_, clusters = _cuts([m.left for m in tree.merges], [m.right for m in tree.merges], k)
+    labels = [0] * n
+    for label, node in enumerate(clusters):
+        for leaf in tree.leaves_under(node):
+            labels[leaf] = label
     return tuple(labels)
+
+
+def _cuts(left, right, k_hi):
+    """Cluster node ids of cuts 1..k_hi of one merge history (its left and
+    right child ids by step), each in cut_k's label order: cut 1 is the root,
+    and cut k+1 replaces merge node 2n-1-k with its children, left first."""
+    n = len(left) + 1
+    cut = [2 * n - 2]
+    yield tuple(cut)
+    for node in range(2 * n - 2, 2 * n - 1 - k_hi, -1):
+        at = cut.index(node)
+        cut[at : at + 1] = left[node - n], right[node - n]
+        yield tuple(cut)
 
 
 # bytes of node-id matrices the gap statistic clusters in one batch
@@ -230,11 +234,10 @@ def _check_merges(left, right, height, size):
 def _log_w_curves(sets, k_hi, linkage_rule):
     """log W_k for k = 1..k_hi of each point set in a (batch, n, p) stack.
 
-    Tibshirani's W_k sums, over the k clusters of the tree cut in cut_k's
-    label order, each cluster's pairwise squared distances over 2 n_r.  The
-    clusters of cuts 1..k_hi are the root and the children of the top k_hi-1
-    merges; each one's term is computed once, from its members in ascending
-    order, together with every other cluster of the same size.
+    Tibshirani's W_k adds, one at a time in the label order of _cuts, each
+    cluster's pairwise squared distances over 2 n_r.  Each cluster's term is
+    computed once, from its members in ascending order, together with every
+    other cluster of the same size.
     """
     batch, n = sets.shape[:2]
     sq = _pairwise_sq_dists(sets)
@@ -245,42 +248,26 @@ def _log_w_curves(sets, k_hi, linkage_rule):
     members[:, np.arange(n), np.arange(n)] = True
     for step in range(n - 1):
         members[:, n + step] = members[rows, left[:, step]] | members[rows, right[:, step]]
-    sizes = np.concatenate([np.ones((batch, n), dtype=int), merge_sizes], axis=1)
 
-    # candidate clusters: the root, then the children of merge node 2n-1-j,
-    # which cut j+1 creates; a merge node v is split again by cut 2n-v.
-    # start is a node's first position in the quasi-diagonal leaf order, so
-    # sorting a cut's clusters by it gives cut_k's labels.
-    cand = np.empty((batch, 2 * k_hi - 1), dtype=int)
-    cand[:, 0] = 2 * n - 2
-    start = np.zeros((batch, 2 * n - 1), dtype=int)
-    for j in range(1, k_hi):
-        node, a, b = 2 * n - 1 - j, left[:, n - 1 - j], right[:, n - 1 - j]
-        cand[:, 2 * j - 1], cand[:, 2 * j] = a, b
-        start[rows, a] = start[:, node]
-        start[rows, b] = start[:, node] + sizes[rows, a]
-    created = np.repeat(np.arange(1, k_hi + 1), 2)[1:]
-    split = np.where(cand >= n, 2 * n - cand, n + 1)
-
-    terms = np.zeros(cand.shape)  # singletons add nothing
-    at_s, at_c = np.nonzero(cand >= n)
-    node = cand[at_s, at_c]
-    count = sizes[at_s, node]
+    # the clusters of cuts 1..k_hi: the root and the children of the top k_hi-1 merges
+    top = slice(n - k_hi, n - 1)
+    cand = np.concatenate([np.full((batch, 1), 2 * n - 2), left[:, top], right[:, top]], axis=1)
+    at_s, node = np.nonzero(cand >= n)[0], cand[cand >= n]
+    count = merge_sizes[at_s, node - n]
+    terms = np.zeros((batch, 2 * n - 1))  # by node id; singletons add nothing
     for c in sorted(set(count.tolist())):
-        pick = count == c
-        s, m = at_s[pick], np.nonzero(members[at_s[pick], node[pick]])[1].reshape(-1, c)
+        s, v = at_s[count == c], node[count == c]
+        m = np.nonzero(members[s, v])[1].reshape(-1, c)
         blocks = sq[s[:, None, None], m[:, :, None], m[:, None, :]]
-        terms[s, at_c[pick]] = blocks.reshape(len(s), c * c).sum(axis=1) / (2.0 * c)
-
-    # (batch, k, candidate): each cut's k clusters in label order, then zeros
-    k = np.arange(1, k_hi + 1)[:, None]
-    present = (created <= k) & (k < split[:, None, :])
-    order = np.argsort(np.where(present, start[rows[:, None], cand][:, None, :], n), axis=2)
-    ordered = np.take_along_axis(np.where(present, terms[:, None, :], 0.0), order, axis=2)
-    w = np.zeros((batch, k_hi))
-    for col in range(k_hi):
-        w = w + ordered[:, :, col]
-    return np.array([[math.log(max(x, _LOG_FLOOR)) for x in row] for row in w.tolist()])
+        terms[s, v] = blocks.reshape(len(s), c * c).sum(axis=1) / (2.0 * c)
+    log_w = []
+    for term, lft, rgt in zip(terms.tolist(), left.tolist(), right.tolist()):
+        for cut in _cuts(lft, rgt, k_hi):
+            total = 0.0  # not sum(), which compensates from python 3.12
+            for v in cut:
+                total += term[v]
+            log_w.append(math.log(max(total, _LOG_FLOOR)))
+    return np.array(log_w).reshape(batch, k_hi)
 
 
 def _batch_curves(points, k_hi, seed, linkage_rule, ids):
@@ -361,31 +348,31 @@ DENDROGRAM_SCHEMA_VERSION = 1
 
 
 def dendrogram_export(tree, labels):
-    """Serialize a LinkageTree as a nested JSON-ready merge structure.
+    """The LinkageTree as dendrogram JSON text, indented by 2 with sorted keys
+    and a trailing newline, written from an explicit stack (so any depth).
 
     Leaves carry {"id", "ticker"}; internal nodes carry {"id", "height",
     "size", "children": [left, right]}.  The schema is versioned and stable.
     """
-    labels = list(labels)
-    if len(labels) != tree.n_leaves:
-        raise ClusterError(
-            f"got {len(labels)} labels for {tree.n_leaves} leaves"
-        )
-
-    def node(nid):
-        if nid < tree.n_leaves:
-            return {"id": nid, "ticker": labels[nid]}
-        merge = tree.merges[nid - tree.n_leaves]
-        return {
-            "id": nid,
-            "height": merge.height,
-            "size": merge.size,
-            "children": [node(merge.left), node(merge.right)],
-        }
-
-    return {
-        "format": "dendrogram",
-        "version": DENDROGRAM_SCHEMA_VERSION,
-        "n_leaves": tree.n_leaves,
-        "root": node(tree.root),
-    }
+    n = tree.n_leaves
+    tickers = [json.dumps(label) for label in labels]
+    if len(tickers) != n:
+        raise ClusterError(f"got {len(tickers)} labels for {n} leaves")
+    out = [f'{{\n  "format": "dendrogram",\n  "n_leaves": {n},\n  "root": ']
+    # text to write, and (node id, the indent of its keys), popped from the end
+    stack = [f',\n  "version": {DENDROGRAM_SCHEMA_VERSION}\n}}\n', (tree.root, "    ")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        nid, pad = item
+        if nid < n:
+            out.append(f'{{\n{pad}"id": {nid},\n{pad}"ticker": {tickers[nid]}\n{pad[2:]}}}')
+            continue
+        merge = tree.merges[nid - n]
+        out.append(f'{{\n{pad}"children": [\n{pad}  ')
+        close = f'\n{pad}],\n{pad}"height": {json.dumps(merge.height)},\n{pad}"id": {nid},\n'
+        close += f'{pad}"size": {json.dumps(merge.size)}\n{pad[2:]}}}'
+        stack += [close, (merge.right, pad + "    "), f",\n{pad}  ", (merge.left, pad + "    ")]
+    return "".join(out)

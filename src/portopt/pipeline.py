@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
-from portopt._io import render_json, write_json, write_text
+from portopt._io import write_json, write_text
 from portopt._pool import fork_pool, pool_map
 from portopt._version import __version__
 from portopt.allocators import (
@@ -192,7 +192,7 @@ def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
     metrics = {period: {} for period in PERIODS}
     dendrogram = None  # the tree's JSON, rendered once for hrp and herc
     if with_tree and "dendrogram" in artifacts:
-        dendrogram = render_json(dendrogram_export(data.tree, data.train_returns.tickers))
+        dendrogram = dendrogram_export(data.tree, data.train_returns.tickers)
     for method in methods:
         weights, mvp_result = fit_method(cfg, method, data)
         paths = {}
@@ -247,7 +247,7 @@ def dendrogram_sector(cfg, sector, parsed=None):
     data = prepare_sector(cfg, cfg.sectors[sector], with_tree=True, parsed=parsed)
     path = Path(cfg.output_dir) / sector / "dendrogram.json"
     path.parent.mkdir(exist_ok=True)
-    write_json(path, dendrogram_export(data.tree, data.train_returns.tickers))
+    write_text(path, dendrogram_export(data.tree, data.train_returns.tickers))
     return path
 
 

@@ -70,37 +70,63 @@ def fixture_copy(synthetic_fixture, tmp_path):
     return dest
 
 
+def _write_sector(root, closes, sector, methods):
+    """Write closes (366 daily rows, one column per ticker T000, T001, ...)
+    as ticker CSVs under root/data and a one-sector config.yaml beside them
+    that lists `methods` (YAML text); return the config's path."""
+    import datetime as dt
+
+    (root / "data").mkdir(parents=True)
+    dates = [(dt.date(2020, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(len(closes))]
+    tickers = [f"T{i:03d}" for i in range(closes.shape[1])]
+    for j, ticker in enumerate(tickers):
+        rows = "".join(f"{d},{c:.6f}\n" for d, c in zip(dates, closes[:, j]))
+        (root / "data" / f"{ticker}.csv").write_text("Date,Close\n" + rows, encoding="utf-8")
+    config = root / "config.yaml"
+    config.write_text(
+        "data_dir: data\noutput_dir: out\n"
+        "train_start: 2020-01-01\ntrain_end: 2020-09-30\ntest_end: 2020-12-31\n"
+        f"sectors:\n  {sector}: [{', '.join(tickers)}]\n{methods}",
+        encoding="utf-8",
+    )
+    return config
+
+
 @pytest.fixture
 def one_sector(tmp_path):
     """Factory for a seeded one-sector study: n tickers in 4 correlated
     blocks, 366 daily closes each, under tmp_path/<name>.  Returns the path
     of its config.yaml (MVP, HRP, and HERC with the gap statistic)."""
-    import datetime as dt
-
     import numpy as np
 
     def make(n, gap_b_refs, n_samples=10000, name="one_sector"):
-        root = tmp_path / name
-        (root / "data").mkdir(parents=True)
         rng = np.random.default_rng(n)
         days = 366
         factors = rng.standard_normal((days, 4))[:, np.arange(n) % 4]
         returns = 0.01 * (0.8 * factors + 0.6 * rng.standard_normal((days, n)))
         closes = 100.0 * np.cumprod(1.0 + returns, axis=0)
-        dates = [(dt.date(2020, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(days)]
-        tickers = [f"T{i:03d}" for i in range(n)]
-        for j, ticker in enumerate(tickers):
-            rows = "".join(f"{d},{c:.6f}\n" for d, c in zip(dates, closes[:, j]))
-            (root / "data" / f"{ticker}.csv").write_text("Date,Close\n" + rows, encoding="utf-8")
-        config = root / "config.yaml"
-        config.write_text(
-            "data_dir: data\noutput_dir: out\n"
-            "train_start: 2020-01-01\ntrain_end: 2020-09-30\ntest_end: 2020-12-31\n"
-            f"sectors:\n  wide: [{', '.join(tickers)}]\n"
+        methods = (
             f"methods:\n  mvp: {{n_samples: {n_samples}, seed: 5}}\n  hrp: {{}}\n"
-            f"  herc: {{k: auto, gap_b_refs: {gap_b_refs}, seed: 2}}\n",
-            encoding="utf-8",
+            f"  herc: {{k: auto, gap_b_refs: {gap_b_refs}, seed: 2}}\n"
         )
-        return config
+        return _write_sector(tmp_path / name, closes, "wide", methods)
+
+    return make
+
+
+@pytest.fixture
+def chain_sector(tmp_path):
+    """Factory for a seeded one-factor sector named chain: n tickers whose own
+    noise grows with the ticker number, 366 daily closes each, so that single
+    linkage joins them one at a time into a tree n - 1 merges deep.  Returns
+    the path of its config.yaml (HRP only, single linkage)."""
+    import numpy as np
+
+    def make(n):
+        rng = np.random.default_rng(0)
+        noise = rng.standard_normal((366, n)) * np.linspace(0.05, 2.0, n)
+        closes = 100.0 * np.cumprod(1.0 + 0.01 * (rng.standard_normal((366, 1)) + noise), axis=0)
+        methods = "methods: [hrp]\nlinkage_rule: single\n"
+        return _write_sector(tmp_path / "chain", closes, "chain", methods)
 
     return make

@@ -5,10 +5,12 @@ meaningful.
 """
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
 
+from portopt.allocators import WeightVector
 from portopt.hierclust import LinkageTree, Merge
 from portopt.market_data import ReturnMatrix
 from portopt.riskstats import CovMatrix, DistanceMatrix
@@ -114,6 +116,42 @@ def naive_gap_curves(points, k_hi, b_refs, seed, rule):
     for stream in np.random.SeedSequence(seed).spawn(b_refs):
         sets.append(lo + np.random.default_rng(stream).random(points.shape) * span)
     return np.array([naive_log_w_curve(p, k_hi, rule) for p in sets])
+
+
+def nested_dendrogram(tree, labels):
+    """Dendrogram JSON text the recursive way: one nested dict per node, then
+    json.dumps with indent 2 and sorted keys, plus a newline.  Python's
+    recursion limit bounds the depth it can render."""
+
+    def node(nid):
+        if nid < tree.n_leaves:
+            return {"id": nid, "ticker": labels[nid]}
+        merge = tree.merges[nid - tree.n_leaves]
+        return {
+            "id": nid,
+            "height": merge.height,
+            "size": merge.size,
+            "children": [node(merge.left), node(merge.right)],
+        }
+
+    root = node(tree.root)
+    payload = {"format": "dendrogram", "version": 1, "n_leaves": tree.n_leaves, "root": root}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def caterpillar_tree(n):
+    """The deepest tree on n leaves: leaf j + 1 joins the cluster of leaves
+    0..j at height j, so the root is n - 1 merges above leaf 0."""
+    merges = [Merge(0, 1, 0.0, 2)]
+    merges += [Merge(j + 1, n + j - 1, float(j), j + 2) for j in range(1, n - 1)]
+    return LinkageTree(n, tuple(merges))
+
+
+def ivp_weights(cov):
+    """Inverse-variance weights w_i = (1/s_i^2) / sum_j (1/s_j^2), straight
+    from the covariance diagonal."""
+    inv = 1.0 / np.diag(cov.values)
+    return WeightVector(cov.tickers, inv / inv.sum())
 
 
 def naive_align(per_ticker, align):

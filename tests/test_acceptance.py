@@ -19,7 +19,6 @@ from portopt.allocators import (
     HercParams,
     herc_allocate,
     hrp_allocate,
-    ivp_weights,
     mvp_optimize,
 )
 from portopt.backtest import cumulative_series, summarize
@@ -46,6 +45,7 @@ from portopt.riskstats import (
 from portopt.allocators import WeightVector
 from reference_impls import (
     block_return_panel,
+    ivp_weights,
     make_returns,
     naive_linkage,
     random_distance_matrix,

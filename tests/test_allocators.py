@@ -15,7 +15,6 @@ from portopt.allocators import (
     cluster_variance,
     herc_allocate,
     hrp_allocate,
-    ivp_weights,
     mvp_optimize,
     read_weights_csv,
     write_frontier_csv,
@@ -25,7 +24,7 @@ from portopt.config import load_config
 from portopt.hierclust import LinkageTree, Merge, agglomerate, gap_optimal_k
 from portopt.pipeline import fit_method, prepare_sector
 from portopt.riskstats import CovMatrix, ExpectedReturns
-from reference_impls import make_returns
+from reference_impls import ivp_weights, make_returns
 from portopt.riskstats import corr_to_distance, correlation, covariance, expected_returns
 
 
@@ -52,22 +51,37 @@ class TestWeightVector:
         with pytest.raises(AllocationError, match="sum"):
             WeightVector(("A", "B"), np.array([0.6, 0.5]))
 
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([1.0], "^1 weights for 2 tickers$"),
+            ([[0.5, 0.5]], r"^\? weights for 2 tickers$"),
+            ([math.nan, 1.0], "^weights must be finite$"),
+            ([math.inf, 0.0], "^weights must be finite$"),
+        ],
+    )
+    def test_malformed_weights_rejected(self, weights, match):
+        with pytest.raises(AllocationError, match=match):
+            WeightVector(("A", "B"), np.array(weights))
+
     def test_tiny_negative_noise_clipped_to_zero(self):
         w = WeightVector(("A", "B"), np.array([1.0 + 1e-13, -1e-13]))
         assert w.weights[1] == 0.0
 
 
 class TestIvpWeights:
+    """The inverse-variance oracle of criteria 03 and 04 (tests/reference_impls.py)."""
+
     def test_hand_fixture(self):
         w = ivp_weights(_cov([[1.0, 0.0], [0.0, 4.0]], ("A", "B")))
         np.testing.assert_allclose(w.weights, [0.8, 0.2], atol=1e-15)
 
-    def test_zero_variance_names_ticker(self):
-        with pytest.raises(AllocationError, match="'B'"):
-            ivp_weights(_cov([[1.0, 0.0], [0.0, 0.0]], ("A", "B")))
-
 
 class TestClusterVariance:
+    def test_zero_variance_names_ticker(self):
+        with pytest.raises(AllocationError, match="'B'"):
+            cluster_variance(_cov([[1.0, 0.0], [0.0, 0.0]], ("A", "B")), [0, 1])
+
     def test_identity_pair(self):
         assert cluster_variance(_cov(np.eye(2)), [0, 1]) == pytest.approx(0.5, abs=1e-15)
 
@@ -135,6 +149,10 @@ class TestHercAllocate:
         cov = _cov(np.diag([1.0, 1.0, 9.0, 9.0]))
         w = herc_allocate(cov, _chain_tree_4(), HercParams(k=2))
         np.testing.assert_allclose(w.weights, [0.375, 0.375, 0.125, 0.125], atol=1e-15)
+
+    def test_leaf_count_mismatch(self):
+        with pytest.raises(AllocationError, match="^tree has 2 leaves but covariance has 3 assets$"):
+            herc_allocate(_cov(np.eye(3) * 0.01), PAIR_TREE, HercParams(k=1))
 
     def test_auto_k_requires_returns(self):
         cov = _cov(np.diag([1.0, 9.0]))

@@ -79,6 +79,11 @@ class TestEvaluate:
         )
 
 
+def test_report_series_must_match_its_dates():
+    with pytest.raises(BacktestError, match="^cumulative series length must match the period$"):
+        BacktestReport("demo", "train", (dt.date(2021, 1, 4),), [1.0, 1.1], PerfMetrics(0, 0, 0))
+
+
 def _metrics_table():
     # hand-built 2-sector table with known winners
     return {

@@ -92,6 +92,15 @@ class TestRun:
             assert added.read_bytes() == listed.read_bytes()
 
 
+def test_a_single_linkage_chain_sector_writes_its_manifest(chain_sector):
+    cfg = load_config(chain_sector(520))
+    assert run_pipeline(cfg).failures == {}
+    assert (cfg.output_dir / "manifest.json").is_file()
+    text = (cfg.output_dir / "chain" / "hrp_dendrogram.json").read_text()
+    # the root's keys sit 4 spaces in and each level's 4 more: 519 merges deep
+    assert max(len(line) - len(line.lstrip(" ")) for line in text.splitlines()) == 4 * 520
+
+
 class TestSharedPipeline:
     def test_subcommands_match_run_artifacts(self, synthetic_fixture, tmp_path):
         def sub(*argv, out):

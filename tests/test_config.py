@@ -1,4 +1,8 @@
 import datetime as dt
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -192,6 +196,8 @@ class TestLoadConfig:
                 r"^methods\.herc\.risk_measure: expected one of",
             ),
             ("test_end", "align: sideways\ntest_end", "^align: expected one of"),
+            # a complex key: PyYAML names the unhashable key after the repeat check stops
+            ("test_end", "? [a]\n: b\ntest_end", r"(?s)config\.yaml: invalid YAML: .*found unhashable key"),
             # a message's repr of a value nested this deeply would exceed the recursion limit
             pytest.param(
                 "test_end",
@@ -275,9 +281,8 @@ class TestLoadConfig:
         assert (cfg.align, cfg.train_end) == ("ffill", dt.date(2021, 6, 30))
         with pytest.raises(ConfigError, match="invalid YAML"):
             load_config(_write(tmp_path, "sectors: [unclosed\n"))
-        # PyYAML's own composer recurses on a deep value, libyaml's does not
-        deep = "invalid YAML: maximum recursion" if loader == "python" else "close_column: value nested"
-        with pytest.raises(ConfigError, match=rf"config\.yaml: {deep}"):
+        # either parser's events show a deep value before a composer recurses on it
+        with pytest.raises(ConfigError, match=r"config\.yaml: close_column: value nested"):
             load_config(_write(tmp_path, MINIMAL + f"close_column: {DEEP}\n"))
         # the mark names the file, not "<unicode string>"
         with pytest.raises(ConfigError, match=r'duplicate key \'align\'\n  in ".*config\.yaml", line 12,'):
@@ -285,6 +290,25 @@ class TestLoadConfig:
         # a key given after a << merge overrides the merged one: not a repeat
         merged = MINIMAL + "methods:\n  mvp: {<<: {n_samples: 500, seed: 1}, seed: 3}\n"
         assert load_config(_write(tmp_path, merged)).methods == {"mvp": {"n_samples": 500, "seed": 3}}
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    def test_a_25000_deep_value_exits_1_under_both_loaders(self, tmp_path, loader):
+        # in a fresh interpreter: libyaml's composer, recursing in C, would crash this one
+        if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        deep = "[" * 25_000 + "]" * 25_000
+        config = _write(tmp_path, MINIMAL + f"close_column: {deep}\n")
+        drop = "del yaml.CSafeLoader; " if loader == "python" else ""
+        script = f"import sys, yaml; {drop}from portopt.cli import main; sys.exit(main())"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["-c", script, "run", "--config", str(config), "--out", str(tmp_path / "out")]
+        out = subprocess.run(
+            [sys.executable, *argv], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == 1, out.stderr
+        assert out.stderr == f"configuration error: {config}: close_column: value nested too deeply\n"
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

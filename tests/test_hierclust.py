@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,10 +20,12 @@ from portopt.hierclust import (
 from portopt.riskstats import DistanceMatrix, corr_to_distance, correlation
 from reference_impls import (
     block_return_panel,
+    caterpillar_tree,
     make_returns,
     naive_cut,
     naive_gap_curves,
     naive_linkage,
+    nested_dendrogram,
     random_distance_matrix,
     random_tree,
 )
@@ -102,6 +105,10 @@ class TestLinkageTree:
     def test_merge_count_enforced(self):
         with pytest.raises(ClusterError, match="expected 2 merges"):
             LinkageTree(3, (Merge(0, 1, 0.1, 2),))
+
+    def test_needs_a_leaf(self):
+        with pytest.raises(ClusterError, match="at least one leaf"):
+            LinkageTree(0, ())
 
     def test_child_reuse_rejected(self):
         merges = (Merge(0, 1, 0.1, 2), Merge(0, 3, 0.2, 3))
@@ -213,6 +220,22 @@ class TestGapOptimalK:
         r = block_return_panel(0, n_blocks=2, per_block=2, t=50)
         with pytest.raises(ClusterError, match="k_max"):
             gap_optimal_k(r, k_max=9)
+
+    @pytest.mark.parametrize(
+        "n_assets, kwargs, match",
+        [
+            (4, {"b_refs": 0}, "b_refs must be at least 1"),
+            (1, {}, "need at least 2 assets"),
+        ],
+    )
+    def test_arguments_validated(self, n_assets, kwargs, match):
+        r = make_returns(0.01 * np.random.default_rng(3).standard_normal((50, n_assets)))
+        with pytest.raises(ClusterError, match=match):
+            gap_optimal_k(r, **kwargs)
+
+    def test_k_max_1_draws_no_references(self, monkeypatch):
+        monkeypatch.setattr(hierclust, "_gap_curves", None)  # any call would fail
+        assert gap_optimal_k(block_return_panel(0, n_blocks=2, per_block=2, t=50), k_max=1) == 1
 
 
 def _factor_panel(seed, n, t=120):
@@ -330,8 +353,7 @@ class TestGapCurves:
 class TestDendrogramExport:
     def test_structure_and_json_round_trip(self):
         tree = agglomerate(THREE_POINT, "ward")
-        payload = dendrogram_export(tree, ("A", "B", "C"))
-        payload = json.loads(json.dumps(payload))  # must be JSON-serializable
+        payload = json.loads(dendrogram_export(tree, ("A", "B", "C")))
         assert payload["format"] == "dendrogram"
         assert payload["version"] == 1
         assert payload["n_leaves"] == 3
@@ -345,6 +367,29 @@ class TestDendrogramExport:
         tree = agglomerate(THREE_POINT, "ward")
         with pytest.raises(ClusterError, match="3 leaves"):
             dendrogram_export(tree, ("A", "B"))
+
+    def test_matches_the_nested_oracle_byte_for_byte(self):
+        rng = np.random.default_rng(26)
+        for _ in range(150):
+            n = int(rng.integers(1, 41))
+            tree = random_tree(rng, n) if n > 1 else LinkageTree(1, ())
+            labels = [f'T{i}"q\\b\u00e9\u4e2d' if i % 3 else f"T{i}" for i in range(n)]
+            assert dendrogram_export(tree, labels) == nested_dendrogram(tree, labels)
+
+    def test_a_600_leaf_caterpillar_renders_under_any_recursion_limit(self):
+        tree = caterpillar_tree(600)
+        labels = [f"T{i}" for i in range(600)]
+        text = dendrogram_export(tree, labels)  # under the default limit
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(200)
+            assert dendrogram_export(tree, labels) == text
+            sys.setrecursionlimit(10_000)  # room for the oracle's recursion
+            assert text == nested_dendrogram(tree, labels)
+        finally:
+            sys.setrecursionlimit(limit)
+        # the root's keys sit 4 spaces in and each level's 4 more: 599 merges deep
+        assert max(len(line) - len(line.lstrip(" ")) for line in text.splitlines()) == 4 * 600
 
 
 def test_tree_from_returns_groups_correlated_assets():

@@ -8,6 +8,7 @@ from portopt import market_data
 from portopt.market_data import (
     DataError,
     PriceTable,
+    ReturnMatrix,
     daily_returns,
     load_price_table,
     split_train_test,
@@ -157,6 +158,17 @@ class TestLoadPriceTable:
                 align=align,
                 require_start=dt.date(2021, 1, 5),
             )
+
+    @pytest.mark.parametrize(
+        "sources, align, match",
+        [
+            ({}, "intersect", "^no price sources given$"),
+            ({"A": "A.csv"}, "sideways", "^unknown alignment policy 'sideways'$"),
+        ],
+    )
+    def test_bad_arguments_rejected_before_any_parse(self, sources, align, match):
+        with pytest.raises(DataError, match=match):
+            load_price_table(sources, align=align)
 
     def test_empty_intersection_is_an_error(self, tmp_path):
         _write_csv(tmp_path / "A.csv", ["2021-01-01,10"])
@@ -515,6 +527,19 @@ class TestPriceTable:
         with pytest.raises(DataError, match="duplicate"):
             _table(D[:1], ["A", "A"], [[1, 2]])
 
+    @pytest.mark.parametrize(
+        "panel, values, match",
+        [
+            (PriceTable, [[1.0, 0.0]], "^all prices must be strictly positive and finite$"),
+            (ReturnMatrix, [[0.1, -1.0]], "^all returns must be finite and greater than -1$"),
+            (PriceTable, [[1.0, 2.0, 3.0]], r"^close matrix shape \(1, 3\) does not match 1 dates x 2 "),
+            (ReturnMatrix, [[0.1], [0.2]], r"^return matrix shape \(2, 1\) does not match 1 dates x 2 "),
+        ],
+    )
+    def test_bad_panel_rejected(self, panel, values, match):
+        with pytest.raises(DataError, match=match):
+            panel((D[0],), ("A", "B"), np.array(values))
+
 
 class TestSplitTrainTest:
     def test_boundary_date_goes_to_train(self):
@@ -528,6 +553,10 @@ class TestSplitTrainTest:
         train, test = split_train_test(table, D[1])
         assert train.dates.tolist() == [D[0]]
         assert test.dates.tolist() == [D[2], D[4]]
+
+    def test_one_date_table_is_too_short(self):
+        with pytest.raises(DataError, match="^price table too short to split$"):
+            split_train_test(_table(D[:1], ["A"], [[1]]), D[0])
 
     def test_boundary_outside_range_errors(self):
         table = _table(D[:3], ["A"], [[1], [2], [3]])

@@ -8,6 +8,7 @@ from portopt.riskstats import (
     CorrMatrix,
     CovMatrix,
     DistanceMatrix,
+    ExpectedReturns,
     StatsError,
     corr_to_distance,
     correlation,
@@ -21,6 +22,21 @@ from reference_impls import make_returns
 
 
 class TestExpectedReturns:
+    def test_needs_a_row(self):
+        with pytest.raises(StatsError, match="^need at least 1 return row$"):
+            expected_returns(make_returns(np.empty((0, 2))))
+
+    @pytest.mark.parametrize(
+        "mu_daily, mu_annual, match",
+        [
+            ([0.001, 0.002], [0.252, 0.505], r"^mu_annual must equal mu_daily \* annualization"),
+            ([0.001], [0.252], "^expected-return vectors do not match ticker count$"),
+        ],
+    )
+    def test_inconsistent_vectors_rejected(self, mu_daily, mu_annual, match):
+        with pytest.raises(StatsError, match=match):
+            ExpectedReturns(("A", "B"), np.array(mu_daily), np.array(mu_annual))
+
     def test_annualization_scales_daily_mean_by_252(self):
         r = make_returns([[0.01], [0.03]])
         mu = expected_returns(r)
@@ -150,4 +166,21 @@ class TestMatrixTypes:
     def test_asymmetry_rejected(self):
         with pytest.raises(StatsError, match="symmetric"):
             CovMatrix(("A", "B"), np.array([[1e-4, 1e-5], [2e-5, 1e-4]]))
+
+    @pytest.mark.parametrize(
+        "matrix, tickers, values, match",
+        [
+            (CovMatrix, "AB", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], r"must be square, got shape \(2, 3\)"),
+            (CovMatrix, "AB", [[1.0, math.nan], [math.nan, 1.0]], "^covariance matrix contains non-fin"),
+            (CovMatrix, "ABC", [[1.0, 0.0], [0.0, 1.0]], "^covariance matrix does not match ticker"),
+            (CovMatrix, "AB", [[1.0, 0.0], [0.0, -1.0]], "^covariance diagonal must be non-negative"),
+            (CorrMatrix, "AB", [[1.0, 1.5], [1.5, 1.0]], r"^correlations must lie in \[-1, 1\]"),
+            (DistanceMatrix, "AB", [[0.0, math.inf], [math.inf, 0.0]], "^distance matrix contains non"),
+            (DistanceMatrix, "AB", [[0.0, 0.5], [0.4, 0.0]], "^distance matrix is not symmetric"),
+            (DistanceMatrix, "AB", [[0.1, 0.5], [0.5, 0.0]], "^distance diagonal must be 0"),
+        ],
+    )
+    def test_bad_matrix_rejected(self, matrix, tickers, values, match):
+        with pytest.raises(StatsError, match=match):
+            matrix(tuple(tickers), np.array(values))
 
