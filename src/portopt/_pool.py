@@ -16,6 +16,10 @@ from contextlib import contextmanager
 _pool = None  # (owner pid, executor) while a run's pool is open
 
 
+class WorkerDied(Exception):
+    """A pool worker process died, say killed by a signal, before its tasks were done."""
+
+
 def pool_map(func, items):
     """list(map(func, items)), over the run's pool in the process that owns
     it.  func and items must pickle; a single item runs in this process."""
@@ -29,7 +33,8 @@ def pool_map(func, items):
 def fork_pool(workers):
     """Open the run's pool of `workers` forked processes for pool_map in this
     process (none for fewer than 2).  The workers fork as the first tasks
-    are sent, so they inherit this process's memory as it is then."""
+    are sent, so they inherit this process's memory as it is then.  A worker
+    that dies breaks the pool, and the with block raises WorkerDied."""
     global _pool
     if workers < 2:
         yield
@@ -37,10 +42,13 @@ def fork_pool(workers):
     # imported here so that single-process runs do not pay for it
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
         _pool = (os.getpid(), pool)
         try:
             yield
+        except BrokenProcessPool:
+            raise WorkerDied("a worker process died before its tasks were done") from None
         finally:
             _pool = None

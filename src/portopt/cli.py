@@ -49,8 +49,16 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's, but a usage error is a configuration error: exit 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="portopt",
         description="Long-only sector portfolio construction and backtesting.",
     )

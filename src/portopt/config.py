@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import reprlib
 from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -49,6 +50,12 @@ from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
 KNOWN_METHODS = tuple(METHOD_KEYS)
 
+# every message shows a config value through _show, which prints a few levels,
+# items and characters: aliases can expand a value 2**30-fold, but not a message
+_REPR = reprlib.Repr()  # Repr(**kw) is 3.12+
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 3, 80, 80
+_show = _REPR.repr
+
 
 class ConfigError(Exception):
     """Configuration file is missing, malformed, or violates an invariant."""
@@ -63,7 +70,7 @@ def _check_int(value, key, low=1, high=None):
         or (high is not None and value > high)
     ):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ConfigError(f"{key}: expected an int {bound}, got {value!r}")
+        raise ConfigError(f"{key}: expected an int {bound}, got {_show(value)}")
 
 
 def _reject_unknown(mapping, known, prefix=""):
@@ -96,21 +103,23 @@ class RunConfig:
         for name, tickers in self.sectors.items():
             for part in (name, *tickers):  # a directory or CSV name, and a CSV cell
                 if not isinstance(part, str):  # YAML reads 0700 as 448, null as None
-                    raise ConfigError(f"sectors.{name}: {part!r} is not a string; quote it")
+                    raise ConfigError(f"sectors.{name}: {_show(part)} is not a string; quote it")
                 if not is_path_component(part) or any(c in part for c in ",\r\n"):
                     raise ConfigError(
-                        f"sectors.{name}: {part!r} is not one path component "
+                        f"sectors.{name}: {_show(part)} is not one path component "
                         "(no '/', ',' or line break, not '.' or '..')"
                     )
             if name.removesuffix(".tmp") in ROOT_FILES:  # the run's own files
-                raise ConfigError(f"sectors.{name}: {name!r} names a file run writes in output_dir")
+                raise ConfigError(
+                    f"sectors.{name}: {_show(name)} names a file run writes in output_dir"
+                )
             if not tickers:
                 raise ConfigError(f"sectors.{name}: empty ticker list")
             repeated = sorted({t for t in tickers if tickers.count(t) > 1})
             if repeated:
-                raise ConfigError(f"sectors.{name}: duplicate ticker(s) {repeated}")
+                raise ConfigError(f"sectors.{name}: duplicate ticker(s) {_show(repeated)}")
             if self.date_column in tickers:  # ingest's header would name it twice
-                raise ConfigError(f"sectors.{name}: {self.date_column!r} is also date_column")
+                raise ConfigError(f"sectors.{name}: {_show(self.date_column)} is also date_column")
         if not any(len(t) >= 2 for t in self.sectors.values()):
             raise ConfigError("sectors: at least one sector needs >= 2 tickers")
         if not self.train_start < self.train_end < self.test_end:
@@ -124,7 +133,7 @@ class RunConfig:
         for method, params in self.methods.items():
             if not isinstance(params, dict):
                 raise ConfigError(
-                    f"methods.{method}: expected a mapping of parameters, got {params!r}"
+                    f"methods.{method}: expected a mapping of parameters, got {_show(params)}"
                 )
             _reject_unknown(params, METHOD_KEYS[method], f"methods.{method}.")
             if "seed" in params:
@@ -152,14 +161,14 @@ class RunConfig:
         if self.align not in ALIGN_POLICIES:
             raise ConfigError(f"align: expected one of {ALIGN_POLICIES}")
         if any(c in self.date_column for c in ",\r\n"):  # ingest's first header cell
-            raise ConfigError(f"date_column: {self.date_column!r} holds a ',' or line break")
+            raise ConfigError(f"date_column: {_show(self.date_column)} holds a ',' or line break")
         if self.close_column == self.date_column:
-            raise ConfigError(f"close_column: {self.close_column!r} is also date_column")
+            raise ConfigError(f"close_column: {_show(self.close_column)} is also date_column")
         _check_int(self.annualization_days, "annualization_days", high=366)
         rate = self.risk_free_rate
         finite = isinstance(rate, (int, float)) and math.isfinite(rate)
         if isinstance(rate, bool) or not finite:
-            raise ConfigError(f"risk_free_rate: expected a finite number, got {rate!r}")
+            raise ConfigError(f"risk_free_rate: expected a finite number, got {_show(rate)}")
         self.risk_free_rate = float(rate)
         return self
 
@@ -195,9 +204,9 @@ def _parse_date(raw, key):
     if type(raw) is dt.date:  # not a YAML timestamp, a datetime
         return raw
     try:
-        return iso_date(str(raw))
+        return iso_date(raw)  # TypeError unless raw is text
     except (TypeError, ValueError):
-        raise ConfigError(f"{key}: unparsable date {raw!r} (expected YYYY-MM-DD)") from None
+        raise ConfigError(f"{key}: unparsable date {_show(raw)} (expected YYYY-MM-DD)") from None
 
 
 class _Strict:
@@ -211,7 +220,7 @@ class _Strict:
         except (ValueError, AttributeError):  # PyYAML's !!timestamp abc: AttributeError
             tag = node.tag.rpartition(":")[2]
             raise yaml.constructor.ConstructorError(
-                None, None, f"{node.value!r} is not a valid {tag}", node.start_mark) from None
+                None, None, f"{_show(node.value)} is not a valid {tag}", node.start_mark) from None
 
     def construct_mapping(self, node, deep=False):
         seen = set()
@@ -221,7 +230,7 @@ class _Strict:
                 break  # PyYAML's own unhashable-key error follows
             if key in seen:
                 raise yaml.constructor.ConstructorError(
-                    None, None, f"found duplicate key {key!r}", key_node.start_mark)
+                    None, None, f"found duplicate key {_show(key)}", key_node.start_mark)
             seen.add(key)
         return super().construct_mapping(node, deep)
 
@@ -261,11 +270,6 @@ def load_config(path):
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    for key, value in raw.items():  # the messages below repr the values they reject
-        try:
-            repr([[value]])  # _check_int reprs a value two calls deeper than here
-        except RecursionError:
-            raise ConfigError(f"{path}: {key}: value nested too deeply") from None
 
     keys = fields(RunConfig)
     _reject_unknown(raw, [f.name for f in keys])
@@ -274,10 +278,10 @@ def load_config(path):
             raise ConfigError(f"{f.name}: required key missing")
     for key in ("data_dir", "output_dir"):
         if not isinstance(raw[key], str):
-            raise ConfigError(f"{key}: expected a path string, got {raw[key]!r}")
+            raise ConfigError(f"{key}: expected a path string, got {_show(raw[key])}")
     for key in ("linkage_rule", "close_column", "date_column", "align"):
         if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"{key}: expected a string, got {raw[key]!r}")
+            raise ConfigError(f"{key}: expected a string, got {_show(raw[key])}")
 
     sectors = raw["sectors"]
     if not isinstance(sectors, dict) or not all(
@@ -293,8 +297,8 @@ def load_config(path):
         values[key] = _parse_date(raw[key], key)
     if "methods" in raw:
         methods = raw["methods"]
-        if isinstance(methods, list):
-            methods = {str(m): {} for m in methods}  # a mapping entry is unhashable
+        if isinstance(methods, list):  # other entries by their repr: a mapping is unhashable
+            methods = {m if isinstance(m, str) else _show(m): {} for m in methods}
         if not isinstance(methods, dict):
             raise ConfigError("methods: expected a mapping or list of method names")
         values["methods"] = {m: {} if p is None else p for m, p in methods.items()}

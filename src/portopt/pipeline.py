@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from portopt._io import write_json, write_text
-from portopt._pool import fork_pool, pool_map
+from portopt._pool import WorkerDied, fork_pool, pool_map
 from portopt._version import __version__
 from portopt.allocators import (
     AllocationError,
@@ -64,8 +64,9 @@ METHOD_KEYS = {
     "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
 }
 
-# OSError: an output path the sector cannot write, such as a file named like its directory
-SECTOR_ERRORS = (AllocationError, ClusterError, DataError, OSError, StatsError)
+# OSError: an output path the sector cannot write, such as a file named like its directory;
+# WorkerDied: a pool worker died, which fails every sector of its map
+SECTOR_ERRORS = (AllocationError, ClusterError, DataError, OSError, StatsError, WorkerDied)
 
 # artifact kinds run_sector can write; run writes all of them
 ARTIFACTS = ("weights", "frontier", "dendrogram", "reports")
@@ -269,7 +270,8 @@ def map_sectors(cfg, sectors, task, workers=1):
     order], after making the output root and parsing every CSV they list once.
     With workers > 1, several sectors run in a pool of up to `workers` forked
     processes, while a lone sector runs here and its MVP sample blocks and gap
-    batches go to the pool (portopt._pool); the bytes are those of one process."""
+    batches go to the pool (portopt._pool); the bytes are those of one process.
+    A worker that dies fails every sector with WorkerDied; nothing is retried."""
     global _parsed
     cfg.make_output_dir()
     paths = (ticker_csv(cfg, t) for sector in sectors for t in cfg.sectors[sector])
@@ -277,6 +279,8 @@ def map_sectors(cfg, sectors, task, workers=1):
     try:
         with fork_pool(workers if len(sectors) == 1 else min(workers, len(sectors))):
             return pool_map(partial(_sector_task, task, cfg), sectors)
+    except WorkerDied as exc:
+        return [exc] * len(sectors)
     finally:
         _parsed = None
 

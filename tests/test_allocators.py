@@ -189,6 +189,12 @@ class TestHercAllocate:
         assert rules == ["single"]
 
 
+def test_fit_method_rejects_an_unknown_method(synthetic_fixture):
+    cfg = load_config(synthetic_fixture / "config.yaml")
+    with pytest.raises(AllocationError, match="^unknown method 'foo'$"):
+        fit_method(cfg, "foo", None)
+
+
 class TestMvpOptimize:
     def _instance(self, seed=0, n=4, t=120):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from portopt import market_data, pipeline
+from portopt import allocators, market_data, pipeline
 from portopt.allocators import read_weights_csv
 from portopt.cli import main
 from portopt.config import load_config
@@ -418,6 +419,72 @@ class TestParallelRun:
         assert seen == ([1] * calls + [4] * calls if sys.platform == "linux" else [1] * 2 * calls)
 
 
+_TEST_PID = os.getpid()
+_RUN_SECTOR, _SCORE_BLOCK = pipeline.run_sector, allocators._score_block
+
+
+def _die_in_a_worker():
+    """SIGKILL this process if it is a pool worker; never the test process."""
+    if os.getpid() != _TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _run_sector_killing_beta(cfg, sector, parsed=None, **kwargs):
+    if sector == "beta":
+        _die_in_a_worker()
+    return _RUN_SECTOR(cfg, sector, parsed, **kwargs)
+
+
+def _score_block_killing(*args):
+    _die_in_a_worker()
+    return _SCORE_BLOCK(*args)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the CLI pools only on Linux")
+class TestDeadWorker:
+    """A pool worker killed by a signal fails its map's sectors, not the run."""
+
+    def _run(self, config, argv, tmp_path, monkeypatch, capsys):
+        _set_cpus(monkeypatch, {0, 1})
+        out = tmp_path / "out"
+        code = main([argv[0], "--config", str(config), "--out", str(out), *argv[1:]])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, out, err
+
+    def test_a_sector_worker_that_dies_fails_the_map(
+        self, synthetic_fixture, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(pipeline, "run_sector", _run_sector_killing_beta)
+        config = synthetic_fixture / "config.yaml"
+        code, out, err = self._run(config, ["run"], tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert "sector 'beta' failed: a worker process died" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == {} and sorted(manifest["failures"]) == ["alpha", "beta"]
+        assert all("worker process died" in m for m in manifest["failures"].values())
+
+    def test_a_block_worker_that_dies_fails_the_lone_sector(
+        self, fixture_copy, tmp_path, monkeypatch, capsys
+    ):
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace("  beta: [BBA, BBB, BBC]\n", ""), encoding="utf-8")
+        # the fixture's 2 000 MVP samples are two blocks, scored in the pool
+        monkeypatch.setattr(allocators, "_score_block", _score_block_killing)
+        code, out, err = self._run(config, ["run"], tmp_path, monkeypatch, capsys)
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["failures"]) == ["alpha"]
+        assert "worker process died" in manifest["failures"]["alpha"]
+
+    def test_other_subcommands_exit_2(self, synthetic_fixture, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(allocators, "_score_block", _score_block_killing)
+        config = synthetic_fixture / "config.yaml"
+        code, _, err = self._run(config, ["frontier"], tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("data error: a worker process died")
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -442,6 +509,12 @@ def test_import_pins_blas_to_one_thread():
         "print(len(os.listdir('/proc/self/task')))\n"
     )
     assert _python(["-c", script]).stdout == "1\n"
+
+
+def test_the_cli_imports_no_pool_modules():
+    # the pool's modules load only when a run opens its pool
+    script = "import sys, portopt.cli; print(sorted({'multiprocessing', 'concurrent'} & set(sys.modules)))"
+    assert _python(["-c", script]).stdout == "[]\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
@@ -506,6 +579,28 @@ class TestExitCodes:
         assert code == 1
         assert "--seed" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["run", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+         (["optimize"], "the following arguments are required: --method")],
+        ids=["seed_not_an_int", "optimize_without_method"],
+    )
+    def test_usage_error_exits_1(self, synthetic_fixture, tmp_path, capsys, argv, named):
+        # argparse's own exit code, 2, is the data-error code
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, *_cfg(synthetic_fixture), "--out", str(tmp_path / "out")])
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: portopt {argv[0]}") and f"error: {named}\n" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out
 
     def test_unknown_sector_exits_1(self, synthetic_fixture, tmp_path, capsys):
         code = main(

@@ -21,6 +21,17 @@ sectors:
 DEEP = "[" * 2000 + "]" * 2000
 
 
+def _anchors(n, link):
+    """A flow list of n anchored lists, each holding `link` aliases of the one
+    before; expanded, the last holds 2**(n - 1) lists (link 2) or nests n deep (link 1)."""
+    items = ["&a0 [x]"] + [f"&a{i} [{', '.join([f'*a{i - 1}'] * link)}]" for i in range(1, n)]
+    return f"[{', '.join(items)}]"
+
+
+DOUBLING = _anchors(30, 2)  # about 2**30 lists once expanded, from 531 bytes
+LINEAR = _anchors(1200, 1)  # 1 200 lists deep once expanded, 2 as parsed
+
+
 def _write(tmp_path, text):
     path = tmp_path / "config.yaml"
     # a lone surrogate in text writes as that raw byte: a non-UTF-8 file
@@ -309,6 +320,45 @@ class TestLoadConfig:
         )
         assert out.returncode == 1, out.stderr
         assert out.stderr == f"configuration error: {config}: close_column: value nested too deeply\n"
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("test_end", f"close_column: {DOUBLING}\ntest_end", "close_column"),
+            ("data_dir: data", f"data_dir: {DOUBLING}", "data_dir"),
+            ("train_end: 2021-06-30", f"train_end: {DOUBLING}", "train_end"),
+            ("test_end", f"risk_free_rate: {DOUBLING}\ntest_end", "risk_free_rate"),
+            ("alpha: [AAA, AAB]", f"alpha: [AAA, {DOUBLING}]", "sectors.alpha"),
+            ("test_end", f"methods: [mvp, {DOUBLING}]\ntest_end", "methods."),
+            ("test_end", f"methods:\n  mvp: {DOUBLING}\ntest_end", "methods.mvp"),
+            ("test_end", f"methods:\n  mvp: {{n_samples: {DOUBLING}}}\ntest_end", "methods.mvp.n_samples"),
+            ("test_end", f"close_column: {LINEAR}\ntest_end", "close_column"),
+        ],
+        ids=["close_column", "data_dir", "train_end", "risk_free_rate", "ticker", "methods_list",
+             "methods_mvp", "methods_mvp_n_samples", "linear_close_column"],
+    )
+    def test_an_aliased_value_exits_1_with_a_short_message(self, tmp_path, loader, old, new, key):
+        # in a fresh interpreter with a capped address space: a message showing
+        # the expanded value would take minutes and gigabytes
+        import resource
+
+        if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        config = _write(tmp_path, MINIMAL.replace(old, new, 1))
+        drop = "del yaml.CSafeLoader; " if loader == "python" else ""
+        script = f"import sys, yaml; {drop}from portopt.cli import main; sys.exit(main())"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=20,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert out.returncode == 1, out.stderr[-1000:]
+        message = out.stderr.removeprefix("configuration error: ").removeprefix(f"{config}: ")
+        assert message.startswith(key) and "Traceback" not in message
+        assert len(out.stderr.encode()) < 1024
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -216,6 +216,9 @@ class TestGapOptimalK:
         r = block_return_panel(2)
         assert gap_optimal_k(r, b_refs=10, seed=7) == gap_optimal_k(r, b_refs=10, seed=7)
 
+    def test_unseeded_draw_gives_a_k_in_range(self):
+        assert 1 <= gap_optimal_k(block_return_panel(2), k_max=4, b_refs=5, seed=None) <= 4
+
     def test_k_max_validated(self):
         r = block_return_panel(0, n_blocks=2, per_block=2, t=50)
         with pytest.raises(ClusterError, match="k_max"):

@@ -10,6 +10,7 @@ from portopt.riskstats import (
     DistanceMatrix,
     ExpectedReturns,
     StatsError,
+    check_distances,
     corr_to_distance,
     correlation,
     covariance,
@@ -19,6 +20,11 @@ from portopt.riskstats import (
     sharpe_ratio,
 )
 from reference_impls import make_returns
+
+
+def _distances_alone(tickers, values):
+    """check_distances on its own, as the gap statistic calls it on a stack of sets."""
+    check_distances(values)
 
 
 class TestExpectedReturns:
@@ -178,6 +184,8 @@ class TestMatrixTypes:
             (DistanceMatrix, "AB", [[0.0, math.inf], [math.inf, 0.0]], "^distance matrix contains non"),
             (DistanceMatrix, "AB", [[0.0, 0.5], [0.4, 0.0]], "^distance matrix is not symmetric"),
             (DistanceMatrix, "AB", [[0.1, 0.5], [0.5, 0.0]], "^distance diagonal must be 0"),
+            (_distances_alone, "AB", [[0.0, math.inf], [math.inf, 0.0]], "^distance matrix contains non"),
+            (_distances_alone, "AB", [[[0.0, 0.5], [0.4, 0.0]]], "^distance matrix is not symmetric"),
         ],
     )
     def test_bad_matrix_rejected(self, matrix, tickers, values, match):
