@@ -1,11 +1,16 @@
-"""Atomic artifact writes: every output file goes through write_text.  A name
-that becomes part of a file path must pass is_path_component."""
+"""Atomic artifact writes and the JSON format: every output file goes through
+write_text, and every JSON artifact is render_json's text.  A name that becomes
+part of a file path must pass is_path_component."""
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+# exact member types that make a container one call of json's encoder
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
 
 
 def is_path_component(name):
@@ -33,8 +38,34 @@ def write_text(path, text):
 
 
 def render_json(payload):
-    """payload as indented, key-sorted JSON with a trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) + "\\n", at any depth: the
+    payload is walked with an explicit stack, and a container whose members'
+    types are all in _SCALAR_TYPES is one call of json's C encoder, its newline
+    and indent in the item separator (json escapes a newline in a string).  A
+    dict that holds a container must have str keys."""
+    out = []
+    stack = ["\n", (payload, "\n")]  # text, or (value, newline + its indent)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        value, nl = item
+        inner = nl + "  "
+        is_dict = isinstance(value, dict)
+        if not (is_dict or isinstance(value, (list, tuple))) or not value:
+            out.append(json.dumps(value))
+        elif set(map(type, value.values() if is_dict else value)) <= _SCALAR_TYPES:
+            text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+            out += (text[0], inner, text[1:-1], nl, text[-1])
+        else:
+            keys = sorted(value) if is_dict else range(len(value))
+            opening, closing = "{}" if is_dict else "[]"
+            stack.append(nl + closing)
+            for i in range(len(keys) - 1, -1, -1):
+                head = encode_basestring_ascii(keys[i]) + ": " if is_dict else ""
+                stack += [(value[keys[i]], inner), ("," if i else opening) + inner + head]
+    return "".join(out)
 
 
 def write_json(path, payload):

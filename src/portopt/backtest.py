@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from portopt._io import render_json, write_text
+from portopt._io import write_json
 from portopt.market_data import DataError, as_dates
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
@@ -175,40 +175,14 @@ def report_to_dict(report):
         "portfolio": report.portfolio,
         "period": report.period,
         "dates": np.datetime_as_string(report.dates).tolist(),
-        "cumulative_series": [float(x) for x in report.cumulative_series],
+        "cumulative_series": report.cumulative_series.tolist(),
         "metrics": asdict(report.metrics),
     }
 
 
-def render_report_json(report):
-    """render_json(report_to_dict(report)), joined from float.__repr__ of
-    the series (json's text for a finite float) and the ISO dates.  An empty
-    or non-finite series goes through render_json itself.
-    """
-    series = report.cumulative_series
-    if series.size == 0 or not np.isfinite(series).all():
-        return render_json(report_to_dict(report))
-    metrics = sorted(asdict(report.metrics).items())
-    return "".join(
-        [
-            '{\n  "cumulative_series": [\n    ',
-            ",\n    ".join(map(float.__repr__, series.tolist())),
-            '\n  ],\n  "dates": [\n    "',
-            '",\n    "'.join(np.datetime_as_string(report.dates).tolist()),
-            '"\n  ],\n  "metrics": {\n    ',
-            ",\n    ".join(f'"{k}": {json.dumps(v)}' for k, v in metrics),
-            '\n  },\n  "period": ',
-            json.dumps(report.period),
-            ',\n  "portfolio": ',
-            json.dumps(report.portfolio),
-            "\n}\n",
-        ]
-    )
-
-
 def write_report_json(report, path):
-    """Write render_report_json(report) to path atomically."""
-    write_text(path, render_report_json(report))
+    """Write report_to_dict(report) to path atomically as JSON."""
+    write_json(path, report_to_dict(report))
 
 
 def read_report_metrics(path):
@@ -218,8 +192,10 @@ def read_report_metrics(path):
     try:
         # every number a float, so a 400-digit int is inf, not a later OverflowError
         payload = json.loads(path.read_text(encoding="utf-8"), parse_int=float)
-    except OSError:
+    except FileNotFoundError:
         raise DataError(f"missing report file: {path}") from None
+    except OSError as exc:  # a directory at the path, say
+        raise DataError(f"{path}: cannot read report file: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or nesting depth
         raise DataError(f"{path}: not a report JSON: {exc}") from None
     m = payload.get("metrics") if isinstance(payload, dict) else None

@@ -25,7 +25,7 @@ from pathlib import Path
 from portopt._io import is_path_component
 from portopt._version import __version__
 from portopt.allocators import MVP_SAMPLES, read_weights_csv
-from portopt.backtest import BacktestError, read_report_metrics, write_report_json
+from portopt.backtest import BacktestError, read_report_metrics
 from portopt.config import KNOWN_METHODS, ConfigError, load_config
 from portopt.pipeline import (
     MANIFEST_NAME,
@@ -38,6 +38,7 @@ from portopt.pipeline import (
     ingest_sector,
     map_sectors,
     prepare_sector,
+    report_path,
     run_pipeline,
     run_sector,
     write_summaries,
@@ -176,10 +177,8 @@ def _cmd_backtest(cfg, args):
         raise ConfigError(f"--label: expected a file name part without '/', got {label!r}")
     weights = read_weights_csv(args.weights)
     data = prepare_sector(cfg, weights.tickers)
-    out = cfg.make_output_dir()
-    for period, report in evaluate_periods(cfg, weights, data, label).items():
-        path = out / f"{label}_{period}_report.json"
-        write_report_json(report, path)
+    reports = evaluate_periods(cfg, weights, data, label, cfg.make_output_dir(), label)
+    for period, (path, report) in reports.items():
         sharpe = "undefined" if report.metrics.sharpe is None else f"{report.metrics.sharpe:.4f}"
         print(
             f"{period}: return {report.metrics.annual_return:.4%} "
@@ -213,7 +212,7 @@ def _cmd_report(cfg, args):
         period: {
             sector: {
                 METHOD_LABELS[method]: read_report_metrics(
-                    reports_dir / sector / f"{method}_{period}_report.json"
+                    report_path(reports_dir / sector, method, period)
                 )
                 for method in methods
             }

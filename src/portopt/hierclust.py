@@ -9,13 +9,13 @@ order is deterministic across platforms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from portopt._io import render_json
 from portopt._pool import pool_map
 from portopt.riskstats import check_distances, corr_to_distance, correlation
 
@@ -348,31 +348,20 @@ DENDROGRAM_SCHEMA_VERSION = 1
 
 
 def dendrogram_export(tree, labels):
-    """The LinkageTree as dendrogram JSON text, indented by 2 with sorted keys
-    and a trailing newline, written from an explicit stack (so any depth).
+    """The LinkageTree as dendrogram JSON text (render_json's, so any depth).
 
     Leaves carry {"id", "ticker"}; internal nodes carry {"id", "height",
     "size", "children": [left, right]}.  The schema is versioned and stable.
     """
     n = tree.n_leaves
-    tickers = [json.dumps(label) for label in labels]
-    if len(tickers) != n:
-        raise ClusterError(f"got {len(tickers)} labels for {n} leaves")
-    out = [f'{{\n  "format": "dendrogram",\n  "n_leaves": {n},\n  "root": ']
-    # text to write, and (node id, the indent of its keys), popped from the end
-    stack = [f',\n  "version": {DENDROGRAM_SCHEMA_VERSION}\n}}\n', (tree.root, "    ")]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        nid, pad = item
-        if nid < n:
-            out.append(f'{{\n{pad}"id": {nid},\n{pad}"ticker": {tickers[nid]}\n{pad[2:]}}}')
-            continue
-        merge = tree.merges[nid - n]
-        out.append(f'{{\n{pad}"children": [\n{pad}  ')
-        close = f'\n{pad}],\n{pad}"height": {json.dumps(merge.height)},\n{pad}"id": {nid},\n'
-        close += f'{pad}"size": {json.dumps(merge.size)}\n{pad[2:]}}}'
-        stack += [close, (merge.right, pad + "    "), f",\n{pad}  ", (merge.left, pad + "    ")]
-    return "".join(out)
+    nodes = [{"id": i, "ticker": label} for i, label in enumerate(labels)]
+    if len(nodes) != n:
+        raise ClusterError(f"got {len(nodes)} labels for {n} leaves")
+    # a merge's children are older nodes, so they exist before it
+    for nid, merge in enumerate(tree.merges, start=n):
+        children = [nodes[merge.left], nodes[merge.right]]
+        nodes.append({"children": children, "height": merge.height, "id": nid, "size": merge.size})
+    root = nodes[tree.root]
+    return render_json(
+        {"format": "dendrogram", "n_leaves": n, "root": root, "version": DENDROGRAM_SCHEMA_VERSION}
+    )

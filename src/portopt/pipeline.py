@@ -163,19 +163,23 @@ def fit_method(cfg, method, data):
     raise AllocationError(f"unknown method {method!r}")
 
 
-def evaluate_periods(cfg, weights, data, portfolio):
-    """Backtest fixed weights on the train and test returns: {period: report}."""
-    return {
-        period: evaluate(
-            weights,
-            returns,
-            cfg.risk_free_rate,
-            portfolio=portfolio,
-            period=period,
-            annualization_days=cfg.annualization_days,
-        )
-        for period, returns in zip(PERIODS, (data.train_returns, data.test_returns))
+def report_path(directory, stem, period):
+    """<directory>/<stem>_<period>_report.json, where a period's report goes."""
+    return Path(directory) / f"{stem}_{period}_report.json"
+
+
+def evaluate_periods(cfg, weights, data, portfolio, directory, stem):
+    """Backtest fixed weights on the train and test returns, then write each
+    period's report to report_path(directory, stem, period); return
+    {period: (path, report)}."""
+    reports = {
+        period: evaluate(weights, r, cfg.risk_free_rate, portfolio, period, cfg.annualization_days)
+        for period, r in zip(PERIODS, (data.train_returns, data.test_returns))
     }
+    paths = {period: report_path(directory, stem, period) for period in PERIODS}
+    for period, report in reports.items():
+        write_report_json(report, paths[period])
+    return {period: (paths[period], reports[period]) for period in PERIODS}
 
 
 def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
@@ -211,10 +215,8 @@ def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
             paths["dendrogram"] = str(path)
         if "reports" in artifacts:
             label = METHOD_LABELS[method]
-            reports = evaluate_periods(cfg, weights, data, f"{sector}/{label}")
-            for period, report in reports.items():
-                path = sector_dir / f"{method}_{period}_report.json"
-                write_report_json(report, path)
+            reports = evaluate_periods(cfg, weights, data, f"{sector}/{label}", sector_dir, method)
+            for period, (path, report) in reports.items():
                 paths[f"{period}_report"] = str(path)
                 metrics[period][label] = report.metrics
         outputs[method] = paths

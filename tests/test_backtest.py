@@ -14,7 +14,6 @@ from portopt.backtest import (
     evaluate,
     portfolio_return_series,
     read_report_metrics,
-    render_report_json,
     report_to_dict,
     summarize,
     summary_to_csv,
@@ -277,28 +276,35 @@ def _seeded_report(seed, rows, portfolio="sector/HRP"):
     return evaluate(w, r, risk_free_rate=0.01 * seed, portfolio=portfolio, period="train")
 
 
+def _written(report, tmp_path):
+    """The text write_report_json writes for report."""
+    path = tmp_path / "report.json"
+    write_report_json(report, path)
+    return path.read_bytes().decode("utf-8")
+
+
 class TestRenderReportJson:
-    """The bulk renderer against json.dumps, byte for byte."""
+    """The report JSON write_report_json writes against json.dumps, byte for byte."""
 
     @pytest.mark.parametrize("seed, rows", [(1, 2), (2, 250), (3, 1000)])
-    def test_seeded_reports(self, seed, rows):
+    def test_seeded_reports(self, tmp_path, seed, rows):
         report = _seeded_report(seed, rows)
-        assert render_report_json(report) == _dumps(report)
+        assert _written(report, tmp_path) == _dumps(report)
 
-    def test_one_row_period(self):
+    def test_one_row_period(self, tmp_path):
         base = _seeded_report(0, 2)
         report = BacktestReport(
             "p", "test", base.dates[:1], base.cumulative_series[:1], base.metrics
         )
-        assert render_report_json(report) == _dumps(report)
+        assert _written(report, tmp_path) == _dumps(report)
 
-    def test_none_sharpe(self):
+    def test_none_sharpe(self, tmp_path):
         r = make_returns([[0.01], [0.01]])
         report = evaluate(WeightVector(("T0",), np.array([1.0])), r)
         assert report.metrics.sharpe is None
-        assert render_report_json(report) == _dumps(report)
+        assert _written(report, tmp_path) == _dumps(report)
 
-    def test_extreme_finite_values(self):
+    def test_extreme_finite_values(self, tmp_path):
         years = [dt.date(1, 1, 1), dt.date(999, 12, 31), dt.date(1000, 1, 1)]
         years += [dt.date(2021, 1, 4), dt.date(9999, 12, 30), dt.date(9999, 12, 31)]
         report = BacktestReport(
@@ -309,16 +315,21 @@ class TestRenderReportJson:
             PerfMetrics(-0.0, 1e-300, 1e16, -0.0),
         )
         assert report_to_dict(report)["dates"] == [d.isoformat() for d in years]
-        assert render_report_json(report) == _dumps(report)
+        assert _written(report, tmp_path) == _dumps(report)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_series_falls_back_to_json(self, bad):
+    def test_non_finite_series(self, tmp_path, bad):
         base = _seeded_report(5, 3)
         series = np.array(base.cumulative_series)
         series[1] = bad
         report = BacktestReport("p", "train", base.dates, series, base.metrics)
-        assert render_report_json(report) == _dumps(report)
+        assert _written(report, tmp_path) == _dumps(report)
 
-    def test_label_with_quote_backslash_and_non_ascii(self):
+    def test_label_with_quote_backslash_and_non_ascii(self, tmp_path):
         report = _seeded_report(6, 20, portfolio='s\u00e9c"t\\or/HRP \u2013 \U0001f4c8')
-        assert render_report_json(report) == _dumps(report)
+        assert _written(report, tmp_path) == _dumps(report)
+
+    def test_empty_series(self, tmp_path):
+        # an empty container is json's one-line [] inside the indented report
+        report = BacktestReport("p", "test", [], [], PerfMetrics(0.0, 0.0, None))
+        assert _written(report, tmp_path) == _dumps(report)

@@ -970,6 +970,22 @@ class TestReportInputs:
         assert str(bad) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_directory_at_a_report_path_exits_2_naming_the_cause(
+        self, synthetic_fixture, fixture_reports, tmp_path, capsys
+    ):
+        reports = tmp_path / "reports"
+        shutil.copytree(fixture_reports, reports)
+        bad = reports / "beta" / "herc_test_report.json"
+        bad.unlink()
+        bad.mkdir()
+        out = tmp_path / "summary"
+        code = main(
+            ["report", *_cfg(synthetic_fixture), "--out", str(out), "--reports-dir", str(reports)]
+        )
+        assert code == 2
+        assert f"{bad}: cannot read report file: Is a directory" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_null_sharpe_and_absent_risk_free_rate_are_read(
         self, synthetic_fixture, fixture_reports, tmp_path
     ):

@@ -1,5 +1,9 @@
 import json
+import math
+import random
+import sys
 
+import numpy as np
 import pytest
 
 from portopt._io import render_json, write_json, write_text
@@ -21,6 +25,55 @@ def test_write_json_matches_json_dumps(tmp_path):
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert render_json(payload) == expected
     assert path.read_text(encoding="utf-8") == expected
+
+
+_SCALARS = (
+    lambda rng: rng.random(),
+    lambda rng: np.float64(rng.uniform(-1e300, 1e300)),
+    lambda rng: rng.choice([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]),
+    lambda rng: rng.choice([0, -7, 2**70, -(2**63)]),
+    lambda rng: rng.choice([True, False, None]),
+    lambda rng: rng.choice(
+        ["", "a", 'q"\\', "line\nbreak\t", "\x00\x1f", "\u00e9\u2013\U0001f4c8"]
+    ),
+)
+_KEYS = ("", "a", "b", "Z", "10", "2", 'k"\\', "\n", "\u00e9", "\u2013", "\U0001f4c8")
+
+
+def _payload(rng, depth=0):
+    """A random JSON payload: scalars of every kind, lists, tuples and str-keyed
+    dicts, empty ones too, nested up to 5 deep."""
+    kind = rng.random()
+    if depth >= 5 or kind < 0.4:
+        return rng.choice(_SCALARS)(rng)
+    members = range(rng.randrange(5))
+    if kind < 0.6:
+        return [_payload(rng, depth + 1) for _ in members]
+    if kind < 0.7:
+        return tuple(_payload(rng, depth + 1) for _ in members)
+    return {rng.choice(_KEYS): _payload(rng, depth + 1) for _ in members}
+
+
+def test_render_json_matches_json_dumps_on_random_payloads():
+    rng = random.Random(0)
+    for _ in range(2000):
+        payload = _payload(rng)
+        assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("wrap", [lambda v: [v], lambda v: {"k": v, "a": 1}], ids=["list", "dict"])
+def test_render_json_any_depth(wrap):
+    payload = 0.5
+    for _ in range(1000):
+        payload = wrap(payload)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        sys.setrecursionlimit(200)
+        assert render_json(payload) == expected
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class TestFailedWrite:
