@@ -206,21 +206,20 @@ def herc_allocate(cov, tree, params=None, returns=None):
 
     variances = _variances(cov, list(range(n)))
     risks = np.sqrt(variances) if params.risk_measure == "std_dev" else variances
-    node_risk = {i: float(risks[i]) for i in range(n)}
-    for m, merge in enumerate(tree.merges):
-        node_risk[n + m] = node_risk[merge.left] + node_risk[merge.right]
+    node_risk = [float(risk) for risk in risks]
+    for a, b in zip(tree.left, tree.right):
+        node_risk.append(node_risk[a] + node_risk[b])
 
     # walk the top k-1 merges root-first, splitting weight between subtrees
     cluster_weight = {tree.root: 1.0}
     for m in reversed(range(n - k, n - 1)):
-        merge = tree.merges[m]
+        a, b = tree.left[m], tree.right[m]
         total = cluster_weight.pop(n + m)
-        r1, r2 = node_risk[merge.left], node_risk[merge.right]
-        frac = r1 / (r1 + r2)
+        frac = node_risk[a] / (node_risk[a] + node_risk[b])
         if params.cluster_weighting == "inverse":
             frac = 1.0 - frac
-        cluster_weight[merge.left] = total * frac
-        cluster_weight[merge.right] = total * (1.0 - frac)
+        cluster_weight[a] = total * frac
+        cluster_weight[b] = total * (1.0 - frac)
 
     weights = np.zeros(n)
     for node, cw in cluster_weight.items():

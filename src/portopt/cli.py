@@ -10,13 +10,14 @@ Subcommands:
     report      assemble summary tables from existing report JSONs
 
 Every subcommand honors --config (default from $PORTOPT_CONFIG), --seed, and
---out.  Exit codes: 0 success, 1 validation error, 2 data error, 3 partial
-sector failure.
+--out.  Exit codes: 0 success, 1 validation error, 2 data error (a failed
+write to stdout too), 3 partial sector failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import partial
@@ -48,6 +49,18 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
+
+
+def _say(*args, **kwargs):
+    """print to stdout.  A failed write exits 2 naming stdout, not as main's
+    data error naming a path, and points fd 1 at os.devnull so that the
+    interpreter's own flush at exit has nothing left to fail."""
+    try:
+        print(*args, **kwargs)
+    except OSError as exc:
+        print(f"cannot write to stdout: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_DATA)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,20 +166,20 @@ def _cmd_run(cfg, args):
     manifest = run_pipeline(cfg, workers=_cpus())
     for sector, message in sorted(manifest.failures.items()):
         print(f"sector {sector!r} failed: {message}", file=sys.stderr)
-    print(f"manifest: {Path(cfg.output_dir) / MANIFEST_NAME}")
+    _say(f"manifest: {Path(cfg.output_dir) / MANIFEST_NAME}")
     return EXIT_PARTIAL if manifest.failures else EXIT_OK
 
 
 def _cmd_ingest(cfg, args):
     for sector, (dates, tickers, path) in _sector_results(cfg, _sectors(cfg, args), ingest_sector):
-        print(f"{sector}: {dates} dates x {tickers} tickers -> {path}")
+        _say(f"{sector}: {dates} dates x {tickers} tickers -> {path}")
     return EXIT_OK
 
 
 def _cmd_optimize(cfg, args):
     task = partial(run_sector, methods=[args.method], artifacts=["weights"])
     for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
-        print(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
+        _say(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
     return EXIT_OK
 
 
@@ -180,7 +193,7 @@ def _cmd_backtest(cfg, args):
     reports = evaluate_periods(cfg, weights, data, label, cfg.make_output_dir(), label)
     for period, (path, report) in reports.items():
         sharpe = "undefined" if report.metrics.sharpe is None else f"{report.metrics.sharpe:.4f}"
-        print(
+        _say(
             f"{period}: return {report.metrics.annual_return:.4%} "
             f"vol {report.metrics.annual_volatility:.4%} sharpe {sharpe} -> {path}"
         )
@@ -191,7 +204,7 @@ def _cmd_frontier(cfg, args):
     n_samples = cfg.methods["mvp"].get("n_samples", MVP_SAMPLES)
     task = partial(run_sector, methods=["mvp"], artifacts=["frontier"])
     for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
-        print(f"{sector}: {n_samples} samples -> {outputs['mvp']['frontier']}")
+        _say(f"{sector}: {n_samples} samples -> {outputs['mvp']['frontier']}")
     return EXIT_OK
 
 
@@ -199,7 +212,7 @@ def _cmd_dendrogram(cfg, args):
     sectors = _sectors(cfg, args)
     cfg.check_clusterable(sectors, "dendrogram")
     for sector, path in _sector_results(cfg, sectors, dendrogram_sector):
-        print(f"{sector}: {path}")
+        _say(f"{sector}: {path}")
     return EXIT_OK
 
 
@@ -222,7 +235,7 @@ def _cmd_report(cfg, args):
     }
     paths = write_summaries(metrics, methods, cfg.make_output_dir())
     for period in PERIODS:
-        print(f"{period}: {paths[period]['table']}")
+        _say(f"{period}: {paths[period]['table']}")
     return EXIT_OK
 
 
@@ -251,5 +264,15 @@ def main(argv=None):
         return EXIT_DATA
 
 
+def entry():
+    """main() as a process, for the portopt script and python -m portopt.cli:
+    stdout is flushed while a failed write can still exit 2, then gc.freeze()
+    spares interpreter teardown a walk over every object the run left."""
+    code = main()
+    _say(end="", flush=True)
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

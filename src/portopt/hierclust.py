@@ -20,6 +20,7 @@ from portopt._pool import pool_map
 from portopt.riskstats import check_distances, corr_to_distance, correlation
 
 LINKAGE_RULES = ("ward", "single")
+_COLUMNS = ("left", "right", "height", "size")
 
 
 class ClusterError(Exception):
@@ -27,34 +28,26 @@ class ClusterError(Exception):
 
 
 @dataclass(frozen=True)
-class Merge:
-    """One agglomeration step: children node ids, linkage height, member count."""
-
-    left: int
-    right: int
-    height: float
-    size: int
-
-
-@dataclass(frozen=True)
 class LinkageTree:
-    """Full agglomerative merge history over n_leaves items."""
+    """The merge history of n_leaves items as the linkage matrix's columns: merge
+    m joins left[m] and right[m] at height[m] into node n_leaves + m, of size[m] leaves."""
 
     n_leaves: int
-    merges: tuple
+    left: tuple
+    right: tuple
+    height: tuple
+    size: tuple
 
     def __post_init__(self):
         n = self.n_leaves
-        merges = tuple(self.merges)
         if n < 1:
             raise ClusterError("tree needs at least one leaf")
-        if len(merges) != n - 1:
-            raise ClusterError(f"expected {n - 1} merges, got {len(merges)}")
-        left, right, size = np.array(
-            [(m.left, m.right, m.size) for m in merges], dtype=int
-        ).reshape(-1, 3).T[:, None]
-        _check_merges(left, right, np.array([[m.height for m in merges]], dtype=float), size)
-        object.__setattr__(self, "merges", merges)
+        columns = [tuple(getattr(self, name)) for name in _COLUMNS]
+        if any(len(column) != n - 1 for column in columns):
+            raise ClusterError(f"expected {n - 1} merges, got columns of {list(map(len, columns))}")
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+        _check_merges(*(np.array(c, ndmin=2, dtype=t) for c, t in zip(columns, (int, int, float, int))))
 
     @property
     def root(self):
@@ -69,9 +62,8 @@ class LinkageTree:
             if cur < n:
                 out.append(cur)
             else:
-                merge = self.merges[cur - n]
-                stack.append(merge.right)
-                stack.append(merge.left)
+                stack.append(self.right[cur - n])
+                stack.append(self.left[cur - n])
         return out
 
 
@@ -83,7 +75,7 @@ def _py_square(x):
 
 
 def _lance_williams(dist, linkage_rule):
-    """Merge histories of a (batch, n, n) stack of distance matrices.
+    """The merge histories of a (batch, n, n) stack of distance matrices.
 
     Each slice keeps one symmetric matrix indexed by node id; the diagonal,
     retired nodes and nodes not yet formed hold inf, so the slice's
@@ -142,10 +134,8 @@ def agglomerate(dist, linkage_rule="ward"):
     n = len(dist.tickers)
     if n < 2:
         raise ClusterError("need at least 2 items to cluster")
-    left, right, height, size = (
-        column[0].tolist() for column in _lance_williams(dist.values[None], linkage_rule)
-    )
-    return LinkageTree(n, tuple(map(Merge, left, right, height, size)))
+    columns = _lance_williams(dist.values[None], linkage_rule)
+    return LinkageTree(n, *(column[0].tolist() for column in columns))
 
 
 def quasi_diagonalize(tree):
@@ -162,7 +152,7 @@ def cut_k(tree, k):
     n = tree.n_leaves
     if not 1 <= k <= n:
         raise ClusterError(f"k={k} out of range 1..{n}")
-    *_, clusters = _cuts([m.left for m in tree.merges], [m.right for m in tree.merges], k)
+    *_, clusters = _cuts(tree.left, tree.right, k)
     labels = [0] * n
     for label, node in enumerate(clusters):
         for leaf in tree.leaves_under(node):
@@ -358,9 +348,8 @@ def dendrogram_export(tree, labels):
     if len(nodes) != n:
         raise ClusterError(f"got {len(nodes)} labels for {n} leaves")
     # a merge's children are older nodes, so they exist before it
-    for nid, merge in enumerate(tree.merges, start=n):
-        children = [nodes[merge.left], nodes[merge.right]]
-        nodes.append({"children": children, "height": merge.height, "id": nid, "size": merge.size})
+    for nid, (a, b, height, size) in enumerate(zip(tree.left, tree.right, tree.height, tree.size), n):
+        nodes.append({"children": [nodes[a], nodes[b]], "height": height, "id": nid, "size": size})
     root = nodes[tree.root]
     return render_json(
         {"format": "dendrogram", "n_leaves": n, "root": root, "version": DENDROGRAM_SCHEMA_VERSION}

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from portopt.allocators import WeightVector
-from portopt.hierclust import LinkageTree, Merge
+from portopt.hierclust import LinkageTree
 from portopt.market_data import ReturnMatrix
 from portopt.riskstats import CovMatrix, DistanceMatrix
 
@@ -63,8 +63,8 @@ def naive_cut(tree, k):
     member lists of the first n-k merges, with no tree walk."""
     n = tree.n_leaves
     members = {i: [i] for i in range(n)}
-    for step, merge in enumerate(tree.merges[: n - k]):
-        members[n + step] = members.pop(merge.left) + members.pop(merge.right)
+    for step, (a, b) in enumerate(zip(tree.left[: n - k], tree.right[: n - k])):
+        members[n + step] = members.pop(a) + members.pop(b)
     return {frozenset(m) for m in members.values()}
 
 
@@ -126,12 +126,12 @@ def nested_dendrogram(tree, labels):
     def node(nid):
         if nid < tree.n_leaves:
             return {"id": nid, "ticker": labels[nid]}
-        merge = tree.merges[nid - tree.n_leaves]
+        m = nid - tree.n_leaves
         return {
             "id": nid,
-            "height": merge.height,
-            "size": merge.size,
-            "children": [node(merge.left), node(merge.right)],
+            "height": tree.height[m],
+            "size": tree.size[m],
+            "children": [node(tree.left[m]), node(tree.right[m])],
         }
 
     root = node(tree.root)
@@ -142,9 +142,9 @@ def nested_dendrogram(tree, labels):
 def caterpillar_tree(n):
     """The deepest tree on n leaves: leaf j + 1 joins the cluster of leaves
     0..j at height j, so the root is n - 1 merges above leaf 0."""
-    merges = [Merge(0, 1, 0.0, 2)]
-    merges += [Merge(j + 1, n + j - 1, float(j), j + 2) for j in range(1, n - 1)]
-    return LinkageTree(n, tuple(merges))
+    left = [0] + [j + 1 for j in range(1, n - 1)]
+    right = [1] + [n + j - 1 for j in range(1, n - 1)]
+    return LinkageTree(n, left, right, [float(j) for j in range(n - 1)], range(2, n + 1))
 
 
 def ivp_weights(cov):
@@ -199,21 +199,23 @@ def random_psd_cov(rng, n, scale=0.02):
 def random_tree(rng, n):
     """Arbitrary-topology linkage tree: random merge pairs, increasing heights."""
     active = list(range(n))
-    merges = []
+    left, right, heights, sizes = [], [], [], []
     height = 0.0
     for step in range(n - 1):
         i, j = sorted(rng.choice(len(active), size=2, replace=False))
         b = active.pop(int(j))
         a = active.pop(int(i))
         height += float(rng.random()) + 1e-6
-        size = _subtree_size(merges, n, a) + _subtree_size(merges, n, b)
-        merges.append(Merge(a, b, height, size))
+        sizes.append(_subtree_size(sizes, n, a) + _subtree_size(sizes, n, b))
+        left.append(a)
+        right.append(b)
+        heights.append(height)
         active.append(n + step)
-    return LinkageTree(n, tuple(merges))
+    return LinkageTree(n, left, right, heights, sizes)
 
 
-def _subtree_size(merges, n, node):
-    return 1 if node < n else merges[node - n].size
+def _subtree_size(sizes, n, node):
+    return 1 if node < n else sizes[node - n]
 
 
 def make_returns(rows, tickers=None, start=dt.date(2021, 1, 4)):

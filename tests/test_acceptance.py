@@ -25,7 +25,6 @@ from portopt.backtest import cumulative_series, summarize
 from portopt.config import load_config
 from portopt.hierclust import (
     LinkageTree,
-    Merge,
     agglomerate,
     gap_optimal_k,
     quasi_diagonalize,
@@ -239,11 +238,11 @@ def test_criterion_06_clustering_matches_naive_reference():
     for dist in instances:
         for rule in ("ward", "single"):
             tree = agglomerate(dist, rule)
-            for merge, (a, b, h, size) in zip(tree.merges, naive_linkage(dist.values, rule)):
-                assert (merge.left, merge.right, merge.size) == (a, b, size)
-                assert merge.height == pytest.approx(h, abs=1e-9)
+            for m, (a, b, h, size) in enumerate(naive_linkage(dist.values, rule)):
+                assert (tree.left[m], tree.right[m], tree.size[m]) == (a, b, size)
+                assert tree.height[m] == pytest.approx(h, abs=1e-9)
     ward_fixture = agglomerate(fixture, "ward")
-    assert ward_fixture.merges[1].height * 4 == pytest.approx(math.sqrt(21), abs=1e-12)
+    assert ward_fixture.height[1] * 4 == pytest.approx(math.sqrt(21), abs=1e-12)
     _verdict(6, "clustering matches naive reference", True, "101 instances, both rules")
     _elapsed_ok(6, "clustering oracle", t0, 10.0)
 
@@ -254,8 +253,8 @@ def test_criterion_07_quasi_diagonalization():
     for _ in range(100):
         n = int(rng.integers(2, 65))
         assert sorted(quasi_diagonalize(random_tree(rng, n))) == list(range(n))
-    balanced = LinkageTree(4, (Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 2), Merge(4, 5, 0.3, 4)))
-    caterpillar = LinkageTree(4, (Merge(1, 2, 0.1, 2), Merge(0, 4, 0.2, 3), Merge(5, 3, 0.3, 4)))
+    balanced = LinkageTree(4, (0, 2, 4), (1, 3, 5), (0.1, 0.2, 0.3), (2, 2, 4))
+    caterpillar = LinkageTree(4, (1, 0, 5), (2, 4, 3), (0.1, 0.2, 0.3), (2, 3, 4))
     assert quasi_diagonalize(balanced) == [0, 1, 2, 3]
     assert quasi_diagonalize(caterpillar) == [0, 1, 2, 3]
     _verdict(7, "quasi-diagonalization permutations and fixtures", True,
@@ -277,7 +276,7 @@ def test_criterion_08_gap_statistic_recovers_three_blocks():
 
 def test_criterion_09_herc_hand_oracles():
     t0 = time.perf_counter()
-    pair_tree = LinkageTree(2, (Merge(0, 1, 0.5, 2),))
+    pair_tree = LinkageTree(2, (0,), (1,), (0.5,), (2,))
     cov = CovMatrix(("A", "B"), np.diag([1.0, 9.0]))  # std-dev risks (1, 3)
 
     inverse = herc_allocate(cov, pair_tree, HercParams(k=2))
@@ -291,7 +290,7 @@ def test_criterion_09_herc_hand_oracles():
 
     # two 2-member clusters: split 0.75/0.25, equal parity within each
     cov4 = CovMatrix(tuple("ABCD"), np.diag([1.0, 1.0, 9.0, 9.0]))
-    tree4 = LinkageTree(4, (Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 2), Merge(4, 5, 0.3, 4)))
+    tree4 = LinkageTree(4, (0, 2, 4), (1, 3, 5), (0.1, 0.2, 0.3), (2, 2, 4))
     nested = herc_allocate(cov4, tree4, HercParams(k=2))
     np.testing.assert_allclose(nested.weights, [0.375, 0.375, 0.125, 0.125], atol=1e-12)
     _verdict(9, "herc hand oracles", True, "4 fixtures")

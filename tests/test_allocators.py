@@ -21,7 +21,7 @@ from portopt.allocators import (
     write_weights_csv,
 )
 from portopt.config import load_config
-from portopt.hierclust import LinkageTree, Merge, agglomerate, gap_optimal_k
+from portopt.hierclust import LinkageTree, agglomerate, gap_optimal_k
 from portopt.pipeline import fit_method, prepare_sector
 from portopt.riskstats import CovMatrix, ExpectedReturns
 from reference_impls import ivp_weights, make_returns
@@ -36,10 +36,10 @@ def _cov(values, labels=None):
 
 def _chain_tree_4():
     # ((0,1),(2,3)): leaf order 0,1,2,3
-    return LinkageTree(4, (Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 2), Merge(4, 5, 0.3, 4)))
+    return LinkageTree(4, (0, 2, 4), (1, 3, 5), (0.1, 0.2, 0.3), (2, 2, 4))
 
 
-PAIR_TREE = LinkageTree(2, (Merge(0, 1, 0.5, 2),))
+PAIR_TREE = LinkageTree(2, (0,), (1,), (0.5,), (2,))
 
 
 class TestWeightVector:
@@ -110,7 +110,7 @@ class TestHrpAllocate:
 
     def test_odd_group_puts_extra_leaf_left(self):
         # 3 leaves: first split must be [a, b] vs [c]
-        tree = LinkageTree(3, (Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 3)))
+        tree = LinkageTree(3, (0, 2), (1, 3), (0.1, 0.2), (2, 3))
         w = hrp_allocate(_cov(np.diag([1.0, 1.0, 4.0])), tree)
         # diagonal case collapses to IVP: (4/9, 4/9, 1/9)
         np.testing.assert_allclose(w.weights, [4 / 9, 4 / 9, 1 / 9], atol=1e-12)

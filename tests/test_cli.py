@@ -488,13 +488,20 @@ class TestDeadWorker:
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _python(args, **kwargs):
-    """Run python with args in a fresh interpreter that finds this checkout's
-    portopt, with no BLAS thread setting of its own; fail on a non-zero exit."""
+def _child_env():
+    """This environment for a fresh interpreter that finds this checkout's
+    portopt, with no BLAS thread setting of its own."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(args, **kwargs):
+    """Run python with args in a fresh interpreter (_child_env); fail on a
+    non-zero exit."""
     out = subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300, **kwargs
+        [sys.executable, *args], env=_child_env(), capture_output=True, text=True, timeout=300,
+        **kwargs,
     )
     assert out.returncode == 0, out.stderr
     return out
@@ -528,6 +535,44 @@ def test_wide_sector_tree_does_not_depend_on_the_cpu_count(one_sector, tmp_path)
         _python(["-m", "portopt.cli", "run", "--config", str(config), "--out", str(out)], preexec_fn=pin)
         trees.append(_tree(out))
     assert trees[0] == trees[1]
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return os.fdopen(write, "wb")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "sink",
+    [
+        pytest.param(
+            lambda: open("/dev/full", "wb"),
+            marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full"),
+            id="dev_full",
+        ),
+        pytest.param(_closed_pipe, id="closed_pipe"),
+    ],
+)
+def test_a_failed_write_to_stdout_exits_2_naming_stdout(synthetic_fixture, tmp_path, sink, unbuffered):
+    # a file or a pipe block-buffers stdout, so its write fails at the last
+    # flush; unbuffered, it fails at the run's one line inside main
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "out"
+    with sink() as stdout:
+        child = subprocess.run(
+            [sys.executable, "-m", "portopt.cli", "run", *_cfg(synthetic_fixture), "--out", str(out)],
+            env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("cannot write to stdout: [Errno ")
+    assert "Exception ignored" not in child.stderr and "Traceback" not in child.stderr
+    assert (out / "manifest.json").is_file()
 
 
 class TestExitCodes:

@@ -10,7 +10,6 @@ from portopt import hierclust
 from portopt.hierclust import (
     ClusterError,
     LinkageTree,
-    Merge,
     agglomerate,
     cut_k,
     dendrogram_export,
@@ -45,29 +44,29 @@ THREE_POINT = _dist([[0, 0.25, 1], [0.25, 0, 1], [1, 1, 0]], ("A", "B", "C"))
 class TestAgglomerate:
     def test_ward_three_point_hand_trace(self):
         tree = agglomerate(THREE_POINT, "ward")
-        assert [(m.left, m.right) for m in tree.merges] == [(0, 1), (2, 3)]
-        assert tree.merges[0].height * 4 == pytest.approx(1.0, abs=1e-12)
-        assert tree.merges[1].height * 4 == pytest.approx(math.sqrt(21), abs=1e-12)
+        assert list(zip(tree.left, tree.right)) == [(0, 1), (2, 3)]
+        assert tree.height[0] * 4 == pytest.approx(1.0, abs=1e-12)
+        assert tree.height[1] * 4 == pytest.approx(math.sqrt(21), abs=1e-12)
 
     def test_single_three_point_hand_trace(self):
         tree = agglomerate(THREE_POINT, "single")
-        assert [(m.left, m.right) for m in tree.merges] == [(0, 1), (2, 3)]
-        assert tree.merges[0].height * 4 == pytest.approx(1.0, abs=1e-12)
-        assert tree.merges[1].height * 4 == pytest.approx(4.0, abs=1e-12)
+        assert list(zip(tree.left, tree.right)) == [(0, 1), (2, 3)]
+        assert tree.height[0] * 4 == pytest.approx(1.0, abs=1e-12)
+        assert tree.height[1] * 4 == pytest.approx(4.0, abs=1e-12)
 
     def test_tie_breaks_on_lowest_pair(self):
         # equilateral: every pair ties, so (0,1) must merge first
         tree = agglomerate(_dist([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]]))
-        assert (tree.merges[0].left, tree.merges[0].right) == (0, 1)
-        assert (tree.merges[1].left, tree.merges[1].right) == (2, 3)
+        assert (tree.left[0], tree.right[0]) == (0, 1)
+        assert (tree.left[1], tree.right[1]) == (2, 3)
 
     def test_older_node_id_goes_left(self):
         for rule in ("ward", "single"):
             rng = np.random.default_rng(11)
             for _ in range(20):
                 tree = agglomerate(random_distance_matrix(rng, 6), rule)
-                for m in tree.merges:
-                    assert m.left < m.right
+                for a, b in zip(tree.left, tree.right):
+                    assert a < b
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)
@@ -76,9 +75,9 @@ class TestAgglomerate:
             dist = random_distance_matrix(rng, n)
             for rule in ("ward", "single"):
                 tree = agglomerate(dist, rule)
-                for merge, (a, b, h, size) in zip(tree.merges, naive_linkage(dist.values, rule)):
-                    assert (merge.left, merge.right, merge.size) == (a, b, size)
-                    assert merge.height == pytest.approx(h, abs=1e-9)
+                for m, (a, b, h, size) in enumerate(naive_linkage(dist.values, rule)):
+                    assert (tree.left[m], tree.right[m], tree.size[m]) == (a, b, size)
+                    assert tree.height[m] == pytest.approx(h, abs=1e-9)
 
     def test_tie_heavy_single_linkage_matches_naive_reference(self):
         # distances quantized to {1/4, 1/2, 3/4, 1}: most steps have tied
@@ -90,7 +89,16 @@ class TestAgglomerate:
             values = upper + upper.T
             tree = agglomerate(_dist(values), "single")
             expected = naive_linkage(values, "single")
-            assert [(m.left, m.right, m.height, m.size) for m in tree.merges] == expected
+            assert list(zip(tree.left, tree.right, tree.height, tree.size)) == expected
+
+    @pytest.mark.parametrize("rule", ["ward", "single"])
+    def test_columns_are_the_lance_williams_row_bit_for_bit(self, rule):
+        # the gap statistic's batched merge histories and a tree share one form
+        dist = corr_to_distance(correlation(block_return_panel(7, n_blocks=3, per_block=4)))
+        tree = agglomerate(dist, rule)
+        row = [column[0].tolist() for column in hierclust._lance_williams(dist.values[None], rule)]
+        assert [list(tree.left), list(tree.right), list(tree.size)] == [row[0], row[1], row[3]]
+        assert [h.hex() for h in tree.height] == [h.hex() for h in row[2]]
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ClusterError, match="linkage rule"):
@@ -104,36 +112,34 @@ class TestAgglomerate:
 class TestLinkageTree:
     def test_merge_count_enforced(self):
         with pytest.raises(ClusterError, match="expected 2 merges"):
-            LinkageTree(3, (Merge(0, 1, 0.1, 2),))
+            LinkageTree(3, (0,), (1,), (0.1,), (2,))
+        with pytest.raises(ClusterError, match="expected 2 merges"):
+            LinkageTree(3, (0, 2), (1, 3), (0.1, 0.2), (2,))
 
     def test_needs_a_leaf(self):
         with pytest.raises(ClusterError, match="at least one leaf"):
-            LinkageTree(0, ())
+            LinkageTree(0, (), (), (), ())
 
     def test_child_reuse_rejected(self):
-        merges = (Merge(0, 1, 0.1, 2), Merge(0, 3, 0.2, 3))
         with pytest.raises(ClusterError, match="twice"):
-            LinkageTree(3, merges)
+            LinkageTree(3, (0, 0), (1, 3), (0.1, 0.2), (2, 3))
 
     def test_bad_size_rejected(self):
         with pytest.raises(ClusterError, match="size"):
-            LinkageTree(2, (Merge(0, 1, 0.1, 3),))
+            LinkageTree(2, (0,), (1,), (0.1,), (3,))
 
     def test_child_not_yet_formed_rejected(self):
-        merges = (Merge(0, 4, 0.1, 2), Merge(1, 2, 0.2, 2), Merge(3, 4, 0.3, 4))
         with pytest.raises(ClusterError, match="unknown node"):
-            LinkageTree(4, merges)
+            LinkageTree(4, (0, 1, 3), (4, 2, 4), (0.1, 0.2, 0.3), (2, 2, 4))
 
     def test_negative_child_rejected(self):
-        merges = (Merge(-1, 1, 0.1, 2), Merge(2, 3, 0.2, 3))
         with pytest.raises(ClusterError, match="unknown node"):
-            LinkageTree(3, merges)
+            LinkageTree(3, (-1, 2), (1, 3), (0.1, 0.2), (2, 3))
 
     @pytest.mark.parametrize("height", [float("nan"), -0.1])
     def test_invalid_height_rejected(self, height):
-        merges = (Merge(0, 1, height, 2), Merge(2, 3, 0.2, 3))
         with pytest.raises(ClusterError, match="invalid height"):
-            LinkageTree(3, merges)
+            LinkageTree(3, (0, 2), (1, 3), (height, 0.2), (2, 3))
 
     def test_leaves_under_root_covers_all(self):
         rng = np.random.default_rng(9)
@@ -143,12 +149,10 @@ class TestLinkageTree:
 
 class TestQuasiDiagonalize:
     def test_balanced_four_leaf_fixture(self):
-        merges = (Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 2), Merge(4, 5, 0.3, 4))
-        assert quasi_diagonalize(LinkageTree(4, merges)) == [0, 1, 2, 3]
+        assert quasi_diagonalize(LinkageTree(4, (0, 2, 4), (1, 3, 5), (0.1, 0.2, 0.3), (2, 2, 4))) == [0, 1, 2, 3]
 
     def test_caterpillar_four_leaf_fixture(self):
-        merges = (Merge(1, 2, 0.1, 2), Merge(0, 4, 0.2, 3), Merge(5, 3, 0.3, 4))
-        assert quasi_diagonalize(LinkageTree(4, merges)) == [0, 1, 2, 3]
+        assert quasi_diagonalize(LinkageTree(4, (1, 0, 5), (2, 4, 3), (0.1, 0.2, 0.3), (2, 3, 4))) == [0, 1, 2, 3]
 
     def test_is_permutation_on_random_trees(self):
         rng = np.random.default_rng(2)
@@ -158,13 +162,12 @@ class TestQuasiDiagonalize:
             assert sorted(order) == list(range(n))
 
     def test_single_leaf(self):
-        assert quasi_diagonalize(LinkageTree(1, ())) == [0]
+        assert quasi_diagonalize(LinkageTree(1, (), (), (), ())) == [0]
 
 
 class TestCutK:
     def test_balanced_fixture_k2(self):
-        merges = (Merge(0, 1, 0.1, 2), Merge(2, 3, 0.2, 2), Merge(4, 5, 0.3, 4))
-        assert cut_k(LinkageTree(4, merges), 2) == (0, 0, 1, 1)
+        assert cut_k(LinkageTree(4, (0, 2, 4), (1, 3, 5), (0.1, 0.2, 0.3), (2, 2, 4)), 2) == (0, 0, 1, 1)
 
     def test_k1_and_kn_extremes(self):
         rng = np.random.default_rng(4)
@@ -198,7 +201,7 @@ class TestCutK:
                 assert clusters == naive_cut(tree, k)
 
     def test_k_out_of_range(self):
-        tree = LinkageTree(2, (Merge(0, 1, 0.5, 2),))
+        tree = LinkageTree(2, (0,), (1,), (0.5,), (2,))
         with pytest.raises(ClusterError, match="out of range"):
             cut_k(tree, 3)
 
@@ -375,7 +378,7 @@ class TestDendrogramExport:
         rng = np.random.default_rng(26)
         for _ in range(150):
             n = int(rng.integers(1, 41))
-            tree = random_tree(rng, n) if n > 1 else LinkageTree(1, ())
+            tree = random_tree(rng, n) if n > 1 else LinkageTree(1, (), (), (), ())
             labels = [f'T{i}"q\\b\u00e9\u4e2d' if i % 3 else f"T{i}" for i in range(n)]
             assert dendrogram_export(tree, labels) == nested_dendrogram(tree, labels)
 
