@@ -13,6 +13,7 @@ import numpy as np
 from portopt._io import is_path_component, write_text
 from portopt._pool import pool_map
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
+from portopt.riskstats import best, sharpe_ratio
 
 RISK_MEASURES = ("std_dev", "variance")
 CLUSTER_WEIGHTINGS = ("inverse", "paper_literal")
@@ -261,9 +262,8 @@ def _weight_block(seed, n, start, rows):
 
 
 def _picks(sharpe, vols):
-    """Indices of the max-Sharpe and of the min-vol sample; an undefined (nan)
-    Sharpe ratio never wins, and ties go to the lowest index."""
-    return int(np.argmax(np.where(np.isnan(sharpe), -np.inf, sharpe))), int(np.argmin(vols))
+    """Indices of the max-Sharpe and of the min-vol sample (riskstats.best)."""
+    return best(sharpe)[0], best(vols, lowest=True)[0]
 
 
 def _score_block(seed, mu_annual, cov, annualization_days, risk_free_rate, bounds):
@@ -275,10 +275,7 @@ def _score_block(seed, mu_annual, cov, annualization_days, risk_free_rate, bound
     r = w @ mu_annual
     daily_var = np.einsum("ij,jk,ik->i", w, cov, w)
     v = np.sqrt(annualization_days * np.maximum(daily_var, 0.0))
-    # sharpe_ratio's rule on arrays: 0/0 is 0.0, any other x/0 undefined (nan)
-    excess = r - risk_free_rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(v == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / v)
+    s = sharpe_ratio(r, v, risk_free_rate)
     return r, v, s, {start + i: w[i].copy() for i in _picks(s, v)}
 
 

@@ -19,10 +19,11 @@ from typing import Mapping
 import numpy as np
 
 from portopt._io import write_json
-from portopt.market_data import DataError, as_dates
+from portopt.market_data import DataError, as_dates, iso_texts
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
+    best,
     portfolio_metrics,
 )
 
@@ -104,20 +105,13 @@ def evaluate(
     return BacktestReport(portfolio, period, r.dates, cumulative_series(daily), metrics)
 
 
-def _metric_key(metrics, name):
-    value = getattr(metrics, name)
-    if name == "sharpe" and value is None:
-        return -np.inf
-    return value
-
-
 def summarize(metrics_by_sector, method_order=DEFAULT_METHOD_ORDER):
     """Pick per-sector winners and tally overall win counts per method.
 
     metrics_by_sector maps sector -> method -> PerfMetrics and must contain
-    every method for every sector.  The winner is the argmax of annual return
-    and Sharpe ratio and the argmin of annual volatility; exact ties go to the
-    earliest method in method_order with the tie flagged.
+    every method for every sector.  The winner is riskstats.best: the highest
+    annual return or Sharpe ratio, or the lowest annual volatility; exact ties
+    go to the earliest method in method_order with the tie flagged.
     """
     sectors = tuple(metrics_by_sector)
     methods = tuple(method_order)
@@ -134,12 +128,9 @@ def summarize(metrics_by_sector, method_order=DEFAULT_METHOD_ORDER):
         row = metrics_by_sector[sector]
         winners[sector] = {}
         for name in METRIC_NAMES:
-            values = [_metric_key(row[method], name) for method in methods]
-            best = min(values) if name == "annual_volatility" else max(values)
-            hits = [m for m, v in zip(methods, values) if v == best]
-            winner = Winner(hits[0], len(hits) > 1)
-            winners[sector][name] = winner
-            overall[winner.method][name] += 1
+            i, tie = best([getattr(row[m], name) for m in methods], name == "annual_volatility")
+            winners[sector][name] = Winner(methods[i], tie)
+            overall[methods[i]][name] += 1
 
     rows = {sector: dict(metrics_by_sector[sector]) for sector in sectors}
     return SummaryTable(sectors, methods, rows, winners, overall)
@@ -174,7 +165,7 @@ def report_to_dict(report):
     return {
         "portfolio": report.portfolio,
         "period": report.period,
-        "dates": np.datetime_as_string(report.dates).tolist(),
+        "dates": list(iso_texts(report.dates)),
         "cumulative_series": report.cumulative_series.tolist(),
         "metrics": asdict(report.metrics),
     }

@@ -64,7 +64,14 @@ def _say(*args, **kwargs):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's, but a usage error is a configuration error: exit 1, not 2."""
+    """argparse's, but a usage error is a configuration error: exit 1, not 2,
+    and --help or --version text that stdout cannot take exits 2 (_say)."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _say(message, end="", flush=True)
+        else:
+            super()._print_message(message, file)
 
     def error(self, message):
         self.print_usage(sys.stderr)

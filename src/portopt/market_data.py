@@ -13,13 +13,14 @@ to carry the last known price across gaps.  A cleaned panel can be exported as
 one wide CSV (date column plus one close column per ticker); nothing reads
 that format back.  The parse keeps dates as int32 datetime64[D] day numbers;
 tables and return matrices hold them as one read-only datetime64[D] array
-(as_dates), sliced as views and rendered in one np.datetime_as_string call.
+(as_dates), sliced as views and rendered as text once per calendar (iso_texts).
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import itertools
 import math
@@ -77,6 +78,17 @@ def as_dates(dates):
     dates = np.asarray(dates, dtype="datetime64[D]")
     dates.setflags(write=False)
     return dates
+
+
+def iso_texts(dates):
+    """The YYYY-MM-DD texts of dates as a tuple.  Every report of one period
+    shares its calendar, so the texts of the last 8 calendars are kept."""
+    return _iso_texts(as_dates(dates).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _iso_texts(days):
+    return tuple(np.datetime_as_string(np.frombuffer(days, dtype="datetime64[D]")).tolist())
 
 
 def _panel(panel, name, what):
@@ -333,7 +345,7 @@ def write_wide_csv(table, path, *, date_column="Date"):
     header = ",".join([date_column, *table.tickers]) + "\n"
     rows = (
         ",".join([date, *(format(x, ".12g") for x in row)]) + "\n"
-        for date, row in zip(np.datetime_as_string(table.dates).tolist(), table.closes)
+        for date, row in zip(iso_texts(table.dates), table.closes)
     )
     write_text(path, itertools.chain([header], rows))
 

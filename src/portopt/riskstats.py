@@ -188,10 +188,21 @@ def portfolio_variance(weights, cov):
 
 
 def sharpe_ratio(annual_return, annual_volatility, risk_free_rate):
-    excess = annual_return - risk_free_rate
-    if annual_volatility == 0.0:
-        return 0.0 if excess == 0.0 else None
-    return excess / annual_volatility
+    """Excess return over volatility, elementwise: 0/0 is 0.0, any other x/0 nan."""
+    excess = np.subtract(annual_return, risk_free_rate)
+    vol = np.asarray(annual_volatility)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(vol == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / vol)[()]
+
+
+def best(values, lowest=False):
+    """(index, tie) of the first largest of values, or of the first smallest
+    when lowest.  An undefined value (nan or None) ranks last, so it wins only
+    when all are, at index 0; tie says whether another value ranks equal."""
+    keys = np.asarray(values, dtype=float)  # None reads as nan
+    keys = np.where(np.isnan(keys), np.inf if lowest else -np.inf, keys)
+    i = int(np.argmin(keys) if lowest else np.argmax(keys))
+    return i, bool(np.count_nonzero(keys == keys[i]) > 1)
 
 
 def portfolio_metrics(
@@ -204,5 +215,6 @@ def portfolio_metrics(
     # daily std first so the annualization factor is an exact sqrt(days) multiple
     annual_volatility = math.sqrt(max(var_daily, 0.0)) * math.sqrt(annualization_days)
     sharpe = sharpe_ratio(annual_return, annual_volatility, risk_free_rate)
+    sharpe = None if np.isnan(sharpe) else float(sharpe)
     return PerfMetrics(annual_return, annual_volatility, sharpe, risk_free_rate)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from portopt import allocators, market_data, pipeline
+from portopt import allocators, cli, market_data, pipeline
 from portopt.allocators import read_weights_csv
 from portopt.cli import main
 from portopt.config import load_config
@@ -544,18 +545,24 @@ def _closed_pipe():
     return os.fdopen(write, "wb")
 
 
+_FAILING_STDOUTS = [
+    pytest.param(
+        lambda: open("/dev/full", "wb"),
+        marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full"),
+        id="dev_full",
+    ),
+    pytest.param(_closed_pipe, id="closed_pipe"),
+]
+
+
+def _assert_stdout_failure(child):
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("cannot write to stdout: [Errno ")
+    assert "Exception ignored" not in child.stderr and "Traceback" not in child.stderr
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize(
-    "sink",
-    [
-        pytest.param(
-            lambda: open("/dev/full", "wb"),
-            marks=pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full"),
-            id="dev_full",
-        ),
-        pytest.param(_closed_pipe, id="closed_pipe"),
-    ],
-)
+@pytest.mark.parametrize("sink", _FAILING_STDOUTS)
 def test_a_failed_write_to_stdout_exits_2_naming_stdout(synthetic_fixture, tmp_path, sink, unbuffered):
     # a file or a pipe block-buffers stdout, so its write fails at the last
     # flush; unbuffered, it fails at the run's one line inside main
@@ -569,10 +576,19 @@ def test_a_failed_write_to_stdout_exits_2_naming_stdout(synthetic_fixture, tmp_p
             [sys.executable, "-m", "portopt.cli", "run", *_cfg(synthetic_fixture), "--out", str(out)],
             env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300,
         )
-    assert child.returncode == 2, child.stderr
-    assert child.stderr.startswith("cannot write to stdout: [Errno ")
-    assert "Exception ignored" not in child.stderr and "Traceback" not in child.stderr
+    _assert_stdout_failure(child)
     assert (out / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
+@pytest.mark.parametrize("sink", _FAILING_STDOUTS)
+def test_help_and_version_into_a_failed_stdout_exit_2(sink, argv):
+    with sink() as stdout:
+        child = subprocess.run(
+            [sys.executable, "-m", "portopt.cli", *argv],
+            env=_child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    _assert_stdout_failure(child)
 
 
 class TestExitCodes:
@@ -641,11 +657,18 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
-    def test_help_and_version_exit_0(self, capsys, argv):
-        with pytest.raises(SystemExit) as stop:
-            main(argv)
-        assert stop.value.code == 0
-        assert capsys.readouterr().out
+    def test_help_and_version_exit_0(self, capsys, monkeypatch, argv):
+        outs = []
+        for own_writer in (True, False):  # _Parser's, then argparse's
+            if not own_writer:
+                monkeypatch.setattr(
+                    cli._Parser, "_print_message", argparse.ArgumentParser._print_message
+                )
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_unknown_sector_exits_1(self, synthetic_fixture, tmp_path, capsys):
         code = main(

@@ -10,6 +10,7 @@ from portopt.market_data import (
     PriceTable,
     ReturnMatrix,
     daily_returns,
+    iso_texts,
     load_price_table,
     split_train_test,
     write_wide_csv,
@@ -622,3 +623,19 @@ class TestWideCsv:
         path = tmp_path / "wide.csv"
         write_wide_csv(table, path)
         assert path.read_bytes() == self._joined(table)
+
+
+class TestIsoTexts:
+    def test_equals_datetime_as_string(self):
+        dates = market_data.as_dates(["0001-01-01", "1000-01-01", "2021-01-04", "9999-12-31"])
+        assert iso_texts(dates) == tuple(np.datetime_as_string(dates).tolist())
+        assert iso_texts([]) == ()
+
+    def test_equal_calendars_share_one_conversion_and_the_memo_is_bounded(self):
+        market_data._iso_texts.cache_clear()
+        days = market_data.as_dates(D)
+        assert iso_texts(days) is iso_texts(np.array(days)) is iso_texts(D)
+        assert market_data._iso_texts.cache_info().misses == 1
+        for shift in range(20):
+            assert iso_texts(days + shift)[0] == (D[0] + dt.timedelta(days=shift)).isoformat()
+        assert market_data._iso_texts.cache_info().currsize <= 8

@@ -10,6 +10,7 @@ from portopt.riskstats import (
     DistanceMatrix,
     ExpectedReturns,
     StatsError,
+    best,
     check_distances,
     corr_to_distance,
     correlation,
@@ -121,7 +122,37 @@ class TestSharpeRatio:
         assert sharpe_ratio(0.0, 0.0, 0.0) == 0.0
 
     def test_zero_vol_nonzero_excess_is_undefined(self):
-        assert sharpe_ratio(0.05, 0.0, 0.0) is None
+        assert np.isnan(sharpe_ratio(0.05, 0.0, 0.0))
+
+    def test_arrays_equal_the_scalar_calls_bit_for_bit(self):
+        pairs = [(0.0, 0.0), (0.05, 0.0), (-0.05, 0.0), (0.3503, 0.1607), (0.1, 0.3), (-0.0, 0.0)]
+        rets, vols = (np.array(column) for column in zip(*pairs))
+        for rf in (0.0, 0.02):
+            got = sharpe_ratio(rets, vols, rf)
+            want = [sharpe_ratio(r, v, rf) for r, v in pairs]
+            assert all(type(x) is np.float64 for x in want)
+            assert got.tobytes() == np.array(want).tobytes()
+
+
+class TestBest:
+    def test_first_largest_wins_and_a_tie_is_flagged(self):
+        assert best([0.1, 0.3, 0.2]) == (1, False)
+        assert best([0.3, 0.1, 0.3]) == (0, True)
+
+    def test_lowest_picks_the_first_smallest(self):
+        assert best([0.2, 0.1, 0.3], lowest=True) == (1, False)
+        assert best([0.3, 0.1, 0.1], lowest=True) == (1, True)
+
+    @pytest.mark.parametrize("undefined", [None, math.nan])
+    def test_undefined_never_wins(self, undefined):
+        assert best([undefined, -5.0, undefined]) == (1, False)
+        assert best([undefined, 5.0], lowest=True) == (1, False)
+        assert best(np.array([undefined, -1e308, np.nan])) == (1, False)
+
+    def test_all_undefined_is_a_tied_win_for_index_0(self):
+        assert best([None, None, None]) == (0, True)
+        assert best(np.full(4, np.nan), lowest=True) == (0, True)
+        assert best([None]) == (0, False)
 
 
 class TestPortfolioMetrics:
