@@ -30,7 +30,6 @@ from portopt.backtest import BacktestError, read_report_metrics
 from portopt.config import KNOWN_METHODS, ConfigError, load_config
 from portopt.pipeline import (
     MANIFEST_NAME,
-    METHOD_KEYS,
     METHOD_LABELS,
     PERIODS,
     SECTOR_ERRORS,
@@ -140,9 +139,8 @@ def _load_config(args):
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected an int >= 0, got {args.seed}")
-        for method, params in cfg.methods.items():
-            if "seed" in METHOD_KEYS[method]:
-                params["seed"] = args.seed
+        for method in cfg.seeds():
+            cfg.methods[method]["seed"] = args.seed
     return cfg.validate()
 
 

@@ -27,14 +27,15 @@ Schema (all dates ISO YYYY-MM-DD):
 The keys and the defaults of the optional ones are RunConfig's fields.  An
 unknown key, at the top level or under methods.<name>, is rejected by name, and
 so is a key given twice in one mapping (with its line).
+RunConfig.validate holds every rule on a type or a value, for a hand-built config too.
 Every ticker needs a price on or before train_start, under either alignment.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import math
 import reprlib
+import sys
 from collections.abc import Hashable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -45,9 +46,15 @@ from portopt._io import is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
 from portopt.market_data import ALIGN_POLICIES, iso_date
-from portopt.pipeline import METHOD_KEYS, ROOT_FILES, TREE_METHODS
+from portopt.pipeline import ROOT_FILES, TREE_METHODS
 from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
+# {method: the keys methods.<method> may hold}; a method with a seed draws random numbers
+METHOD_KEYS = {
+    "mvp": ("n_samples", "seed"),
+    "hrp": (),
+    "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
+}
 KNOWN_METHODS = tuple(METHOD_KEYS)
 
 # every message shows a config value through _show, which prints a few levels,
@@ -98,6 +105,24 @@ class RunConfig:
     align: str = "intersect"
 
     def validate(self):
+        """Check every field's type and value, normalising each as YAML gives it; return self."""
+        for key in ("data_dir", "output_dir"):
+            if not isinstance(getattr(self, key), (str, Path)):
+                raise ConfigError(f"{key}: expected a path string, got {_show(getattr(self, key))}")
+        for key in ("linkage_rule", "close_column", "date_column", "align"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key}: expected a string, got {_show(getattr(self, key))}")
+        if not isinstance(self.sectors, dict) or not all(
+            isinstance(v, (list, tuple)) for v in self.sectors.values()
+        ):
+            raise ConfigError("sectors: expected a mapping of name -> ticker list")
+        for key in ("train_start", "train_end", "test_end"):
+            setattr(self, key, _parse_date(getattr(self, key), key))
+        if isinstance(self.methods, list):  # other entries by their repr: a mapping is unhashable
+            self.methods = {m if isinstance(m, str) else _show(m): {} for m in self.methods}
+        if not isinstance(self.methods, dict):
+            raise ConfigError("methods: expected a mapping or list of method names")
+        self.methods = {m: {} if p is None else p for m, p in self.methods.items()}
         if not self.sectors:
             raise ConfigError("sectors: at least one sector is required")
         for name, tickers in self.sectors.items():
@@ -165,12 +190,16 @@ class RunConfig:
         if self.close_column == self.date_column:
             raise ConfigError(f"close_column: {_show(self.close_column)} is also date_column")
         _check_int(self.annualization_days, "annualization_days", high=366)
-        rate = self.risk_free_rate
-        finite = isinstance(rate, (int, float)) and math.isfinite(rate)
+        rate, big = self.risk_free_rate, sys.float_info.max
+        finite = isinstance(rate, (int, float)) and -big <= rate <= big  # no float() of a huge int
         if isinstance(rate, bool) or not finite:
             raise ConfigError(f"risk_free_rate: expected a finite number, got {_show(rate)}")
         self.risk_free_rate = float(rate)
         return self
+
+    def seeds(self):
+        """{method: seed} for the enabled methods that draw random numbers."""
+        return {m: p.get("seed", 0) for m, p in self.methods.items() if "seed" in METHOD_KEYS[m]}
 
     def check_clusterable(self, sectors, what):
         """Reject, by name, any of these sectors with too few tickers for the
@@ -250,13 +279,8 @@ def _check_depth(stream, loader, path):
             key = ev.value  # a top-level key, or its value before the next key
 
 
-def load_config(path):
-    """Load and validate a RunConfig from a YAML file.
-
-    Relative data_dir/output_dir paths resolve against the config file's
-    directory.
-    """
-    path = Path(path)
+def _read_yaml(path):
+    """The YAML mapping in the file at path, or ConfigError."""
     try:
         # libyaml's parser when PyYAML was built with it: the same documents
         loader = type("Loader", (_Strict, getattr(yaml, "CSafeLoader", yaml.SafeLoader)), {})
@@ -270,36 +294,23 @@ def load_config(path):
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    return raw
 
+
+def load_config(path):
+    """Load and validate a RunConfig from a YAML file.
+
+    Relative data_dir/output_dir paths resolve against the config file's
+    directory.
+    """
+    path = Path(path)
+    raw = _read_yaml(path)
     keys = fields(RunConfig)
     _reject_unknown(raw, [f.name for f in keys])
     for f in keys:
         if f.name not in raw and f.default is f.default_factory is MISSING:
             raise ConfigError(f"{f.name}: required key missing")
-    for key in ("data_dir", "output_dir"):
-        if not isinstance(raw[key], str):
-            raise ConfigError(f"{key}: expected a path string, got {_show(raw[key])}")
-    for key in ("linkage_rule", "close_column", "date_column", "align"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"{key}: expected a string, got {_show(raw[key])}")
-
-    sectors = raw["sectors"]
-    if not isinstance(sectors, dict) or not all(
-        isinstance(v, list) for v in sectors.values()
-    ):
-        raise ConfigError("sectors: expected a mapping of name -> ticker list")
-
-    # only the keys present: RunConfig holds the defaults
-    values = dict(raw)
-    for key in ("data_dir", "output_dir"):
-        values[key] = path.parent / raw[key]  # an absolute path replaces the parent
-    for key in ("train_start", "train_end", "test_end"):
-        values[key] = _parse_date(raw[key], key)
-    if "methods" in raw:
-        methods = raw["methods"]
-        if isinstance(methods, list):  # other entries by their repr: a mapping is unhashable
-            methods = {m if isinstance(m, str) else _show(m): {} for m in methods}
-        if not isinstance(methods, dict):
-            raise ConfigError("methods: expected a mapping or list of method names")
-        values["methods"] = {m: {} if p is None else p for m, p in methods.items()}
-    return RunConfig(**values).validate()
+    cfg = RunConfig(**raw).validate()  # only the keys present: RunConfig holds the defaults
+    # an absolute path replaces the parent
+    cfg.data_dir, cfg.output_dir = path.parent / cfg.data_dir, path.parent / cfg.output_dir
+    return cfg

@@ -57,12 +57,6 @@ from portopt.riskstats import (
 )
 
 METHOD_LABELS = {"mvp": "MVP", "hrp": "HRP", "herc": "HERC"}
-# {method: the keys methods.<method> may hold}; a method with a seed draws random numbers
-METHOD_KEYS = {
-    "mvp": ("n_samples", "seed"),
-    "hrp": (),
-    "herc": ("k", "risk_measure", "cluster_weighting", "gap_b_refs", "gap_k_max", "seed"),
-}
 
 # OSError: an output path the sector cannot write, such as a file named like its directory;
 # WorkerDied: a pool worker died, which fails every sector of its map
@@ -138,10 +132,6 @@ def prepare_sector(cfg, tickers, with_tree=False, parsed=None):
     return SectorData(train_returns, test_returns, cov, tree)
 
 
-def method_seed(cfg, method):
-    return int(cfg.methods.get(method, {}).get("seed", 0))
-
-
 def fit_method(cfg, method, data):
     """Fit one allocator on the training data.
 
@@ -150,7 +140,7 @@ def fit_method(cfg, method, data):
     # the config's keys but the seed, checked by RunConfig.validate; the
     # allocator owns the defaults
     params = {k: v for k, v in cfg.methods.get(method, {}).items() if k != "seed"}
-    seed = method_seed(cfg, method)
+    seed = cfg.seeds().get(method, 0)
     if method == "mvp":
         mu = expected_returns(data.train_returns, cfg.annualization_days)
         result = mvp_optimize(mu, data.cov, **params, risk_free_rate=cfg.risk_free_rate, seed=seed)
@@ -297,7 +287,7 @@ def run_pipeline(cfg, workers=1):
     manifest = RunManifest(
         version=__version__,
         config=cfg.echo(),
-        seeds={m: method_seed(cfg, m) for m in methods if "seed" in METHOD_KEYS[m]},
+        seeds=cfg.seeds(),
     )
     metrics_by_period = {period: {} for period in PERIODS}
     for sector, result in zip(sectors, results):

@@ -602,21 +602,50 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize(
-        "old, new, named",
+        "command, old, new, named",
         [
-            (b"# Synthetic", b"# \xa0Synthetic", b"config.yaml"),
-            (b"train_end: 2021-06-30", b"train_end: 2021-06-30 00:00:00", b"train_end"),
-            (b"train_end:", b"risk_free_rat: 0.05\ntrain_end:", b"risk_free_rat: unknown key"),
-            (b"train_end:", b"close_column: null\ntrain_end:", b"close_column: expected a string"),
-            (b"train_end:", b"close_column: Date\ntrain_end:", b"close_column: 'Date' is also"),
+            (["run"], b"# Synthetic", b"# \xa0Synthetic", b"config.yaml"),
+            (["run"], b"train_end: 2021-06-30", b"train_end: 2021-06-30 00:00:00", b"train_end"),
+            (["run"], b"train_end:", b"risk_free_rat: 0.05\ntrain_end:", b"risk_free_rat: unknown key"),
+            (["run"], b"train_end:", b"close_column: null\ntrain_end:", b"close_column: expected a string"),
+            (["run"], b"train_end:", b"close_column: Date\ntrain_end:", b"close_column: 'Date' is also"),
+            (["run"], b"test_end:", b"annualization_days: 1000\ntest_end:", b"annualization_days: "),
+            (["run"], b"alpha: [AAA, AAB,", b'alpha: [AAA, "A,B",', b"sectors.alpha: 'A,B'"),
+            (["run"], b"train_start: 2020-01-01", b"train_start: 20200101", b"train_start: unparsable"),
+            (["run"], b"  beta: ", b"  manifest.json: ", b"sectors.manifest.json: "),
+            (["run"], b"test_end:", b"train_end: 2020-01-10\ntest_end:", b"duplicate key 'train_end'"),
+            (
+                ["run"],
+                b"train_start: 2020-01-01",
+                b"train_start: 2020-02-30",
+                b"config.yaml: invalid YAML: '2020-02-30' is not a valid timestamp",
+            ),
+            (
+                ["run"],
+                b"test_end:",
+                b"risk_free_rate: !!float abc\ntest_end:",
+                b"config.yaml: invalid YAML: 'abc' is not a valid float",
+            ),
+            (
+                ["run"],
+                b"test_end:",
+                b"close_column: " + b"[" * 2000 + b"]" * 2000 + b"\ntest_end:",
+                b"config.yaml: close_column: value nested too deeply",
+            ),
+            (["ingest"], b"test_end:", b'date_column: "Da,te"\ntest_end:', b"date_column: 'Da,te'"),
+            (["ingest"], b"alpha: [AAA, AAB,", b"alpha: [AAA, Date,", b"sectors.alpha: 'Date'"),
+            (["optimize", "--method", "hrp"], b"  hrp: {}", b"  hrp: 0", b"methods.hrp: expected"),
         ],
         ids=["not_utf8", "timestamp_date", "unknown_key", "null_close_column",
-             "close_column_is_date_column"],
+             "close_column_is_date_column", "days", "comma", "compact", "root_file", "duplicate",
+             "feb30", "bad_float", "deep", "date_comma", "date_ticker", "hrp_zero"],
     )
-    def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, old, new, named):
+    def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, command, old, new, named):
         config = fixture_copy / "config.yaml"
         config.write_bytes(config.read_bytes().replace(old, new, 1))
-        assert main(["run", *_cfg(fixture_copy), "--out", str(tmp_path / "out")]) == 1
+        assert config.read_bytes().count(new) == 1
+        out = str(tmp_path / "out")
+        assert main([command[0], *_cfg(fixture_copy), "--out", out, *command[1:]]) == 1
         assert named.decode() in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

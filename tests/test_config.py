@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import datetime as dt
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from portopt.config import ConfigError, load_config
+from portopt.config import ConfigError, RunConfig, load_config
 
 MINIMAL = """\
 data_dir: data
@@ -183,6 +186,12 @@ class TestLoadConfig:
             # a daily calendar has at most 366 days a year
             ("test_end", "annualization_days: 367\ntest_end", "^annualization_days: .* 1..366"),
             ("test_end", f"annualization_days: {'9' * 401}\ntest_end", "^annualization_days: "),
+            # too large for a float: a message, not an OverflowError from the check
+            (
+                "test_end",
+                f"risk_free_rate: {'9' * 310}\ntest_end",
+                "^risk_free_rate: expected a finite number, got 9",
+            ),
             # date.fromisoformat takes these on python >= 3.11, not on 3.10
             ("train_start: 2020-01-01", "train_start: 20200101", "^train_start: unparsable"),
             ("train_start: 2020-01-01", "train_start: 2020-W01-3", "^train_start: unparsable"),
@@ -379,3 +388,90 @@ class TestLoadConfig:
         payload = json.loads(json.dumps(cfg.echo()))
         assert payload["train_start"] == "2020-01-01"
         assert payload["sectors"] == {"alpha": ["AAA", "AAB"]}
+
+
+# MINIMAL's fields, as a library caller would build them
+HAND_BUILT = dict(
+    sectors={"alpha": ["AAA", "AAB"]},
+    data_dir="data",
+    output_dir="out",
+    train_start=dt.date(2020, 1, 1),
+    train_end=dt.date(2021, 6, 30),
+    test_end=dt.date(2021, 12, 31),
+)
+# a value of each type YAML reads, with its edges: a huge int, nan, a date's text, a datetime
+SWAPS = [
+    None, True, 0, 10**400, 1.5, float("nan"), "", "x", "2020-01-01",
+    dt.date(2020, 1, 1), dt.datetime(2020, 1, 1), [], ["x"], {}, {"a": 1},
+]
+FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def _validate_swapped(swap):
+    """RunConfig of HAND_BUILT with `swap`'s fields replaced, validated, or
+    the ConfigError that validate raised; any other exception propagates."""
+    try:
+        return RunConfig(**copy.deepcopy({**HAND_BUILT, **swap})).validate()
+    except ConfigError as exc:
+        return exc
+
+
+def _assert_passes_or_names(result, keys):
+    """A ConfigError names one of keys (or the date order); a valid config
+    is normalised as load_config's YAML gives it, and stays valid."""
+    if isinstance(result, ConfigError):
+        assert str(result).startswith(("dates: ", *keys)), result
+        return
+    assert all(type(getattr(result, k)) is dt.date for k in ("train_start", "train_end", "test_end"))
+    assert all(type(params) is dict for params in result.methods.values())
+    assert type(result.risk_free_rate) is float
+    assert result.validate() is result
+
+
+class TestHandBuiltConfig:
+    @pytest.mark.parametrize("key", FIELDS)
+    def test_every_type_swap_passes_or_raises_config_error_naming_the_key(self, key):
+        for value in SWAPS:
+            _assert_passes_or_names(_validate_swapped({key: value}), [key])
+
+    def test_seeded_pair_swaps_pass_or_raise_config_error_naming_a_key(self):
+        rng = random.Random(0)
+        for _ in range(300):
+            keys = rng.sample(FIELDS, 2)
+            result = _validate_swapped({k: rng.choice(SWAPS) for k in keys})
+            _assert_passes_or_names(result, keys)
+
+    @pytest.mark.parametrize(
+        "swap, key",
+        [
+            ({"date_column": 5}, "date_column: expected a string"),
+            ({"close_column": 5}, "close_column: expected a string"),
+            ({"data_dir": 5}, "data_dir: expected a path string"),
+            ({"sectors": {"a": None}}, "sectors: expected a mapping of name -> ticker list"),
+            # a string of tickers is not read as one-letter tickers
+            ({"sectors": {"a": "XY"}}, "sectors: expected a mapping of name -> ticker list"),
+            ({"risk_free_rate": 10**400}, "risk_free_rate: expected a finite number"),
+            ({"train_start": "2020-1-1"}, "train_start: unparsable date"),
+        ],
+        ids=["date_column", "close_column", "data_dir", "null_tickers", "string_tickers",
+             "huge_rate", "short_date"],
+    )
+    def test_bad_type_raises_config_error_naming_the_key(self, swap, key):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            RunConfig(**{**HAND_BUILT, **swap}).validate()
+
+    def test_normalised_as_yaml_does(self, tmp_path):
+        cfg = RunConfig(**{**HAND_BUILT, "methods": ["mvp"], "train_start": "2020-01-01"}).validate()
+        from_yaml = load_config(_write(tmp_path, MINIMAL + "methods: [mvp]\n"))
+        assert cfg.methods == from_yaml.methods == {"mvp": {}}
+        assert cfg.train_start == from_yaml.train_start == dt.date(2020, 1, 1)
+        cfg = RunConfig(**{**HAND_BUILT, "methods": {"hrp": None}, "risk_free_rate": 0}).validate()
+        assert cfg.methods == {"hrp": {}} and type(cfg.risk_free_rate) is float
+
+    def test_tuple_tickers_pass(self):
+        cfg = RunConfig(**{**HAND_BUILT, "sectors": {"alpha": ("AAA", "AAB")}}).validate()
+        assert cfg.sectors == {"alpha": ("AAA", "AAB")}
+
+    def test_seeds_are_the_enabled_methods_that_draw_random_numbers(self):
+        cfg = RunConfig(**{**HAND_BUILT, "methods": {"herc": {"seed": 4}, "hrp": {}, "mvp": {}}})
+        assert cfg.validate().seeds() == {"herc": 4, "mvp": 0}
