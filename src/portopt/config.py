@@ -11,11 +11,11 @@ Schema (all dates ISO YYYY-MM-DD):
                                     # true), one path component, no ',' or line break;
                                     # no name of a file run writes at the output root
     methods:
-      mvp:  {n_samples: 10000, seed: 0}
+      mvp:  {n_samples: 10000 (<= 10**7), seed: 0}
       hrp:  {}
       herc: {k: auto | int, risk_measure: std_dev | variance,
              cluster_weighting: inverse | paper_literal,
-             gap_b_refs: 100, gap_k_max: int (<= smallest sector), seed: 0}
+             gap_b_refs: 100 (<= 10**5), gap_k_max: int (<= smallest sector), seed: 0}
              (a fixed k may not exceed the smallest sector either)
     annualization_days: 252     # optional, int in 1..366
     risk_free_rate: 0.0         # optional, finite number
@@ -61,7 +61,14 @@ KNOWN_METHODS = tuple(METHOD_KEYS)
 # items and characters: aliases can expand a value 2**30-fold, but not a message
 _REPR = reprlib.Repr()  # Repr(**kw) is 3.12+
 _REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 3, 80, 80
+# repr() raises ValueError past 4 300 digits (about 14 284 bits): show such an int's size
+_REPR.repr_int = lambda x, level: (
+    f"<int of {x.bit_length()} bits>" if x.bit_length() > 14_000 else reprlib.Repr.repr_int(_REPR, x, level)
+)
 _show = _REPR.repr
+# 1 000x the paper's 10 000 samples and 100 reference sets: past them a run can
+# exhaust a pool worker's memory (a MemoryError traceback, not exit 1)
+MAX_MVP_SAMPLES, MAX_GAP_B_REFS = 10**7, 10**5
 
 
 class ConfigError(Exception):
@@ -172,7 +179,7 @@ class RunConfig:
         if k != "auto":
             _check_int(k, "methods.herc.k", high=fewest)
         if "gap_b_refs" in herc:
-            _check_int(herc["gap_b_refs"], "methods.herc.gap_b_refs")
+            _check_int(herc["gap_b_refs"], "methods.herc.gap_b_refs", high=MAX_GAP_B_REFS)
         if herc.get("gap_k_max") is not None:
             _check_int(herc["gap_k_max"], "methods.herc.gap_k_max", high=fewest)
         herc_choices = {"risk_measure": RISK_MEASURES, "cluster_weighting": CLUSTER_WEIGHTINGS}
@@ -180,7 +187,7 @@ class RunConfig:
             if key in herc and herc[key] not in choices:
                 raise ConfigError(f"methods.herc.{key}: expected one of {choices}")
         if "n_samples" in self.methods.get("mvp", {}):
-            _check_int(self.methods["mvp"]["n_samples"], "methods.mvp.n_samples")
+            _check_int(self.methods["mvp"]["n_samples"], "methods.mvp.n_samples", high=MAX_MVP_SAMPLES)
         if self.linkage_rule not in LINKAGE_RULES:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ALIGN_POLICIES:

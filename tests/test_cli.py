@@ -94,13 +94,17 @@ class TestRun:
             assert added.read_bytes() == listed.read_bytes()
 
 
-def test_a_single_linkage_chain_sector_writes_its_manifest(chain_sector):
-    cfg = load_config(chain_sector(520))
+def test_a_single_linkage_chain_sector_writes_its_manifest(chain_sector, tmp_path):
+    config = chain_sector(520)
+    cfg = load_config(config)
     assert run_pipeline(cfg).failures == {}
     assert (cfg.output_dir / "manifest.json").is_file()
     text = (cfg.output_dir / "chain" / "hrp_dendrogram.json").read_text()
     # the root's keys sit 4 spaces in and each level's 4 more: 519 merges deep
     assert max(len(line) - len(line.lstrip(" ")) for line in text.splitlines()) == 4 * 520
+    tree = tmp_path / "tree"
+    assert main(["dendrogram", "--config", str(config), "--out", str(tree), "--sector", "chain"]) == 0
+    assert (tree / "chain" / "dendrogram.json").read_text() == text
 
 
 class TestSharedPipeline:
@@ -110,13 +114,13 @@ class TestSharedPipeline:
             return tmp_path / out
 
         run = sub("run", out="run")
-        optimize = sub("optimize", "--method", "herc", out="optimize")
+        optimize = {m: sub("optimize", "--method", m, out=f"optimize_{m}") for m in ("hrp", "herc")}
         frontier = sub("frontier", out="frontier")
         dendrogram = sub("dendrogram", out="dendrogram")
         for sector in ("alpha", "beta"):
             ran = run / sector
             for got, want in (
-                (optimize / sector / "herc_weights.csv", ran / "herc_weights.csv"),
+                *((optimize[m] / sector / f"{m}_weights.csv", ran / f"{m}_weights.csv") for m in optimize),
                 (frontier / sector / "mvp_frontier.csv", ran / "mvp_frontier.csv"),
                 (dendrogram / sector / "dendrogram.json", ran / "hrp_dendrogram.json"),
             ):
@@ -135,6 +139,11 @@ class TestSharedPipeline:
                     got["cumulative_series"], want["cumulative_series"], rtol=1e-10
                 )
         assert not list(tmp_path.rglob("*.tmp"))
+        # every JSON artifact, the manifest too, is json.dumps(indent=2, sort_keys=True)'s text
+        texts = {p: p.read_text(encoding="utf-8") for p in tmp_path.rglob("*.json")}
+        assert run / "manifest.json" in texts and len(texts) == 25
+        for path, text in texts.items():
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path
 
     def test_one_dendrogram_render_per_sector(self, synthetic_fixture, tmp_path, monkeypatch):
         exports = []
@@ -153,6 +162,54 @@ class TestSharedPipeline:
             hrp, herc = (tmp_path / "out" / sector / f"{m}_dendrogram.json" for m in ("hrp", "herc"))
             assert hrp.read_bytes() == herc.read_bytes()
             assert json.loads(hrp.read_text())["format"] == "dendrogram"
+
+
+def _rewrite_rows(path, edit):
+    """Rewrite each line of the CSV at path after its header through edit."""
+    head, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(head + "".join(map(edit, rows)), encoding="utf-8")
+
+
+def _artifacts(root):
+    """_tree(root) without manifest.json, whose config echo names the input paths."""
+    return {name: data for name, data in _tree(root).items() if name != "manifest.json"}
+
+
+class TestEquivalentInputs:
+    """Inputs that differ from the fixture only in form give its artifacts."""
+
+    @pytest.mark.parametrize("edit", ["bom_crlf", "quoted_dates"])
+    def test_a_reformatted_copy_gives_the_same_artifacts(
+        self, synthetic_fixture, fixture_copy, fixture_reports, tmp_path, edit
+    ):
+        if edit == "bom_crlf":  # the config and every CSV
+            for path in [fixture_copy / "config.yaml", *(fixture_copy / "data").glob("*.csv")]:
+                path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+        else:  # quoted fields send AAB through the row-by-row parse, not the one-pass one
+            _rewrite_rows(fixture_copy / "data" / "AAB.csv", lambda row: '"' + row.replace(",", '",', 1))
+        out = tmp_path / "run"
+        assert main(["run", *_cfg(fixture_copy), "--out", str(out)]) == 0
+        assert _artifacts(out) == _artifacts(fixture_reports)
+        ingested = []
+        for name, root in (("plain", synthetic_fixture), (edit, fixture_copy)):
+            assert main(["ingest", *_cfg(root), "--out", str(tmp_path / name)]) == 0
+            ingested.append(_tree(tmp_path / name))
+        assert ingested[0] == ingested[1]
+
+    def test_staggered_listings_give_the_same_artifacts_under_ffill(self, fixture_copy, tmp_path):
+        # AAB now lists on 2020-01-15, before train_start: ffill's calendar is intersect's
+        aab = fixture_copy / "data" / "AAB.csv"
+        head, *rows = aab.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert rows[10].startswith("2020-01-15,")
+        aab.write_text(head + "".join(rows[10:]), encoding="utf-8")
+        config = fixture_copy / "config.yaml"
+        text = config.read_text().replace("train_start: 2020-01-01", "train_start: 2020-03-02")
+        trees = []
+        for align in ("intersect", "ffill"):
+            config.write_text(text + f"align: {align}\n", encoding="utf-8")
+            assert main(["run", *_cfg(fixture_copy), "--out", str(tmp_path / align)]) == 0
+            trees.append(_artifacts(tmp_path / align))
+        assert trees[0] == trees[1]
 
 
 def _add_shared_sector(fixture_copy):
@@ -331,11 +388,17 @@ class TestParallelRun:
         assert trees[0] == trees[1]
         assert mapped == [("_score_block", 10), ("_batch_curves", 3)]
 
-    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize(
+        "argv, lone",
+        [pytest.param(argv, lone, id=argv[0] + "-lone_sector" * lone)
+         for lone in (False, True) for argv in SUBCOMMANDS],
+    )
     def test_subcommand_pool_matches_one_process(
-        self, synthetic_fixture, tmp_path, monkeypatch, capsys, argv
+        self, fixture_copy, tmp_path, monkeypatch, capsys, argv, lone
     ):
-        config = synthetic_fixture / "config.yaml"
+        config = fixture_copy / "config.yaml"
+        if lone:  # the pool scores a lone sector's MVP blocks and gap batches instead
+            config.write_text(config.read_text().replace("  beta: [BBA, BBB, BBC]\n", ""))
         one, pooled = _cli_runs(config, argv, tmp_path, monkeypatch, capsys)
         assert one == pooled
         assert one[0] == 0 and one[1]
@@ -847,6 +910,17 @@ class TestExitCodes:
             assert manifest["failures"] == {"beta": message}
             assert set(manifest["outputs"]) == {"alpha"}
 
+    def test_compact_csv_dates_fail_the_sector(self, fixture_copy, tmp_path, capsys):
+        # date.fromisoformat reads 20200101 on python >= 3.11, not on 3.10
+        path = fixture_copy / "data" / "AAB.csv"
+        _rewrite_rows(path, lambda row: row.replace("-", "", 2))
+        out = tmp_path / "out"
+        assert main(["run", *_cfg(fixture_copy), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"sector 'alpha' failed: {path}: line 2, column 'Date': unparsable date '20200101'" in err
+        assert "Traceback" not in err
+        assert list(json.loads((out / "manifest.json").read_text())["failures"]) == ["alpha"]
+
 
 def _blocked_out(tmp_path, name):
     """An output root whose entry name is taken: by a directory when name
@@ -995,9 +1069,9 @@ class TestOtherSubcommands:
             ]
         )
         assert code == 0
-        assert (rebuilt / "summary_train.csv").read_bytes() == (
-            out / "summary_train.csv"
-        ).read_bytes()
+        for period in ("train", "test"):
+            for name in (f"summary_{period}.csv", f"summary_{period}_winners.json"):
+                assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_report_missing_inputs_exits_2(self, synthetic_fixture, tmp_path, capsys):
         code = main(

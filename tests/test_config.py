@@ -183,6 +183,17 @@ class TestLoadConfig:
             ("test_end", 'date_column: "Da,te"\ntest_end', r"^date_column: 'Da,te' holds"),
             ("test_end", 'date_column: "Da\\nte"\ntest_end', r"^date_column: 'Da\\nte' holds"),
             ("alpha: [AAA, AAB]", "alpha: [AAA, Date]", r"^sectors\.alpha: 'Date' is also date_co"),
+            # 1 000x the paper's sizes; a larger one exhausted a pool worker's memory
+            (
+                "test_end",
+                "methods:\n  mvp: {n_samples: 10000001}\ntest_end",
+                r"^methods\.mvp\.n_samples: expected an int in 1\.\.10000000, got 10000001$",
+            ),
+            (
+                "test_end",
+                "methods:\n  herc: {gap_b_refs: 100001}\ntest_end",
+                r"^methods\.herc\.gap_b_refs: expected an int in 1\.\.100000, got 100001$",
+            ),
             # a daily calendar has at most 366 days a year
             ("test_end", "annualization_days: 367\ntest_end", "^annualization_days: .* 1..366"),
             ("test_end", f"annualization_days: {'9' * 401}\ntest_end", "^annualization_days: "),
@@ -452,9 +463,12 @@ class TestHandBuiltConfig:
             ({"sectors": {"a": "XY"}}, "sectors: expected a mapping of name -> ticker list"),
             ({"risk_free_rate": 10**400}, "risk_free_rate: expected a finite number"),
             ({"train_start": "2020-1-1"}, "train_start: unparsable date"),
+            # repr() of an int over 4 300 digits raises ValueError, so the message shows its size
+            ({"annualization_days": 10**5000}, r"annualization_days: .*, got <int of 16610 bits>$"),
+            ({"methods": {"mvp": {"n_samples": 10**4400}}}, r"methods\.mvp\.n_samples: .*, got <int of"),
         ],
         ids=["date_column", "close_column", "data_dir", "null_tickers", "string_tickers",
-             "huge_rate", "short_date"],
+             "huge_rate", "short_date", "huge_days", "huge_samples"],
     )
     def test_bad_type_raises_config_error_naming_the_key(self, swap, key):
         with pytest.raises(ConfigError, match=f"^{key}"):
