@@ -14,8 +14,8 @@ _SCALAR_TYPES = {str, int, float, bool, type(None)}
 
 
 def is_path_component(name):
-    """Whether name is one path component: no '/', not empty, '.' or '..'."""
-    return name not in ("", ".", "..") and "/" not in name and os.sep not in name
+    """Whether name is one path component: no '/' or NUL, not empty, '.' or '..'."""
+    return name not in ("", ".", "..") and not any(c in name for c in ("/", os.sep, "\0"))
 
 
 def write_text(path, text):

@@ -13,7 +13,7 @@ import numpy as np
 from portopt._io import is_path_component, write_text
 from portopt._pool import pool_map
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
-from portopt.riskstats import best, sharpe_ratio
+from portopt.riskstats import best, check_tickers, sharpe_ratio
 
 RISK_MEASURES = ("std_dev", "variance")
 CLUSTER_WEIGHTINGS = ("inverse", "paper_literal")
@@ -128,6 +128,14 @@ def _variances(cov, members):
     return variances
 
 
+def _asset_count(cov, tree):
+    """cov's asset count, which must be tree's leaf count."""
+    n = len(cov.tickers)
+    if tree.n_leaves != n:
+        raise AllocationError(f"tree has {tree.n_leaves} leaves but covariance has {n} assets")
+    return n
+
+
 def cluster_variance(cov, members):
     """Variance of the inverse-variance allocation over a member subset."""
     members = list(members)
@@ -146,11 +154,7 @@ def hrp_allocate(cov, tree):
     contiguous halves (left half = ceil(m/2) leaves); each half's running
     weight scales inversely with its cluster variance.
     """
-    n = len(cov.tickers)
-    if tree.n_leaves != n:
-        raise AllocationError(
-            f"tree has {tree.n_leaves} leaves but covariance has {n} assets"
-        )
+    n = _asset_count(cov, tree)
     order = quasi_diagonalize(tree)
     weights = np.ones(n)
     groups = [order]
@@ -184,11 +188,7 @@ def herc_allocate(cov, tree, params=None, returns=None):
     the training return panel).
     """
     params = params or HercParams()
-    n = len(cov.tickers)
-    if tree.n_leaves != n:
-        raise AllocationError(
-            f"tree has {tree.n_leaves} leaves but covariance has {n} assets"
-        )
+    n = _asset_count(cov, tree)
 
     if params.k == "auto":
         if returns is None:
@@ -289,13 +289,11 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
     (None draws one).
 
     Samples are drawn and scored in blocks of _MVP_BLOCK_ROWS rows, mapped
-    with pool_map, so the peak memory is O(block x n + n_samples): only the
-    metric arrays and the rows of each block's _picks outlive their block.
+    with pool_map, so the peak memory is O(block x n) plus about 65 bytes a
+    sample: only the metric arrays (24 bytes a sample) and the rows of each
+    block's _picks outlive their block, and the Pareto scan adds the rest.
     """
-    if tuple(mu.tickers) != tuple(cov.tickers):
-        raise AllocationError(
-            f"return tickers {mu.tickers} do not match covariance tickers {cov.tickers}"
-        )
+    check_tickers(mu, "return", cov, "covariance", AllocationError)
     if n_samples < 1:
         raise AllocationError("n_samples must be at least 1")
     if seed is None:  # fix the entropy, so that samples can redraw these weights
@@ -311,6 +309,7 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
     # a pick over all samples is also the first pick of its own block, so
     # its row is among the blocks' rows
     rows = {i: row for b in blocks for i, row in b[3].items()}
+    del blocks  # before the Pareto scan, whose temporaries set the peak
 
     def sample(i):
         s = None if np.isnan(sharpe[i]) else float(sharpe[i])
@@ -318,12 +317,15 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
 
     # Pareto scan: dominated iff another sample has strictly lower volatility
     # and strictly higher return.  In volatility order, a sample is kept iff
-    # its return is at least the best return before its equal-volatility group.
+    # its return is at least the best return before its equal-volatility
+    # group.  Sorted volatilities go once their groups are found.
     order = np.argsort(vols, kind="stable")
-    v, r = vols[order], rets[order]
-    best = np.maximum.accumulate(r)
-    group_start = np.searchsorted(v, v, side="left")
-    best_below = np.where(group_start > 0, best[group_start - 1], -np.inf)
+    v = vols[order]
+    below = np.searchsorted(v, v, side="left") - 1  # the last position before its group
+    del v
+    r = rets[order]
+    best_below = np.maximum.accumulate(r)[below]
+    best_below[below < 0] = -np.inf
     frontier = np.sort(order[r >= best_below])
 
     return MvpResult(seed, rets, vols, sharpe, *map(sample, _picks(sharpe, vols)), frontier)

@@ -24,6 +24,7 @@ from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
     PerfMetrics,
     best,
+    check_tickers,
     portfolio_metrics,
 )
 
@@ -76,10 +77,7 @@ class SummaryTable:
 
 def portfolio_return_series(weights, r):
     """Daily portfolio returns p[t] = sum_i w_i * r[t][i]."""
-    if tuple(weights.tickers) != tuple(r.tickers):
-        raise BacktestError(
-            f"weight tickers {weights.tickers} do not match return tickers {r.tickers}"
-        )
+    check_tickers(weights, "weight", r, "return", BacktestError)
     return r.returns @ weights.weights
 
 

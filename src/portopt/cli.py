@@ -85,7 +85,9 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"portopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help):
+        """Add subcommand name, run as handler(cfg, args), with the common options."""
+        p = sub.add_parser(name, help=help)
         p.add_argument(
             "--config",
             default=os.environ.get("PORTOPT_CONFIG"),
@@ -94,30 +96,27 @@ def _build_parser():
         )
         p.add_argument("--seed", type=int, help="override every method seed")
         p.add_argument("--out", help="override the configured output directory")
+        p.set_defaults(handler=handler)
+        return p
 
-    common(sub.add_parser("run", help="run the full pipeline"))
-    common(sub.add_parser("ingest", help="validate/clean data, export wide CSVs"))
+    command("run", _cmd_run, "run the full pipeline")
+    command("ingest", _cmd_ingest, "validate/clean data, export wide CSVs")
 
-    p = sub.add_parser("optimize", help="compute portfolio weights only")
-    common(p)
+    p = command("optimize", _cmd_optimize, "compute portfolio weights only")
     p.add_argument("--method", required=True, choices=KNOWN_METHODS)
     p.add_argument("--sector", help="restrict to one sector")
 
-    p = sub.add_parser("backtest", help="evaluate a weights file on both periods")
-    common(p)
+    p = command("backtest", _cmd_backtest, "evaluate a weights file on both periods")
     p.add_argument("--weights", required=True, help="weights CSV (ticker,weight)")
     p.add_argument("--label", default="portfolio", help="portfolio label in reports")
 
-    p = sub.add_parser("frontier", help="export MVP Monte-Carlo samples")
-    common(p)
+    p = command("frontier", _cmd_frontier, "export MVP Monte-Carlo samples")
     p.add_argument("--sector", help="restrict to one sector")
 
-    p = sub.add_parser("dendrogram", help="export linkage trees as JSON")
-    common(p)
+    p = command("dendrogram", _cmd_dendrogram, "export linkage trees as JSON")
     p.add_argument("--sector", help="restrict to one sector")
 
-    p = sub.add_parser("report", help="assemble summary tables from report JSONs")
-    common(p)
+    p = command("report", _cmd_report, "assemble summary tables from report JSONs")
     p.add_argument(
         "--reports-dir",
         help="directory holding <sector>/<method>_<period>_report.json "
@@ -244,23 +243,12 @@ def _cmd_report(cfg, args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "ingest": _cmd_ingest,
-    "optimize": _cmd_optimize,
-    "backtest": _cmd_backtest,
-    "frontier": _cmd_frontier,
-    "dendrogram": _cmd_dendrogram,
-    "report": _cmd_report,
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -8,7 +8,7 @@ Schema (all dates ISO YYYY-MM-DD):
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
                                     # names, tickers: strings (quote 0700, null,
-                                    # true), one path component, no ',' or line break;
+                                    # true), one path component, no NUL, ',' or line break;
                                     # no name of a file run writes at the output root
     methods:
       mvp:  {n_samples: 10000 (<= 10**7), seed: 0}
@@ -114,8 +114,9 @@ class RunConfig:
     def validate(self):
         """Check every field's type and value, normalising each as YAML gives it; return self."""
         for key in ("data_dir", "output_dir"):
-            if not isinstance(getattr(self, key), (str, Path)):
-                raise ConfigError(f"{key}: expected a path string, got {_show(getattr(self, key))}")
+            path = getattr(self, key)
+            if not isinstance(path, (str, Path)) or "\0" in str(path):  # open() refuses a NUL
+                raise ConfigError(f"{key}: expected a path string without NUL, got {_show(path)}")
         for key in ("linkage_rule", "close_column", "date_column", "align"):
             if not isinstance(getattr(self, key), str):
                 raise ConfigError(f"{key}: expected a string, got {_show(getattr(self, key))}")
@@ -139,7 +140,7 @@ class RunConfig:
                 if not is_path_component(part) or any(c in part for c in ",\r\n"):
                     raise ConfigError(
                         f"sectors.{name}: {_show(part)} is not one path component "
-                        "(no '/', ',' or line break, not '.' or '..')"
+                        "(no '/', NUL, ',' or line break, not '.' or '..')"
                     )
             if name.removesuffix(".tmp") in ROOT_FILES:  # the run's own files
                 raise ConfigError(

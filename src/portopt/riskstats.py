@@ -176,23 +176,28 @@ def corr_to_distance(corr):
     return DistanceMatrix(corr.tickers, values)
 
 
+def check_tickers(a, a_kind, b, b_kind, error=StatsError):
+    """Raise error unless a and b list the same tickers in the same order."""
+    if tuple(a.tickers) != tuple(b.tickers):
+        raise error(f"{a_kind} tickers {a.tickers} do not match {b_kind} tickers {b.tickers}")
+
+
 def portfolio_variance(weights, cov):
     """Daily portfolio variance w' S w."""
-    if tuple(weights.tickers) != tuple(cov.tickers):
-        raise StatsError(
-            f"weight tickers {weights.tickers} do not match "
-            f"covariance tickers {cov.tickers}"
-        )
+    check_tickers(weights, "weight", cov, "covariance")
     w = weights.weights
     return float(w @ cov.values @ w)
 
 
 def sharpe_ratio(annual_return, annual_volatility, risk_free_rate):
-    """Excess return over volatility, elementwise: 0/0 is 0.0, any other x/0 nan."""
-    excess = np.subtract(annual_return, risk_free_rate)
+    """Excess return over volatility, elementwise: 0/0 is 0.0, any other x/0
+    nan, and so is a ratio beyond float range (a huge risk-free rate)."""
     vol = np.asarray(annual_volatility)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(vol == 0.0, np.where(excess == 0.0, 0.0, np.nan), excess / vol)[()]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        excess = np.subtract(annual_return, risk_free_rate)
+        ratio = excess / vol
+    ratio = np.where(np.isfinite(ratio), ratio, np.nan)
+    return np.where(vol == 0.0, np.where(excess == 0.0, 0.0, np.nan), ratio)[()]
 
 
 def best(values, lowest=False):

@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -698,10 +699,17 @@ class TestExitCodes:
             (["ingest"], b"test_end:", b'date_column: "Da,te"\ntest_end:', b"date_column: 'Da,te'"),
             (["ingest"], b"alpha: [AAA, AAB,", b"alpha: [AAA, Date,", b"sectors.alpha: 'Date'"),
             (["optimize", "--method", "hrp"], b"  hrp: {}", b"  hrp: 0", b"methods.hrp: expected"),
+            # a YAML "\0" escape puts a NUL, which open() refuses, in a name that becomes a path
+            (["run"], b"  beta: ", b'  "be\\0ta": ', b"'be\\x00ta' is not one path component"),
+            (["ingest"], b"  beta: ", b'  "be\\0ta": ', b"'be\\x00ta' is not one path component"),
+            (["run"], b"alpha: [AAA, AAB,", b'alpha: [AAA, "A\\0B",', b"sectors.alpha: 'A\\x00B' is not"),
+            (["run"], b"data_dir: data", b'data_dir: "da\\0ta"', b"data_dir: expected a path string without"),
+            (["run"], b"output_dir: out", b'output_dir: "o\\0ut"', b"output_dir: expected a path string without"),
         ],
         ids=["not_utf8", "timestamp_date", "unknown_key", "null_close_column",
              "close_column_is_date_column", "days", "comma", "compact", "root_file", "duplicate",
-             "feb30", "bad_float", "deep", "date_comma", "date_ticker", "hrp_zero"],
+             "feb30", "bad_float", "deep", "date_comma", "date_ticker", "hrp_zero",
+             "nul_sector", "nul_sector_ingest", "nul_ticker", "nul_data_dir", "nul_output_dir"],
     )
     def test_malformed_config_exits_1(self, fixture_copy, tmp_path, capsys, command, old, new, named):
         config = fixture_copy / "config.yaml"
@@ -715,8 +723,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "body",
         [b"ticker,weight\nAAA,0.5\xff\nAAB,0.5\n", b"ticker,weight\nAAA,0.5\n../x,0.5\n",
-         b"ticker,weight\nAAA,0.5\nAAA,0.5\n"],
-        ids=["not_utf8", "dotdot", "repeated"],
+         b"ticker,weight\nAAA,0.5\nAAA,0.5\n", b"ticker,weight\nAAA,0.5\nA\0B,0.5\n"],
+        ids=["not_utf8", "dotdot", "repeated", "nul_ticker"],
     )
     def test_malformed_weights_file_exits_2(self, synthetic_fixture, tmp_path, capsys, body):
         weights = tmp_path / "w.csv"
@@ -726,6 +734,14 @@ class TestExitCodes:
         assert main(argv) == 2
         assert f"data error: {weights}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_nul_in_output_dir_exits_1_without_out(self, fixture_copy, capsys):
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace("output_dir: out", 'output_dir: "o\\0ut"'))
+        before = sorted(fixture_copy.iterdir())
+        assert main(["run", *_cfg(fixture_copy)]) == 1
+        assert "output_dir: expected a path string without NUL" in capsys.readouterr().err
+        assert sorted(fixture_copy.iterdir()) == before
 
     def test_negative_seed_exits_1(self, synthetic_fixture, tmp_path, capsys):
         code = main(["run", *_cfg(synthetic_fixture), "--out", str(tmp_path), "--seed", "-1"])
@@ -1072,6 +1088,29 @@ class TestOtherSubcommands:
         for period in ("train", "test"):
             for name in (f"summary_{period}.csv", f"summary_{period}_winners.json"):
                 assert (rebuilt / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_a_huge_risk_free_rate_leaves_sharpe_undefined_and_report_reads_it(
+        self, fixture_copy, tmp_path
+    ):
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace("test_end:", "risk_free_rate: 1.0e+308\ntest_end:", 1))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's overflow warning fails the run
+            assert main(["run", *_cfg(fixture_copy), "--out", str(out)]) == 0
+        reports = sorted(out.glob("*/*_report.json"))
+        assert len(reports) == 12
+        for path in reports:  # an overflowed ratio is written as null, not -Infinity
+            assert json.loads(path.read_text())["metrics"]["sharpe"] is None
+        for period in ("train", "test"):
+            rows = [line.split(",") for line in (out / f"summary_{period}.csv").read_text().splitlines()]
+            sharpe = [i for i, name in enumerate(rows[0]) if name.endswith("_sharpe")]
+            assert {row[i] for row in rows[1:-1] for i in sharpe} == {""}
+        rebuilt = tmp_path / "rebuilt"
+        argv = ["report", *_cfg(fixture_copy), "--out", str(rebuilt), "--reports-dir", str(out)]
+        assert main(argv) == 0
+        for name in ("summary_train.csv", "summary_test_winners.json"):
+            assert (rebuilt / name).read_bytes() == (out / name).read_bytes()
 
     def test_report_missing_inputs_exits_2(self, synthetic_fixture, tmp_path, capsys):
         code = main(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ class TestSharpeRatio:
             want = [sharpe_ratio(r, v, rf) for r, v in pairs]
             assert all(type(x) is np.float64 for x in want)
             assert got.tobytes() == np.array(want).tobytes()
+
+
+    @pytest.mark.parametrize("rf", [1e308, -1e308])
+    def test_a_ratio_beyond_float_range_is_undefined(self, rf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # and numpy warns of no overflow
+            got = sharpe_ratio(np.array([0.1, -0.1, 0.0]), np.array([0.2, 0.2, 0.0]), rf)
+            assert np.isnan(sharpe_ratio(0.1, 1e-310, 0.0))
+        assert np.isnan(got).all()
 
 
 class TestBest:
