@@ -126,30 +126,27 @@ def _build_parser():
 
 
 def _load_config(args):
-    """The file's config with --out, the method optimize or frontier fits (its
-    defaults unless listed) and --seed for each method with a seed; validated."""
+    """The file's config narrowed to what the command runs, then validated:
+    only the method optimize or frontier fits (its defaults unless listed) and
+    only the --sector sector, with --out, and --seed for each method with a seed."""
     if not args.config:
         raise ConfigError("no configuration given (use --config or $PORTOPT_CONFIG)")
     cfg = load_config(args.config)
     if args.out:
         cfg.output_dir = Path(args.out)
     if args.command in ("optimize", "frontier"):
-        cfg.methods.setdefault(getattr(args, "method", "mvp"), {})
+        method = getattr(args, "method", "mvp")
+        cfg.methods = {method: cfg.methods.get(method, {})}
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected an int >= 0, got {args.seed}")
         for method in cfg.seeds():
             cfg.methods[method]["seed"] = args.seed
+    if getattr(args, "sector", None) is not None:
+        if args.sector not in cfg.sectors:
+            raise ConfigError(f"unknown sector {args.sector!r}")
+        cfg.sectors = {args.sector: cfg.sectors[args.sector]}
     return cfg.validate()
-
-
-def _sectors(cfg, args):
-    requested = getattr(args, "sector", None)
-    if requested is None:
-        return sorted(cfg.sectors)
-    if requested not in cfg.sectors:
-        raise ConfigError(f"unknown sector {requested!r}")
-    return [requested]
 
 
 def _cpus():
@@ -157,9 +154,10 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
 
 
-def _sector_results(cfg, sectors, task):
+def _sector_results(cfg, task):
     """(sector, result) of map_sectors with _cpus() workers, in sector order;
     the first failed sector's error is raised after every sector has run."""
+    sectors = sorted(cfg.sectors)
     for sector, result in zip(sectors, map_sectors(cfg, sectors, task, workers=_cpus())):
         if isinstance(result, Exception):
             raise result
@@ -175,14 +173,14 @@ def _cmd_run(cfg, args):
 
 
 def _cmd_ingest(cfg, args):
-    for sector, (dates, tickers, path) in _sector_results(cfg, _sectors(cfg, args), ingest_sector):
+    for sector, (dates, tickers, path) in _sector_results(cfg, ingest_sector):
         _say(f"{sector}: {dates} dates x {tickers} tickers -> {path}")
     return EXIT_OK
 
 
 def _cmd_optimize(cfg, args):
-    task = partial(run_sector, methods=[args.method], artifacts=["weights"])
-    for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
+    task = partial(run_sector, artifacts=["weights"])
+    for sector, (outputs, _) in _sector_results(cfg, task):
         _say(f"{sector}/{args.method}: {outputs[args.method]['weights']}")
     return EXIT_OK
 
@@ -206,16 +204,15 @@ def _cmd_backtest(cfg, args):
 
 def _cmd_frontier(cfg, args):
     n_samples = cfg.methods["mvp"].get("n_samples", MVP_SAMPLES)
-    task = partial(run_sector, methods=["mvp"], artifacts=["frontier"])
-    for sector, (outputs, _) in _sector_results(cfg, _sectors(cfg, args), task):
+    task = partial(run_sector, artifacts=["frontier"])
+    for sector, (outputs, _) in _sector_results(cfg, task):
         _say(f"{sector}: {n_samples} samples -> {outputs['mvp']['frontier']}")
     return EXIT_OK
 
 
 def _cmd_dendrogram(cfg, args):
-    sectors = _sectors(cfg, args)
-    cfg.check_clusterable(sectors, "dendrogram")
-    for sector, path in _sector_results(cfg, sectors, dendrogram_sector):
+    cfg.check_clusterable("dendrogram")
+    for sector, path in _sector_results(cfg, dendrogram_sector):
         _say(f"{sector}: {path}")
     return EXIT_OK
 

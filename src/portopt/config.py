@@ -8,8 +8,9 @@ Schema (all dates ISO YYYY-MM-DD):
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
                                     # names, tickers: strings (quote 0700, null,
-                                    # true), one path component, no NUL, ',' or line break;
-                                    # no name of a file run writes at the output root
+                                    # true), one path component, no NUL, ',', '"'
+                                    # or line break; no name of a file run writes
+                                    # at the output root
     methods:
       mvp:  {n_samples: 10000 (<= 10**7), seed: 0}
       hrp:  {}
@@ -34,6 +35,7 @@ Every ticker needs a price on or before train_start, under either alignment.
 from __future__ import annotations
 
 import datetime as dt
+import math
 import reprlib
 import sys
 from collections.abc import Hashable
@@ -84,7 +86,28 @@ def _check_int(value, key, low=1, high=None):
         or (high is not None and value > high)
     ):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ConfigError(f"{key}: expected an int {bound}, got {_show(value)}")
+        raise ConfigError(f"{key}: expected an int {bound}, got {_show(value)}{_as_text(value, int)}")
+
+
+def _as_text(value, kind):
+    """For a str holding a finite number, as PyYAML reads 1e-3 and 1e4, a note
+    on how to write it as a YAML `kind` (int or float); else ''."""
+    try:
+        number = float(value) if isinstance(value, str) else math.inf
+    except ValueError:
+        return ""
+    if not math.isfinite(number) or kind is int and not number.is_integer():
+        return ""
+    text = repr(kind(number))  # YAML reads 1e-05 as text, 1.0e-05 as a float
+    if "e" in text and "." not in text:
+        text = text.replace("e", ".0e")
+    return f" (YAML read it as text: write {text})"
+
+
+def _name(key):
+    """A config key as a message names it: a printable string as it is,
+    anything else (a NUL, a line break, an int) through _show."""
+    return key if isinstance(key, str) and key.isprintable() else _show(key)
 
 
 def _reject_unknown(mapping, known, prefix=""):
@@ -92,7 +115,7 @@ def _reject_unknown(mapping, known, prefix=""):
     for key in mapping:
         if key not in known:
             expected = f"one of {', '.join(known)}" if known else "no keys"
-            raise ConfigError(f"{prefix}{key}: unknown key (expected {expected})")
+            raise ConfigError(f"{prefix}{_name(key)}: unknown key (expected {expected})")
 
 
 @dataclass
@@ -134,27 +157,24 @@ class RunConfig:
         if not self.sectors:
             raise ConfigError("sectors: at least one sector is required")
         for name, tickers in self.sectors.items():
+            key = f"sectors.{_name(name)}"
             for part in (name, *tickers):  # a directory or CSV name, and a CSV cell
                 if not isinstance(part, str):  # YAML reads 0700 as 448, null as None
-                    raise ConfigError(f"sectors.{name}: {_show(part)} is not a string; quote it")
-                if not is_path_component(part) or any(c in part for c in ",\r\n"):
+                    raise ConfigError(f"{key}: {_show(part)} is not a string; quote it")
+                if not is_path_component(part) or any(c in part for c in ',"\r\n'):
                     raise ConfigError(
-                        f"sectors.{name}: {_show(part)} is not one path component "
-                        "(no '/', NUL, ',' or line break, not '.' or '..')"
+                        f"{key}: {_show(part)} is not one path component "
+                        "(no '/', NUL, ',', '\"' or line break, not '.' or '..')"
                     )
             if name.removesuffix(".tmp") in ROOT_FILES:  # the run's own files
-                raise ConfigError(
-                    f"sectors.{name}: {_show(name)} names a file run writes in output_dir"
-                )
+                raise ConfigError(f"{key}: {_show(name)} names a file run writes in output_dir")
             if not tickers:
-                raise ConfigError(f"sectors.{name}: empty ticker list")
+                raise ConfigError(f"{key}: empty ticker list")
             repeated = sorted({t for t in tickers if tickers.count(t) > 1})
             if repeated:
-                raise ConfigError(f"sectors.{name}: duplicate ticker(s) {_show(repeated)}")
+                raise ConfigError(f"{key}: duplicate ticker(s) {_show(repeated)}")
             if self.date_column in tickers:  # ingest's header would name it twice
-                raise ConfigError(f"sectors.{name}: {_show(self.date_column)} is also date_column")
-        if not any(len(t) >= 2 for t in self.sectors.values()):
-            raise ConfigError("sectors: at least one sector needs >= 2 tickers")
+                raise ConfigError(f"{key}: {_show(self.date_column)} is also date_column")
         if not self.train_start < self.train_end < self.test_end:
             raise ConfigError(
                 "dates: require train_start < train_end < test_end, got "
@@ -173,7 +193,7 @@ class RunConfig:
                 _check_int(params["seed"], f"methods.{method}.seed", low=0)
         tree_methods = [m for m in TREE_METHODS if m in self.methods]
         if tree_methods:
-            self.check_clusterable(self.sectors, "/".join(tree_methods))
+            self.check_clusterable("/".join(tree_methods))
         herc = self.methods.get("herc", {})
         fewest = min(len(t) for t in self.sectors.values())
         k = herc.get("k", "auto")
@@ -201,7 +221,8 @@ class RunConfig:
         rate, big = self.risk_free_rate, sys.float_info.max
         finite = isinstance(rate, (int, float)) and -big <= rate <= big  # no float() of a huge int
         if isinstance(rate, bool) or not finite:
-            raise ConfigError(f"risk_free_rate: expected a finite number, got {_show(rate)}")
+            got = f"{_show(rate)}{_as_text(rate, float)}"
+            raise ConfigError(f"risk_free_rate: expected a finite number, got {got}")
         self.risk_free_rate = float(rate)
         return self
 
@@ -209,14 +230,14 @@ class RunConfig:
         """{method: seed} for the enabled methods that draw random numbers."""
         return {m: p.get("seed", 0) for m, p in self.methods.items() if "seed" in METHOD_KEYS[m]}
 
-    def check_clusterable(self, sectors, what):
-        """Reject, by name, any of these sectors with too few tickers for the
-        linkage tree that `what` needs."""
-        for name in sectors:
+    def check_clusterable(self, what):
+        """Reject, by name, any sector with too few tickers for the linkage
+        tree that `what` needs."""
+        for name in self.sectors:
             count = len(self.sectors[name])
             if count < 2:
                 raise ConfigError(
-                    f"sectors.{name}: {what} clustering needs at least 2 tickers, got {count}"
+                    f"sectors.{_name(name)}: {what} clustering needs at least 2 tickers, got {count}"
                 )
 
     def make_output_dir(self):

@@ -5,12 +5,12 @@ cross-sector summary tables plus a JSON manifest of every artifact.
 Every per-sector subcommand runs one task per sector through map_sectors,
 which owns the up-front parse of the ticker CSVs, the pool of forked workers
 and the capture of sector errors, so a failed sector never stops the others.
-The task is run_sector with a selection of methods and artifacts (run,
-optimize, frontier), so each artifact has one code path, or ingest_sector or
-dendrogram_sector.  Artifacts are written atomically and are byte-identical
-to a single-process run's and across reruns for fixed seeds.  Layers are
-called through the names this module imports, so wrapping one of them (as
-bench/tracer.py does) sees every call a single-process run makes.
+The task is run_sector, which fits the config's methods and writes a selection
+of artifacts (run, optimize, frontier), so each artifact has one code path, or
+ingest_sector or dendrogram_sector.  Artifacts are written atomically and are
+byte-identical to a single-process run's and across reruns for fixed seeds.
+Layers are called through the names this module imports, so wrapping one of
+them (as bench/tracer.py does) sees every call a single-process run makes.
 """
 
 from __future__ import annotations
@@ -172,14 +172,14 @@ def evaluate_periods(cfg, weights, data, portfolio, directory, stem):
     return {period: (paths[period], reports[period]) for period in PERIODS}
 
 
-def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
-    """Fit methods on one sector and write the selected artifacts under
+def run_sector(cfg, sector, parsed=None, *, artifacts=ARTIFACTS):
+    """Fit cfg's methods on one sector and write the selected artifacts under
     <output_dir>/<sector>/.  parsed is passed on to sector_prices.
 
     Returns (outputs, metrics): {method: {artifact: path}} and
     {period: {method label: PerfMetrics}}.  Errors propagate.
     """
-    with_tree = any(m in TREE_METHODS for m in methods)
+    with_tree = any(m in TREE_METHODS for m in cfg.methods)
     data = prepare_sector(cfg, cfg.sectors[sector], with_tree, parsed)
     sector_dir = Path(cfg.output_dir) / sector
     sector_dir.mkdir(parents=True, exist_ok=True)
@@ -188,7 +188,7 @@ def run_sector(cfg, sector, parsed=None, *, methods, artifacts=ARTIFACTS):
     dendrogram = None  # the tree's JSON, rendered once for hrp and herc
     if with_tree and "dendrogram" in artifacts:
         dendrogram = dendrogram_export(data.tree, data.train_returns.tickers)
-    for method in methods:
+    for method in cfg.methods:
         weights, mvp_result = fit_method(cfg, method, data)
         paths = {}
         if "weights" in artifacts:
@@ -280,9 +280,8 @@ def map_sectors(cfg, sectors, task, workers=1):
 def run_pipeline(cfg, workers=1):
     """Run the full study described by cfg through map_sectors with
     `workers`, and return the RunManifest, which records failed sectors."""
-    methods = list(cfg.methods)
     sectors = sorted(cfg.sectors)
-    results = map_sectors(cfg, sectors, partial(run_sector, methods=methods), workers)
+    results = map_sectors(cfg, sectors, run_sector, workers)
 
     manifest = RunManifest(
         version=__version__,
@@ -299,7 +298,7 @@ def run_pipeline(cfg, workers=1):
             metrics_by_period[period][sector] = metrics[period]
 
     if manifest.outputs:
-        manifest.summaries = write_summaries(metrics_by_period, methods, cfg.output_dir)
+        manifest.summaries = write_summaries(metrics_by_period, cfg.methods, cfg.output_dir)
 
     write_json(Path(cfg.output_dir) / MANIFEST_NAME, asdict(manifest))
     return manifest

@@ -735,6 +735,28 @@ class TestExitCodes:
         assert f"data error: {weights}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("  beta:", '  "be\\0ta":', "sectors.'be\\x00ta': 'be\\x00ta' is not one path component"),
+            ("  beta:", '  "al\\npha":', "sectors.'al\\npha': 'al\\npha' is not one path component"),
+            ("  beta: [BBA, BBB, BBC]", '  "be\\tta": [BBA]', "sectors.'be\\tta': hrp/herc clustering needs"),
+            ("data_dir:", '"ex\\ntra": 1\ndata_dir:', "'ex\\ntra': unknown key"),
+            ("  mvp:", '  "h\\0rp": {}\n  mvp:', "methods.'h\\x00rp': unknown key"),
+            ("  hrp: {}", '  hrp: {"a\\nb": 1}', "methods.hrp.'a\\nb': unknown key"),
+        ],
+        ids=["nul_sector", "newline_sector", "tab_sector", "newline_key", "nul_method", "newline_parameter"],
+    )
+    def test_a_config_message_names_an_unprintable_key_by_its_repr(
+        self, fixture_copy, tmp_path, capsys, old, new, named
+    ):
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace(old, new, 1), encoding="utf-8")
+        assert main(["run", *_cfg(fixture_copy), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {named}")
+        assert err.count("\n") == 1 and "\0" not in err and "\t" not in err
+
     def test_a_nul_in_output_dir_exits_1_without_out(self, fixture_copy, capsys):
         config = fixture_copy / "config.yaml"
         config.write_text(config.read_text().replace("output_dir: out", 'output_dir: "o\\0ut"'))
@@ -794,16 +816,39 @@ class TestExitCodes:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
-    def test_enabled_tree_method_needs_two_tickers(self, fixture_copy, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, lone, code, named",
+        [
+            (["optimize", "--method", "hrp", "--sector", "beta"], "alpha", 0, "beta/hrp_weights.csv"),
+            (["optimize", "--method", "herc", "--sector", "beta"], "alpha", 0, "beta/herc_weights.csv"),
+            (["optimize", "--method", "hrp"], "alpha", 1, "sectors.alpha: hrp clustering needs"),
+            (["frontier"], "alpha", 0, "alpha/mvp_frontier.csv"),
+            (["frontier", "--sector", "alpha"], "alpha", 0, "alpha/mvp_frontier.csv"),
+            (["run"], "alpha beta", 0, "manifest.json"),
+            (["dendrogram", "--sector", "alpha"], "alpha", 1, "sectors.alpha: dendrogram clustering"),
+        ],
+        ids=["hrp_beta", "herc_beta", "hrp_all", "frontier_all", "frontier_alpha", "run_all_lone",
+             "dendrogram_alpha"],
+    )
+    def test_a_command_checks_only_the_sectors_and_method_it_runs(
+        self, fixture_copy, tmp_path, capsys, argv, lone, code, named
+    ):
+        # an MVP-only config whose `lone` sectors hold one ticker each; named is
+        # the file the command writes, or the start of its message
         config = fixture_copy / "config.yaml"
-        text = config.read_text().replace("alpha: [AAA, AAB, AAC]", "alpha: [AAA]")
-        config.write_text(text.split("  hrp: {}")[0], encoding="utf-8")
-        assert main(["frontier", *_cfg(fixture_copy), "--out", str(tmp_path)]) == 0
-        code = main(
-            ["optimize", *_cfg(fixture_copy), "--out", str(tmp_path), "--method", "hrp"]
-        )
-        assert code == 1
-        assert "sectors.alpha" in capsys.readouterr().err
+        text = config.read_text().split("  hrp: {}")[0]
+        tickers = {"alpha": "AAA, AAB, AAC", "beta": "BBA, BBB, BBC"}
+        for sector in lone.split():
+            text = text.replace(f"{sector}: [{tickers[sector]}]", f"{sector}: [{tickers[sector][:3]}]")
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([argv[0], *_cfg(fixture_copy), "--out", str(out), *argv[1:]]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"configuration error: {named}") and not out.exists()
+        else:
+            assert err == "" and (out / named).is_file()
+            assert "--sector" not in argv or sorted(p.name for p in out.iterdir()) == [argv[-1]]
 
     @pytest.mark.parametrize("only_alpha", [False, True])
     def test_dendrogram_needs_two_tickers(self, fixture_copy, tmp_path, capsys, only_alpha):
@@ -847,6 +892,9 @@ class TestExitCodes:
             ("'': [AAA, AAB, AAC]", "one path component"),
             ("alpha: [AAA, ../data/AAB, AAC]", "one path component"),
             ("alpha: [AAA, '.', AAC]", "one path component"),
+            # a '"' would be written unquoted into the CSVs, which csv reads as a quote
+            ("'\"Q\" sector': [AAA, AAB, AAC]", "sectors.\"Q\" sector: '\"Q\" sector' is not one path"),
+            ("alpha: [AAA, 'A\"B', AAC]", "sectors.alpha: 'A\"B' is not one path component"),
             # run writes these beside the sector directories
             ("manifest.json: [AAA, AAB, AAC]", "sectors.manifest.json: "),
             ("summary_test.csv: [AAA, AAB, AAC]", "sectors.summary_test.csv: "),
@@ -856,7 +904,7 @@ class TestExitCodes:
             ("alpha: [AAA, Date, AAC]", "sectors.alpha: 'Date' is also date_column"),
         ],
         ids=["dotdot_name", "slash_name", "dotdot_only_name", "empty_name",
-             "slash_ticker", "dot_ticker", "manifest_name", "summary_name",
+             "slash_ticker", "dot_ticker", "quote_name", "quote_ticker", "manifest_name", "summary_name",
              "winners_name", "manifest_tmp_name", "date_column_ticker"],
     )
     def test_sector_names_and_tickers_must_be_one_path_component(

@@ -3,6 +3,7 @@ import dataclasses
 import datetime as dt
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,7 @@ class TestLoadConfig:
             ("alpha: [AAA, AAB]", 'alpha: [AAA, "A,B"]', r"^sectors\.alpha: 'A,B' is not"),
             ("alpha: [AAA, AAB]", 'alpha: [AAA, "A\\nB"]', r"^sectors\.alpha: 'A\\nB' is not"),
             ("alpha: [AAA, AAB]", 'alpha: [AAA, "A\\rB"]', r"^sectors\.alpha: 'A\\rB' is not"),
+            ("alpha: [AAA, AAB]", """alpha: [AAA, 'A"B']""", r"""^sectors\.alpha: 'A"B' is not"""),
             ("alpha: [AAA, AAB]", '"al,pha": [AAA, AAB]', r"^sectors\.al,pha: 'al,pha' is not"),
             # date_column heads ingest's wide CSVs, so it is one cell, not a ticker's
             ("test_end", 'date_column: "Da,te"\ntest_end', r"^date_column: 'Da,te' holds"),
@@ -272,10 +274,36 @@ class TestLoadConfig:
         cfg = load_config(_write(tmp_path, text + "methods: [mvp]\n"))
         assert cfg.sectors["solo"] == ["AAC"]
 
-    def test_needs_a_multi_ticker_sector(self, tmp_path):
-        bad = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: [AAA]")
-        with pytest.raises(ConfigError, match=">= 2 tickers"):
-            load_config(_write(tmp_path, bad))
+    def test_one_ticker_sectors_alone_need_an_mvp_only_config(self, tmp_path):
+        lone = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: [AAA]")
+        named = r"^sectors\.alpha: hrp/herc clustering needs at least 2 tickers, got 1$"
+        with pytest.raises(ConfigError, match=named):
+            load_config(_write(tmp_path, lone))
+        assert load_config(_write(tmp_path, lone + "methods: [mvp]\n")).sectors == {"alpha": ["AAA"]}
+
+    @pytest.mark.parametrize(
+        "line, text, written",
+        [
+            ("risk_free_rate: {}", "1e-3", "0.001"),
+            ("risk_free_rate: {}", "-1E-30", "-1.0e-30"),
+            ("risk_free_rate: {}", "'0.05'", "0.05"),
+            ("annualization_days: {}", "2.52e2", "252"),
+            ("methods:\n  mvp: {{n_samples: {}}}", "1e4", "10000"),
+            # no note for text that is not a finite number of the key's kind
+            ("risk_free_rate: {}", "abc", None),
+            ("risk_free_rate: {}", "1e400", None),
+            ("annualization_days: {}", "2.5e0", None),
+        ],
+        ids=["rate", "rate_tiny", "rate_quoted", "days", "n_samples", "word", "inf", "fraction"],
+    )
+    def test_a_number_yaml_reads_as_text_is_named_in_a_form_it_reads(self, tmp_path, line, text, written):
+        # YAML 1.1 reads a float only with a '.' and a signed exponent: PyYAML reads 1e-3 as a str
+        note = "" if written is None else f" (YAML read it as text: write {written})"
+        got = repr(text.strip("'"))  # YAML's quotes are not part of the value
+        with pytest.raises(ConfigError, match=re.escape(f"got {got}{note}") + "$"):
+            load_config(_write(tmp_path, MINIMAL + line.format(text) + "\n"))
+        if written is not None:  # the form the note names loads
+            load_config(_write(tmp_path, MINIMAL + line.format(written) + "\n"))
 
     def test_bad_linkage_rule_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="linkage_rule"):

@@ -5,13 +5,16 @@ in plain Python: lists, math.fsum, the naive linkage and gap oracles of
 reference_impls, and MVP samples redrawn from default_rng(seed).  portopt
 itself is only run, through its command line.  Numbers match at a relative
 tolerance of 1e-9 (a weights or summary cell keeps 12 significant digits);
-k, the MVP picks, the dates and the winners match exactly.
+k, the MVP picks, the dates, the winners and each dendrogram's merges,
+sizes and leaves match exactly.
 """
 
 import csv
 import datetime as dt
+import itertools
 import json
 import math
+import operator
 import shutil
 
 import numpy as np
@@ -193,11 +196,32 @@ def assert_weights(path, want):
     assert len(got) == len(want) and all(map(close, got, want)), (path, got, want)
 
 
+def assert_dendrogram(path, tickers, merges):
+    """The dendrogram JSON at path against the naive merges: every merge's
+    children and size exactly and its height at REL, and every leaf's ticker."""
+    doc = json.loads(path.read_text())
+    n = len(tickers)
+    assert (doc["format"], doc["n_leaves"], doc["root"]["id"]) == ("dendrogram", n, 2 * n - 2)
+    seen, stack = [], [doc["root"]]
+    while stack:
+        node = stack.pop()
+        seen.append(node["id"])
+        if node["id"] < n:
+            assert node == {"id": node["id"], "ticker": tickers[node["id"]]}, (path, node)
+            continue
+        a, b, height, size = merges[node["id"] - n]
+        assert [c["id"] for c in node["children"]] == [a, b] and node["size"] == size, (path, node["id"])
+        assert close(node["height"], height), (path, node["id"], node["height"], height)
+        stack.extend(node["children"])
+    assert sorted(seen) == list(range(2 * n - 1)), path
+
+
 def sector_oracle(cfg, tickers):
     """One sector's recomputed values: weights {method: list}, reports
-    {method: {period: (metrics, dates, last cumulative value)}}, the MVP
-    samples and picks (max-Sharpe, min-vol), HERC's k, and the training
-    covariance and merges that the tree methods use."""
+    {method: {period: (metrics, dates, wealth)}}, where wealth is 1 + the
+    cumulative return on each day, the MVP samples and picks (max-Sharpe,
+    min-vol), HERC's k, and the training covariance and merges that the tree
+    methods use."""
     returns = period_returns(cfg, tickers)
     train_rows = returns["train"][1]
     cov = covariance(train_rows)
@@ -218,8 +242,9 @@ def sector_oracle(cfg, tickers):
         for period, (dates, rows) in returns.items():
             cols = list(zip(*rows))
             got = scores(w, [mean(c) * DAYS for c in cols], covariance(rows))
-            wealth = math.prod(1.0 + math.fsum(wi * x for wi, x in zip(w, row)) for row in rows)
-            reports[method][period] = (got, [d.isoformat() for d in dates], wealth - 1.0)
+            daily = (1.0 + math.fsum(wi * x for wi, x in zip(w, row)) for row in rows)
+            wealth = list(itertools.accumulate(daily, operator.mul))
+            reports[method][period] = (got, [d.isoformat() for d in dates], wealth)
     return {"weights": weights, "reports": reports, "samples": samples, "picks": (top, low),
             "k": k, "cov": cov, "merges": merges}
 
@@ -265,6 +290,8 @@ def test_the_fixture_run_tree_matches_an_independent_recomputation(oracle_run):
             assert_weights(out / sector / f"{method}_weights.csv", want["weights"][method])
         assert_weights(root / "k2" / sector / "herc_weights.csv",
                        herc_weights(want["cov"], want["merges"], 2))
+        for method in ("hrp", "herc"):
+            assert_dendrogram(out / sector / f"{method}_dendrogram.json", tickers, want["merges"])
 
         # every sample's scores, and the two picks by index
         lines = (out / sector / "mvp_frontier.csv").read_text().splitlines()
@@ -277,14 +304,15 @@ def test_the_fixture_run_tree_matches_an_independent_recomputation(oracle_run):
         assert low == min(range(len(frontier)), key=lambda i: frontier[i][1])
 
         for method, periods in want["reports"].items():
-            for period, (metrics, dates, last) in periods.items():
+            for period, (metrics, dates, wealth) in periods.items():
                 report = json.loads((out / sector / f"{method}_{period}_report.json").read_text())
                 got = report["metrics"]
                 assert all(close(got[name], v) for name, v in zip(METRICS, metrics)), (got, metrics)
                 assert got["risk_free_rate"] == RATE
                 assert report["dates"] == dates
                 # compared as wealth, 1 + the cumulative return, which is far from 0
-                assert close(1.0 + report["cumulative_series"][-1], 1.0 + last)
+                series = report["cumulative_series"]
+                assert len(series) == len(wealth) and all(close(1.0 + c, v) for c, v in zip(series, wealth))
                 by_period[period].setdefault(sector, {})[LABELS[method]] = metrics
 
     for period, sectors in by_period.items():
