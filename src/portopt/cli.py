@@ -96,7 +96,7 @@ def _build_parser():
         )
         p.add_argument("--seed", type=int, help="override every method seed")
         p.add_argument("--out", help="override the configured output directory")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, sector=None, method=None)
         return p
 
     command("run", _cmd_run, "run the full pipeline")
@@ -112,6 +112,7 @@ def _build_parser():
 
     p = command("frontier", _cmd_frontier, "export MVP Monte-Carlo samples")
     p.add_argument("--sector", help="restrict to one sector")
+    p.set_defaults(method="mvp")
 
     p = command("dendrogram", _cmd_dendrogram, "export linkage trees as JSON")
     p.add_argument("--sector", help="restrict to one sector")
@@ -126,27 +127,27 @@ def _build_parser():
 
 
 def _load_config(args):
-    """The file's config narrowed to what the command runs, then validated:
-    only the method optimize or frontier fits (its defaults unless listed) and
-    only the --sector sector, with --out, and --seed for each method with a seed."""
+    """The file's config, validated as narrowed to what the command runs: the
+    --sector sector and the method optimize or frontier fits (its defaults
+    unless listed); with --out, and --seed for each method with a seed."""
     if not args.config:
         raise ConfigError("no configuration given (use --config or $PORTOPT_CONFIG)")
-    cfg = load_config(args.config)
-    if args.out:
-        cfg.output_dir = Path(args.out)
-    if args.command in ("optimize", "frontier"):
-        method = getattr(args, "method", "mvp")
-        cfg.methods = {method: cfg.methods.get(method, {})}
+    cfg = load_config(args.config, args.sector, args.method)
+    cfg.output_dir = _directory(args.out, "--out", cfg.output_dir)
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected an int >= 0, got {args.seed}")
         for method in cfg.seeds():
             cfg.methods[method]["seed"] = args.seed
-    if getattr(args, "sector", None) is not None:
-        if args.sector not in cfg.sectors:
-            raise ConfigError(f"unknown sector {args.sector!r}")
-        cfg.sectors = {args.sector: cfg.sectors[args.sector]}
-    return cfg.validate()
+    return cfg
+
+
+def _directory(value, option, default):
+    """A directory option's Path, default when it is not given; '' (an unset
+    shell variable, most likely) or a NUL is a configuration error."""
+    if value is not None and (not value or "\0" in value):
+        raise ConfigError(f"{option}: expected a directory path, got {value!r}")
+    return Path(default if value is None else value)
 
 
 def _cpus():
@@ -218,7 +219,7 @@ def _cmd_dendrogram(cfg, args):
 
 
 def _cmd_report(cfg, args):
-    reports_dir = Path(args.reports_dir) if args.reports_dir else Path(cfg.output_dir)
+    reports_dir = _directory(args.reports_dir, "--reports-dir", cfg.output_dir)
     methods = list(cfg.methods)
     # every report is read before any summary is written, so a bad one
     # leaves no partial output

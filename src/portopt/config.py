@@ -6,7 +6,7 @@ Schema (all dates ISO YYYY-MM-DD):
     data_dir: path to per-ticker CSVs (<ticker>.csv)
     output_dir: where weights/reports/summaries are written
     train_start / train_end / test_end: study boundaries
-    sectors: {name: [tickers...]}   # >= 2 tickers each when hrp or herc runs
+    sectors: {name: [tickers...]}   # >= 2 tickers in each that hrp or herc runs on
                                     # names, tickers: strings (quote 0700, null,
                                     # true), one path component, no NUL, ',', '"'
                                     # or line break; no name of a file run writes
@@ -16,8 +16,8 @@ Schema (all dates ISO YYYY-MM-DD):
       hrp:  {}
       herc: {k: auto | int, risk_measure: std_dev | variance,
              cluster_weighting: inverse | paper_literal,
-             gap_b_refs: 100 (<= 10**5), gap_k_max: int (<= smallest sector), seed: 0}
-             (a fixed k may not exceed the smallest sector either)
+             gap_b_refs: 100 (<= 10**5), gap_k_max: int, seed: 0}
+             (gap_k_max and a fixed k may not exceed the smallest sector that runs)
     annualization_days: 252     # optional, int in 1..366
     risk_free_rate: 0.0         # optional, finite number
     linkage_rule: ward | single # optional
@@ -134,8 +134,9 @@ class RunConfig:
     date_column: str = "Date"
     align: str = "intersect"
 
-    def validate(self):
-        """Check every field's type and value, normalising each as YAML gives it; return self."""
+    def validate(self, sector=None, method=None):
+        """Check every field's type and value, normalising each as YAML gives it,
+        then narrow to `sector` and `method` when given and check what runs; return self."""
         for key in ("data_dir", "output_dir"):
             path = getattr(self, key)
             if not isinstance(path, (str, Path)) or "\0" in str(path):  # open() refuses a NUL
@@ -183,26 +184,17 @@ class RunConfig:
         if not self.methods:
             raise ConfigError("methods: at least one method must be enabled")
         _reject_unknown(self.methods, KNOWN_METHODS, "methods.")
-        for method, params in self.methods.items():
+        for name, params in self.methods.items():  # not `method`, the parameter
             if not isinstance(params, dict):
                 raise ConfigError(
-                    f"methods.{method}: expected a mapping of parameters, got {_show(params)}"
+                    f"methods.{name}: expected a mapping of parameters, got {_show(params)}"
                 )
-            _reject_unknown(params, METHOD_KEYS[method], f"methods.{method}.")
+            _reject_unknown(params, METHOD_KEYS[name], f"methods.{name}.")
             if "seed" in params:
-                _check_int(params["seed"], f"methods.{method}.seed", low=0)
-        tree_methods = [m for m in TREE_METHODS if m in self.methods]
-        if tree_methods:
-            self.check_clusterable("/".join(tree_methods))
+                _check_int(params["seed"], f"methods.{name}.seed", low=0)
         herc = self.methods.get("herc", {})
-        fewest = min(len(t) for t in self.sectors.values())
-        k = herc.get("k", "auto")
-        if k != "auto":
-            _check_int(k, "methods.herc.k", high=fewest)
         if "gap_b_refs" in herc:
             _check_int(herc["gap_b_refs"], "methods.herc.gap_b_refs", high=MAX_GAP_B_REFS)
-        if herc.get("gap_k_max") is not None:
-            _check_int(herc["gap_k_max"], "methods.herc.gap_k_max", high=fewest)
         herc_choices = {"risk_measure": RISK_MEASURES, "cluster_weighting": CLUSTER_WEIGHTINGS}
         for key, choices in herc_choices.items():
             if key in herc and herc[key] not in choices:
@@ -224,6 +216,20 @@ class RunConfig:
             got = f"{_show(rate)}{_as_text(rate, float)}"
             raise ConfigError(f"risk_free_rate: expected a finite number, got {got}")
         self.risk_free_rate = float(rate)
+        if method is not None:
+            _reject_unknown([method], KNOWN_METHODS, "methods.")
+            self.methods = {method: self.methods.get(method, {})}
+        if sector is not None and sector not in self.sectors:
+            raise ConfigError(f"unknown sector {sector!r}")
+        self.sectors = self.sectors if sector is None else {sector: self.sectors[sector]}
+        tree_methods = [m for m in TREE_METHODS if m in self.methods]
+        if tree_methods:
+            self.check_clusterable("/".join(tree_methods))
+        herc, fewest = self.methods.get("herc", {}), min(map(len, self.sectors.values()))
+        if herc.get("k", "auto") != "auto":
+            _check_int(herc["k"], "methods.herc.k", high=fewest)
+        if herc.get("gap_k_max") is not None:
+            _check_int(herc["gap_k_max"], "methods.herc.gap_k_max", high=fewest)
         return self
 
     def seeds(self):
@@ -326,8 +332,8 @@ def _read_yaml(path):
     return raw
 
 
-def load_config(path):
-    """Load and validate a RunConfig from a YAML file.
+def load_config(path, sector=None, method=None):
+    """Load and validate a RunConfig from a YAML file, narrowed to `sector` and `method` if given.
 
     Relative data_dir/output_dir paths resolve against the config file's
     directory.
@@ -339,7 +345,7 @@ def load_config(path):
     for f in keys:
         if f.name not in raw and f.default is f.default_factory is MISSING:
             raise ConfigError(f"{f.name}: required key missing")
-    cfg = RunConfig(**raw).validate()  # only the keys present: RunConfig holds the defaults
+    cfg = RunConfig(**raw).validate(sector, method)  # only the keys present: RunConfig holds the defaults
     # an absolute path replaces the parent
     cfg.data_dir, cfg.output_dir = path.parent / cfg.data_dir, path.parent / cfg.output_dir
     return cfg

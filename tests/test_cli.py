@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from portopt import allocators, cli, market_data, pipeline
 from portopt.allocators import read_weights_csv
@@ -655,6 +656,31 @@ def test_help_and_version_into_a_failed_stdout_exit_2(sink, argv):
     _assert_stdout_failure(child)
 
 
+# edits of the fixture config, by name, each breaking one rule ("mvp": hrp and herc cut)
+_EDITS = {
+    "lone_alpha": lambda t: t.replace("[AAA, AAB, AAC]", "[AAA]"),
+    "lone_alpha_mvp": lambda t: _EDITS["lone_alpha"](t).split("  hrp: {}")[0],
+    "lone_both_mvp": lambda t: _EDITS["lone_alpha_mvp"](t).replace("[BBA, BBB, BBC]", "[BBA]"),
+    "alpha2_k3": lambda t: t.replace("[AAA, AAB, AAC]", "[AAA, AAB]").replace("k: auto", "k: 3"),
+    "alpha2_gap_k_max3": lambda t: t.replace("[AAA, AAB, AAC]", "[AAA, AAB]").replace(
+        "k: auto", "k: auto\n    gap_k_max: 3"
+    ),
+    "k_abc": lambda t: t.replace("k: auto", "k: abc"),
+    "linkage_nope": lambda t: t + "linkage_rule: nope\n",
+}
+
+
+def _cut(config, sector=None, method=None):
+    """The text of config cut down to sector and to method (with its listed
+    parameters, or none), each when given."""
+    raw = yaml.safe_load(config.read_text())
+    if sector is not None:
+        raw["sectors"] = {sector: raw["sectors"][sector]}
+    if method is not None:
+        raw["methods"] = {method: raw["methods"].get(method) or {}}
+    return yaml.safe_dump(raw)
+
+
 class TestExitCodes:
     def test_no_config_exits_1(self, capsys):
         assert main(["run"]) == 1
@@ -786,6 +812,19 @@ class TestExitCodes:
         assert err.startswith(f"usage: portopt {argv[0]}") and f"error: {named}\n" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", ["--out", "--reports-dir"])
+    def test_an_empty_directory_option_exits_1(self, fixture_copy, tmp_path, capsys, option):
+        # '' is what an unset shell variable gives, not "use the configured directory"
+        out = tmp_path / "out"
+        if option == "--out":
+            argv = ["optimize", *_cfg(fixture_copy), "--method", "hrp", "--out", ""]
+        else:
+            argv = ["report", *_cfg(fixture_copy), "--out", str(out), "--reports-dir", ""]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {option}: expected a directory path, got ''\n"
+        assert not (fixture_copy / "out").exists() and not out.exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
     def test_help_and_version_exit_0(self, capsys, monkeypatch, argv):
         outs = []
@@ -817,30 +856,45 @@ class TestExitCodes:
         assert "gamma" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, lone, code, named",
+        "edit, argv, code, named",
         [
-            (["optimize", "--method", "hrp", "--sector", "beta"], "alpha", 0, "beta/hrp_weights.csv"),
-            (["optimize", "--method", "herc", "--sector", "beta"], "alpha", 0, "beta/herc_weights.csv"),
-            (["optimize", "--method", "hrp"], "alpha", 1, "sectors.alpha: hrp clustering needs"),
-            (["frontier"], "alpha", 0, "alpha/mvp_frontier.csv"),
-            (["frontier", "--sector", "alpha"], "alpha", 0, "alpha/mvp_frontier.csv"),
-            (["run"], "alpha beta", 0, "manifest.json"),
-            (["dendrogram", "--sector", "alpha"], "alpha", 1, "sectors.alpha: dendrogram clustering"),
+            ("lone_alpha_mvp", ["optimize", "--method", "hrp", "--sector", "beta"], 0, "beta/hrp_weights.csv"),
+            ("lone_alpha_mvp", ["optimize", "--method", "herc", "--sector", "beta"], 0, "beta/herc_weights.csv"),
+            ("lone_alpha_mvp", ["optimize", "--method", "hrp"], 1, "sectors.alpha: hrp clustering needs"),
+            ("lone_alpha_mvp", ["frontier"], 0, "alpha/mvp_frontier.csv"),
+            ("lone_alpha_mvp", ["frontier", "--sector", "alpha"], 0, "alpha/mvp_frontier.csv"),
+            ("lone_both_mvp", ["run"], 0, "manifest.json"),
+            ("lone_alpha_mvp", ["dendrogram", "--sector", "alpha"], 1, "sectors.alpha: dendrogram clustering"),
+            *(
+                (f"alpha2_{key}3", argv, code, named.format(key=key))
+                for key in ("k", "gap_k_max")
+                for argv, code, named in [
+                    (["optimize", "--method", "herc", "--sector", "beta"], 0, "beta/herc_weights.csv"),
+                    (["optimize", "--method", "mvp", "--sector", "beta"], 0, "beta/mvp_weights.csv"),
+                    (["frontier"], 0, "alpha/mvp_frontier.csv"),
+                    (["optimize", "--method", "herc"], 1, "methods.herc.{key}: expected an int in 1..2, got 3"),
+                    (["run"], 1, "methods.herc.{key}: expected an int in 1..2, got 3"),
+                ]
+            ),
+            # a non-int k under a herc that the command does not fit
+            ("k_abc", ["optimize", "--method", "mvp"], 0, "alpha/mvp_weights.csv"),
+            ("k_abc", ["run"], 1, "methods.herc.k: expected an int in 1..3, got 'abc'"),
+            # an unknown sector never hides an error in the file
+            ("linkage_nope", ["optimize", "--method", "mvp", "--sector", "gamma"], 1, "linkage_rule: "),
         ],
         ids=["hrp_beta", "herc_beta", "hrp_all", "frontier_all", "frontier_alpha", "run_all_lone",
-             "dendrogram_alpha"],
+             "dendrogram_alpha",
+             *(f"{case}-{key}3" for key in ("k", "gap_k_max")
+               for case in ("herc_beta", "mvp_beta", "frontier_all", "herc_all", "run")),
+             "k_abc-mvp_all", "k_abc-run", "linkage_nope-unknown_sector"],
     )
     def test_a_command_checks_only_the_sectors_and_method_it_runs(
-        self, fixture_copy, tmp_path, capsys, argv, lone, code, named
+        self, fixture_copy, tmp_path, capsys, edit, argv, code, named
     ):
-        # an MVP-only config whose `lone` sectors hold one ticker each; named is
-        # the file the command writes, or the start of its message
+        # the fixture config under an edit of _EDITS; named is the file the
+        # command writes, or the start of its message
         config = fixture_copy / "config.yaml"
-        text = config.read_text().split("  hrp: {}")[0]
-        tickers = {"alpha": "AAA, AAB, AAC", "beta": "BBA, BBB, BBC"}
-        for sector in lone.split():
-            text = text.replace(f"{sector}: [{tickers[sector]}]", f"{sector}: [{tickers[sector][:3]}]")
-        config.write_text(text, encoding="utf-8")
+        config.write_text(_EDITS[edit](config.read_text()), encoding="utf-8")
         out = tmp_path / "out"
         assert main([argv[0], *_cfg(fixture_copy), "--out", str(out), *argv[1:]]) == code
         err = capsys.readouterr().err
@@ -848,7 +902,36 @@ class TestExitCodes:
             assert err.startswith(f"configuration error: {named}") and not out.exists()
         else:
             assert err == "" and (out / named).is_file()
-            assert "--sector" not in argv or sorted(p.name for p in out.iterdir()) == [argv[-1]]
+        if not code and "--sector" in argv:  # the bytes of a config holding only that sector
+            assert sorted(p.name for p in out.iterdir()) == [argv[-1]]
+            cut = fixture_copy / "cut.yaml"
+            cut.write_text(_cut(config, argv[-1]), encoding="utf-8")
+            alone = tmp_path / "alone"
+            assert main([argv[0], "--config", str(cut), "--out", str(alone), *argv[1:]]) == 0
+            assert _tree(out) == _tree(alone)
+
+    @pytest.mark.parametrize("edit", ["lone_alpha", "lone_alpha_mvp", "alpha2_k3", "alpha2_gap_k_max3"])
+    def test_a_narrowed_command_fails_as_the_file_cut_to_what_it_runs(
+        self, fixture_copy, tmp_path, monkeypatch, capsys, edit
+    ):
+        # each edit breaks only a rule that reads the sectors that run
+        _set_cpus(monkeypatch, {0})
+        config, cut = fixture_copy / "config.yaml", fixture_copy / "cut.yaml"
+        config.write_text(_EDITS[edit](config.read_text()), encoding="utf-8")
+        # (command line, the method it fits)
+        fits = [(["optimize", "--method", m], m) for m in ("mvp", "hrp", "herc")] + [(["frontier"], "mvp")]
+        runs = [(argv + s, m) for argv, m in fits for s in ([], ["--sector", "alpha"], ["--sector", "beta"])]
+        runs += [(["dendrogram", "--sector", s], None) for s in ("alpha", "beta")]
+        for i, (argv, method) in enumerate(runs):
+            sector = argv[-1] if "--sector" in argv else None
+            cut.write_text(_cut(config, sector, method), encoding="utf-8")
+            seen = []
+            for path in (config, cut):
+                out = tmp_path / f"{i}-{path.stem}"
+                code = main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]])
+                err = capsys.readouterr().err.replace(str(out), "<out>")
+                seen.append((code, err.partition("\n")[0], _tree(out)))
+            assert seen[0] == seen[1], (edit, argv)
 
     @pytest.mark.parametrize("only_alpha", [False, True])
     def test_dendrogram_needs_two_tickers(self, fixture_copy, tmp_path, capsys, only_alpha):

@@ -281,6 +281,23 @@ class TestLoadConfig:
             load_config(_write(tmp_path, lone))
         assert load_config(_write(tmp_path, lone + "methods: [mvp]\n")).sectors == {"alpha": ["AAA"]}
 
+    def test_narrowed_to_a_sector_and_a_method_the_size_rules_read_only_those(self, tmp_path):
+        text = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: [AAA, AAB]\n  solo: [AAC]")
+        path = _write(tmp_path, text + "methods:\n  mvp: {seed: 1}\n  herc: {k: 2}\n")
+        with pytest.raises(ConfigError, match=r"^sectors\.solo: herc clustering needs at least 2"):
+            load_config(path)  # the whole file, as a library caller gets it
+        cfg = load_config(path, sector="alpha", method="herc")
+        assert (cfg.sectors, cfg.methods) == ({"alpha": ["AAA", "AAB"]}, {"herc": {"k": 2}})
+        assert load_config(path, method="mvp").methods == {"mvp": {"seed": 1}}
+        assert load_config(path, sector="alpha", method="hrp").methods == {"hrp": {}}
+        with pytest.raises(ConfigError, match=r"^unknown sector 'beta'$"):
+            load_config(path, sector="beta")
+        with pytest.raises(ConfigError, match=r"^methods\.zzz: unknown key"):
+            load_config(path, method="zzz")
+        bad = path.read_text() + "linkage_rule: nope\n"  # a file error before an unknown sector
+        with pytest.raises(ConfigError, match=r"^linkage_rule: "):
+            load_config(_write(tmp_path, bad), sector="beta")
+
     @pytest.mark.parametrize(
         "line, text, written",
         [

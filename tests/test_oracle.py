@@ -22,7 +22,7 @@ import pytest
 import yaml
 
 from portopt.cli import main
-from reference_impls import naive_gap_curves, naive_linkage
+from reference_impls import block_return_panel, naive_gap_curves, naive_linkage
 
 REL = 1e-9
 DAYS = 252  # the config's default annualization
@@ -328,3 +328,34 @@ def test_the_fixture_run_tree_matches_an_independent_recomputation(oracle_run):
                 counts[label][name] += 1
         assert won["overall"] == counts
         assert rows[-1][1:] == [str(counts[label][name]) for label in LABELS.values() for name in METRICS]
+
+
+def test_herc_weights_where_the_gap_statistic_picks_more_than_one_cluster(tmp_path):
+    # the fixture's sectors both pick k = 1, where HERC never reads its tree:
+    # here 3 blocks of 3 correlated tickers, compounded to closes.  The gap
+    # rule rejects k = 1 by 2 % of s_2, so a rule that reads s larger (ddof=1,
+    # 2 s) picks k = 1; '>' for '>=' would differ only on an exact tie
+    panel = block_return_panel(seed=11, t=250, rho=0.55)
+    tickers = [f"B{i}" for i in range(len(panel.tickers))]
+    days = [dt.date(2020, 1, 1) + dt.timedelta(days=d) for d in range(len(panel.dates) + 1)]
+    closes = 100.0 * np.cumprod(np.vstack([np.ones(len(tickers)), 1.0 + panel.returns]), axis=0)
+    (tmp_path / "data").mkdir()
+    for ticker, column in zip(tickers, closes.T):
+        rows = "".join(f"{day},{close!r}\n" for day, close in zip(days, column.tolist()))
+        (tmp_path / "data" / f"{ticker}.csv").write_text("Date,Close\n" + rows, encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        f"data_dir: data\noutput_dir: out\ntrain_start: {days[0]}\ntrain_end: {days[180]}\n"
+        f"test_end: {days[-1]}\nsectors:\n  blocks: [{', '.join(tickers)}]\n"
+        "methods:\n  herc: {k: auto, gap_b_refs: 20, seed: 3}\n",
+        encoding="utf-8",
+    )
+    assert main(["optimize", "--config", str(config), "--method", "herc"]) == 0
+    cfg = yaml.safe_load(config.read_text())
+    cfg["root"] = tmp_path
+    cov = covariance(period_returns(cfg, tickers)["train"][1])
+    dist = distances(cov)
+    k = gap_k(dist, 20, 3)
+    assert k >= 2
+    want = herc_weights(cov, naive_linkage(dist, "ward"), k)
+    assert_weights(tmp_path / "out" / "blocks" / "herc_weights.csv", want)
