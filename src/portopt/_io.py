@@ -11,6 +11,8 @@ from pathlib import Path
 
 # exact member types that make a container one call of json's encoder
 _SCALAR_TYPES = {str, int, float, bool, type(None)}
+# the most bytes in one file name (Linux NAME_MAX), and write_text's temp-file suffix
+NAME_MAX, TMP_SUFFIX = 255, ".tmp"
 
 
 def is_path_component(name):
@@ -25,7 +27,7 @@ def write_text(path, text):
     file need not be held in memory whole.  If writing fails, the temp file
     is removed, path keeps its old contents, and the error propagates.
     """
-    tmp = Path(str(path) + ".tmp")
+    tmp = Path(str(path) + TMP_SUFFIX)
     chunks = (text,) if isinstance(text, str) else text
     try:
         with open(tmp, "w", encoding="utf-8") as f:

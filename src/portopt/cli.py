@@ -23,11 +23,11 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from portopt._io import is_path_component
+from portopt._io import TMP_SUFFIX, is_path_component
 from portopt._version import __version__
 from portopt.allocators import MVP_SAMPLES, read_weights_csv
 from portopt.backtest import BacktestError, read_report_metrics
-from portopt.config import KNOWN_METHODS, ConfigError, load_config
+from portopt.config import KNOWN_METHODS, ConfigError, check_name_bytes, load_config
 from portopt.pipeline import (
     MANIFEST_NAME,
     METHOD_LABELS,
@@ -85,8 +85,9 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"portopt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
-        """Add subcommand name, run as handler(cfg, args), with the common options."""
+    def command(name, handler, help, methods=lambda a: ()):
+        """Add subcommand name, run as handler(cfg, args), with the common options;
+        methods(args) names the methods it fits (None: every one the file enables)."""
         p = sub.add_parser(name, help=help)
         p.add_argument(
             "--config",
@@ -96,13 +97,13 @@ def _build_parser():
         )
         p.add_argument("--seed", type=int, help="override every method seed")
         p.add_argument("--out", help="override the configured output directory")
-        p.set_defaults(handler=handler, sector=None, method=None)
+        p.set_defaults(handler=handler, sector=None, methods=methods)
         return p
 
-    command("run", _cmd_run, "run the full pipeline")
+    command("run", _cmd_run, "run the full pipeline", methods=lambda a: None)
     command("ingest", _cmd_ingest, "validate/clean data, export wide CSVs")
 
-    p = command("optimize", _cmd_optimize, "compute portfolio weights only")
+    p = command("optimize", _cmd_optimize, "compute portfolio weights only", methods=lambda a: (a.method,))
     p.add_argument("--method", required=True, choices=KNOWN_METHODS)
     p.add_argument("--sector", help="restrict to one sector")
 
@@ -110,9 +111,8 @@ def _build_parser():
     p.add_argument("--weights", required=True, help="weights CSV (ticker,weight)")
     p.add_argument("--label", default="portfolio", help="portfolio label in reports")
 
-    p = command("frontier", _cmd_frontier, "export MVP Monte-Carlo samples")
+    p = command("frontier", _cmd_frontier, "export MVP Monte-Carlo samples", methods=lambda a: ("mvp",))
     p.add_argument("--sector", help="restrict to one sector")
-    p.set_defaults(method="mvp")
 
     p = command("dendrogram", _cmd_dendrogram, "export linkage trees as JSON")
     p.add_argument("--sector", help="restrict to one sector")
@@ -127,12 +127,11 @@ def _build_parser():
 
 
 def _load_config(args):
-    """The file's config, validated as narrowed to what the command runs: the
-    --sector sector and the method optimize or frontier fits (its defaults
-    unless listed); with --out, and --seed for each method with a seed."""
+    """The file's config, validated for the --sector sector and the methods the command
+    fits (their defaults unless listed); with --out, and --seed for each method with a seed."""
     if not args.config:
         raise ConfigError("no configuration given (use --config or $PORTOPT_CONFIG)")
-    cfg = load_config(args.config, args.sector, args.method)
+    cfg = load_config(args.config, args.sector, args.methods(args))
     cfg.output_dir = _directory(args.out, "--out", cfg.output_dir)
     if args.seed is not None:
         if args.seed < 0:
@@ -191,6 +190,7 @@ def _cmd_backtest(cfg, args):
     label = args.label
     if not is_path_component(label):
         raise ConfigError(f"--label: expected a file name part without '/', got {label!r}")
+    check_name_bytes(label, "--label", report_path("", "", max(PERIODS, key=len)).name + TMP_SUFFIX)
     weights = read_weights_csv(args.weights)
     data = prepare_sector(cfg, weights.tickers)
     reports = evaluate_periods(cfg, weights, data, label, cfg.make_output_dir(), label)

@@ -6,18 +6,19 @@ Schema (all dates ISO YYYY-MM-DD):
     data_dir: path to per-ticker CSVs (<ticker>.csv)
     output_dir: where weights/reports/summaries are written
     train_start / train_end / test_end: study boundaries
-    sectors: {name: [tickers...]}   # >= 2 tickers in each that hrp or herc runs on
+    sectors: {name: [tickers...]}   # >= 2 tickers in each a command fits hrp or herc on
                                     # names, tickers: strings (quote 0700, null,
                                     # true), one path component, no NUL, ',', '"'
                                     # or line break; no name of a file run writes
-                                    # at the output root
+                                    # at the output root; names <= 240 bytes
     methods:
       mvp:  {n_samples: 10000 (<= 10**7), seed: 0}
       hrp:  {}
       herc: {k: auto | int, risk_measure: std_dev | variance,
              cluster_weighting: inverse | paper_literal,
              gap_b_refs: 100 (<= 10**5), gap_k_max: int, seed: 0}
-             (gap_k_max and a fixed k may not exceed the smallest sector that runs)
+             (gap_k_max and a fixed k may not exceed the smallest sector a command
+              fits herc on; a command that fits no method checks neither)
     annualization_days: 252     # optional, int in 1..366
     risk_free_rate: 0.0         # optional, finite number
     linkage_rule: ward | single # optional
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import os
 import reprlib
 import sys
 from collections.abc import Hashable
@@ -44,11 +46,11 @@ from pathlib import Path
 
 import yaml
 
-from portopt._io import is_path_component
+from portopt._io import NAME_MAX, TMP_SUFFIX, is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
 from portopt.market_data import ALIGN_POLICIES, iso_date
-from portopt.pipeline import ROOT_FILES, TREE_METHODS
+from portopt.pipeline import PRICES_SUFFIX, ROOT_FILES, TREE_METHODS
 from portopt.riskstats import DEFAULT_ANNUALIZATION_DAYS
 
 # {method: the keys methods.<method> may hold}; a method with a seed draws random numbers
@@ -110,6 +112,15 @@ def _name(key):
     return key if isinstance(key, str) and key.isprintable() else _show(key)
 
 
+def check_name_bytes(name, key, suffix):
+    """Reject name when name + suffix, the longest file name portopt makes of
+    it, passes NAME_MAX bytes as os.fsencode counts them."""
+    most = NAME_MAX - len(os.fsencode(suffix))
+    size = len(name.encode(sys.getfilesystemencoding(), "replace"))  # no error on a lone surrogate
+    if size > most:
+        raise ConfigError(f"{key}: {_show(name)} is {size} bytes; at most {most} fit before {suffix!r}")
+
+
 def _reject_unknown(mapping, known, prefix=""):
     """Reject, by name, the first key of mapping that is not in known."""
     for key in mapping:
@@ -134,9 +145,9 @@ class RunConfig:
     date_column: str = "Date"
     align: str = "intersect"
 
-    def validate(self, sector=None, method=None):
-        """Check every field's type and value, normalising each as YAML gives it,
-        then narrow to `sector` and `method` when given and check what runs; return self."""
+    def validate(self, sector=None, methods=None):
+        """Check every field's type and value, normalising each as YAML gives it, then the rules on
+        what runs: `sector` and `methods` (None: all; (): none, the names kept); return self."""
         for key in ("data_dir", "output_dir"):
             path = getattr(self, key)
             if not isinstance(path, (str, Path)) or "\0" in str(path):  # open() refuses a NUL
@@ -167,8 +178,9 @@ class RunConfig:
                         f"{key}: {_show(part)} is not one path component "
                         "(no '/', NUL, ',', '\"' or line break, not '.' or '..')"
                     )
-            if name.removesuffix(".tmp") in ROOT_FILES:  # the run's own files
+            if name.removesuffix(TMP_SUFFIX) in ROOT_FILES:  # the run's own files
                 raise ConfigError(f"{key}: {_show(name)} names a file run writes in output_dir")
+            check_name_bytes(name, key, PRICES_SUFFIX + TMP_SUFFIX)
             if not tickers:
                 raise ConfigError(f"{key}: empty ticker list")
             repeated = sorted({t for t in tickers if tickers.count(t) > 1})
@@ -184,7 +196,7 @@ class RunConfig:
         if not self.methods:
             raise ConfigError("methods: at least one method must be enabled")
         _reject_unknown(self.methods, KNOWN_METHODS, "methods.")
-        for name, params in self.methods.items():  # not `method`, the parameter
+        for name, params in self.methods.items():
             if not isinstance(params, dict):
                 raise ConfigError(
                     f"methods.{name}: expected a mapping of parameters, got {_show(params)}"
@@ -216,16 +228,16 @@ class RunConfig:
             got = f"{_show(rate)}{_as_text(rate, float)}"
             raise ConfigError(f"risk_free_rate: expected a finite number, got {got}")
         self.risk_free_rate = float(rate)
-        if method is not None:
-            _reject_unknown([method], KNOWN_METHODS, "methods.")
-            self.methods = {method: self.methods.get(method, {})}
+        runs = self.methods if methods is None else {m: self.methods.get(m, {}) for m in methods}
+        _reject_unknown(runs, KNOWN_METHODS, "methods.")
+        self.methods = runs or self.methods  # () fits none but keeps the names: report reads them
         if sector is not None and sector not in self.sectors:
             raise ConfigError(f"unknown sector {sector!r}")
         self.sectors = self.sectors if sector is None else {sector: self.sectors[sector]}
-        tree_methods = [m for m in TREE_METHODS if m in self.methods]
+        tree_methods = [m for m in TREE_METHODS if m in runs]
         if tree_methods:
             self.check_clusterable("/".join(tree_methods))
-        herc, fewest = self.methods.get("herc", {}), min(map(len, self.sectors.values()))
+        herc, fewest = runs.get("herc", {}), min(map(len, self.sectors.values()))
         if herc.get("k", "auto") != "auto":
             _check_int(herc["k"], "methods.herc.k", high=fewest)
         if herc.get("gap_k_max") is not None:
@@ -332,8 +344,8 @@ def _read_yaml(path):
     return raw
 
 
-def load_config(path, sector=None, method=None):
-    """Load and validate a RunConfig from a YAML file, narrowed to `sector` and `method` if given.
+def load_config(path, sector=None, methods=None):
+    """Load and validate a RunConfig from a YAML file, for `sector` and `methods` as validate takes them.
 
     Relative data_dir/output_dir paths resolve against the config file's
     directory.
@@ -345,7 +357,7 @@ def load_config(path, sector=None, method=None):
     for f in keys:
         if f.name not in raw and f.default is f.default_factory is MISSING:
             raise ConfigError(f"{f.name}: required key missing")
-    cfg = RunConfig(**raw).validate(sector, method)  # only the keys present: RunConfig holds the defaults
+    cfg = RunConfig(**raw).validate(sector, methods)  # only the keys present: RunConfig holds the defaults
     # an absolute path replaces the parent
     cfg.data_dir, cfg.output_dir = path.parent / cfg.data_dir, path.parent / cfg.output_dir
     return cfg

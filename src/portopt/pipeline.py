@@ -74,6 +74,8 @@ MANIFEST_NAME = "manifest.json"
 SUMMARY_NAMES = {p: (f"summary_{p}.csv", f"summary_{p}_winners.json") for p in PERIODS}
 # every file run writes at the output root, so no sector may take these names
 ROOT_FILES = (MANIFEST_NAME, *(name for names in SUMMARY_NAMES.values() for name in names))
+# what ingest appends to a sector's name, the longest suffix of a file named after one
+PRICES_SUFFIX = "_prices.csv"
 
 
 class SectorData(NamedTuple):
@@ -230,7 +232,7 @@ def write_summaries(metrics_by_period, methods, out_root):
 def ingest_sector(cfg, sector, parsed=None):
     """Write <output_dir>/<sector>_prices.csv; return (dates, tickers, path)."""
     table = sector_prices(cfg, cfg.sectors[sector], parsed)
-    path = Path(cfg.output_dir) / f"{sector}_prices.csv"
+    path = Path(cfg.output_dir) / f"{sector}{PRICES_SUFFIX}"
     write_wide_csv(table, path, date_column=cfg.date_column)
     return table.n_dates, len(table.tickers), path
 

@@ -670,6 +670,10 @@ _EDITS = {
 }
 
 
+# edits that break a rule of a method that ingest, backtest, report and dendrogram do not fit
+_NO_FIT_EDITS = ("alpha2_k3", "alpha2_gap_k_max3", "lone_alpha", "k_abc")
+
+
 def _cut(config, sector=None, method=None):
     """The text of config cut down to sector and to method (with its listed
     parameters, or none), each when given."""
@@ -881,20 +885,49 @@ class TestExitCodes:
             ("k_abc", ["run"], 1, "methods.herc.k: expected an int in 1..3, got 'abc'"),
             # an unknown sector never hides an error in the file
             ("linkage_nope", ["optimize", "--method", "mvp", "--sector", "gamma"], 1, "linkage_rule: "),
+            # ingest, backtest and report fit no method, so no method's rule
+            # applies; dendrogram applies its own tree rule alone
+            *(
+                (edit, argv, code, named)
+                for edit in _NO_FIT_EDITS
+                for argv, code, named in [
+                    (["ingest"], 0, "alpha_prices.csv"),
+                    (["backtest", "--weights", "{weights}"], 0, "portfolio_train_report.json"),
+                    (["report", "--reports-dir", "{reports}"], 0, "summary_test.csv"),
+                    (["dendrogram", "--sector", "beta"], 0, "beta/dendrogram.json"),
+                    *(
+                        (["dendrogram", *sector], 1, "sectors.alpha: dendrogram clustering needs at least 2")
+                        if edit == "lone_alpha"
+                        else (["dendrogram", *sector], 0, "alpha/dendrogram.json")
+                        for sector in ([], ["--sector", "alpha"])
+                    ),
+                ]
+            ),
+            ("lone_alpha", ["run"], 1, "sectors.alpha: hrp/herc clustering needs at least 2 tickers, got 1"),
+            ("lone_alpha", ["optimize", "--method", "herc"], 1, "sectors.alpha: herc clustering needs at least 2"),
+            ("k_abc", ["optimize", "--method", "herc"], 1, "methods.herc.k: expected an int in 1..3, got 'abc'"),
         ],
         ids=["hrp_beta", "herc_beta", "hrp_all", "frontier_all", "frontier_alpha", "run_all_lone",
              "dendrogram_alpha",
              *(f"{case}-{key}3" for key in ("k", "gap_k_max")
                for case in ("herc_beta", "mvp_beta", "frontier_all", "herc_all", "run")),
-             "k_abc-mvp_all", "k_abc-run", "linkage_nope-unknown_sector"],
+             "k_abc-mvp_all", "k_abc-run", "linkage_nope-unknown_sector",
+             *(f"{edit}-{case}" for edit in _NO_FIT_EDITS
+               for case in ("ingest", "backtest", "report", "dendrogram_beta", "dendrogram_all", "dendrogram_alpha")),
+             "lone_alpha-run", "lone_alpha-herc_all", "k_abc-herc_all"],
     )
     def test_a_command_checks_only_the_sectors_and_method_it_runs(
-        self, fixture_copy, tmp_path, capsys, edit, argv, code, named
+        self, fixture_copy, tmp_path, capsys, request, edit, argv, code, named
     ):
         # the fixture config under an edit of _EDITS; named is the file the
-        # command writes, or the start of its message
+        # command writes, or the start of its message.  backtest reads two
+        # of beta's tickers, report the reports of a run of the fixture
         config = fixture_copy / "config.yaml"
         config.write_text(_EDITS[edit](config.read_text()), encoding="utf-8")
+        weights = tmp_path / "w.csv"
+        weights.write_text("ticker,weight\nBBA,0.5\nBBB,0.5\n", encoding="utf-8")
+        reports = request.getfixturevalue("fixture_reports") if "{reports}" in argv else None
+        argv = [arg.format(weights=weights, reports=reports) for arg in argv]
         out = tmp_path / "out"
         assert main([argv[0], *_cfg(fixture_copy), "--out", str(out), *argv[1:]]) == code
         err = capsys.readouterr().err
@@ -965,6 +998,45 @@ class TestExitCodes:
         assert code == 1
         assert "--label" in capsys.readouterr().err
         assert not (tmp_path / "sub").exists()
+
+    # NAME_MAX is 255 bytes: ingest's <name>_prices.csv.tmp leaves a sector name
+    # 240, backtest's <label>_train_report.json.tmp leaves a label 233
+    @pytest.mark.parametrize(
+        "name", ["s" * 240, "s" * 241, "é" * 120, "é" * 120 + "s"], ids=["240", "241", "240_utf8", "241_utf8"]
+    )
+    def test_a_sector_name_too_long_for_its_files_exits_1(self, fixture_copy, tmp_path, capsys, name):
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace("alpha:", f"{name}:"), encoding="utf-8")
+        out = tmp_path / "out"
+        if len(os.fsencode(name)) == 240:
+            assert main(["ingest", *_cfg(fixture_copy), "--out", str(out)]) == 0
+            assert (out / f"{name}_prices.csv").is_file()
+            return
+        for argv in (["run"], ["ingest"], ["optimize", "--method", "hrp"], ["dendrogram"]):
+            assert main([argv[0], *_cfg(fixture_copy), "--out", str(out), *argv[1:]]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"configuration error: sectors.{name}: ")
+            assert err.endswith(" is 241 bytes; at most 240 fit before '_prices.csv.tmp'\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "label", ["l" * 233, "l" * 234, "é" * 116 + "l", "é" * 117], ids=["233", "234", "233_utf8", "234_utf8"]
+    )
+    def test_a_label_too_long_for_its_reports_exits_1(self, pair_data_dir, tmp_path, capsys, label):
+        fitted = tmp_path / "fitted"
+        assert main(["optimize", *_cfg(pair_data_dir), "--out", str(fitted), "--method", "hrp"]) == 0
+        out = tmp_path / "out"
+        weights = fitted / "pair" / "hrp_weights.csv"
+        argv = ["backtest", *_cfg(pair_data_dir), "--out", str(out), "--weights", str(weights)]
+        if len(os.fsencode(label)) == 233:
+            assert main([*argv, "--label", label]) == 0
+            assert (out / f"{label}_train_report.json").is_file()
+            return
+        assert main([*argv, "--label", label]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --label: ")
+        assert err.endswith(" is 234 bytes; at most 233 fit before '_train_report.json.tmp'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "alpha, named",

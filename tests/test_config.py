@@ -286,17 +286,28 @@ class TestLoadConfig:
         path = _write(tmp_path, text + "methods:\n  mvp: {seed: 1}\n  herc: {k: 2}\n")
         with pytest.raises(ConfigError, match=r"^sectors\.solo: herc clustering needs at least 2"):
             load_config(path)  # the whole file, as a library caller gets it
-        cfg = load_config(path, sector="alpha", method="herc")
+        cfg = load_config(path, sector="alpha", methods=("herc",))
         assert (cfg.sectors, cfg.methods) == ({"alpha": ["AAA", "AAB"]}, {"herc": {"k": 2}})
-        assert load_config(path, method="mvp").methods == {"mvp": {"seed": 1}}
-        assert load_config(path, sector="alpha", method="hrp").methods == {"hrp": {}}
+        assert load_config(path, methods=("mvp",)).methods == {"mvp": {"seed": 1}}
+        assert load_config(path, sector="alpha", methods=("hrp",)).methods == {"hrp": {}}
         with pytest.raises(ConfigError, match=r"^unknown sector 'beta'$"):
             load_config(path, sector="beta")
         with pytest.raises(ConfigError, match=r"^methods\.zzz: unknown key"):
-            load_config(path, method="zzz")
+            load_config(path, methods=("zzz",))
         bad = path.read_text() + "linkage_rule: nope\n"  # a file error before an unknown sector
         with pytest.raises(ConfigError, match=r"^linkage_rule: "):
             load_config(_write(tmp_path, bad), sector="beta")
+
+    def test_fitting_no_method_checks_no_method_rule_and_keeps_the_names(self, tmp_path):
+        text = MINIMAL.replace("alpha: [AAA, AAB]", "alpha: [AAA, AAB]\n  solo: [AAC]")
+        path = _write(tmp_path, text + "methods:\n  mvp: {seed: 1}\n  herc: {k: abc}\n")
+        cfg = load_config(path, methods=())
+        assert cfg.methods == {"mvp": {"seed": 1}, "herc": {"k": "abc"}}
+        assert load_config(path, sector="solo", methods=()).sectors == {"solo": ["AAC"]}
+        with pytest.raises(ConfigError, match=r"^sectors\.solo: herc clustering needs at least 2"):
+            load_config(path, methods=("herc",))
+        with pytest.raises(ConfigError, match=r"^methods\.herc\.k: expected an int in 1\.\.2, got 'abc'$"):
+            load_config(path, sector="alpha", methods=("herc",))
 
     @pytest.mark.parametrize(
         "line, text, written",
