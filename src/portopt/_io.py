@@ -1,6 +1,6 @@
-"""Atomic artifact writes and the JSON format: every output file goes through
-write_text, and every JSON artifact is render_json's text.  A name that becomes
-part of a file path must pass is_path_component."""
+"""Atomic artifact writes and the JSON and CSV formats: every output file goes
+through write_text, every JSON artifact is render_json's text, and every CSV line
+is csv_line's.  A name in a file path must pass is_path_component."""
 
 from __future__ import annotations
 
@@ -37,6 +37,12 @@ def write_text(path, text):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def csv_line(cells):
+    """One CSV line: a str cell as it is, None empty, else format(x, ".12g")."""
+    text = (c if isinstance(c, str) else "" if c is None else format(c, ".12g") for c in cells)
+    return ",".join(text) + "\n"
 
 
 def render_json(payload):

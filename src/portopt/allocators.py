@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from portopt._io import is_path_component, write_text
+from portopt._io import csv_line, is_path_component, write_text
 from portopt._pool import pool_map
 from portopt.hierclust import gap_optimal_k, quasi_diagonalize
 from portopt.riskstats import best, check_tickers, sharpe_ratio
@@ -332,20 +332,18 @@ def mvp_optimize(mu, cov, n_samples=MVP_SAMPLES, risk_free_rate=0.0, seed=0):
 
 
 def write_weights_csv(weights, path):
-    """Export a WeightVector as 'ticker,weight' CSV with 12 significant digits."""
-    lines = ["ticker,weight"]
-    for ticker, w in zip(weights.tickers, weights.weights):
-        lines.append(f"{ticker},{format(w, '.12g')}")
-    write_text(path, "\n".join(lines) + "\n")
+    """Export a WeightVector as 'ticker,weight' CSV, each row csv_line's."""
+    rows = zip(weights.tickers, weights.weights.tolist())
+    write_text(path, "ticker,weight\n" + "".join(map(csv_line, rows)))
 
 
 def read_weights_csv(path):
     """Load a 'ticker,weight' CSV written by write_weights_csv (a UTF-8
-    byte-order mark and CRLF line ends are accepted).  Each ticker names its
-    price CSV, so it must be one path component, listed once."""
+    byte-order mark is accepted; only \\n, \\r\\n and \\r end a line).  Each
+    ticker names its price CSV, so it must be one path component, listed once."""
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
+        lines = path.read_text(encoding="utf-8-sig").split("\n")  # not splitlines(): a ticker may hold "\x85"
     except (OSError, UnicodeDecodeError) as exc:
         raise AllocationError(f"{path}: cannot read weights file: {exc}") from None
     if not lines or lines[0] != "ticker,weight":
@@ -378,9 +376,9 @@ def write_frontier_csv(result, path):
 
     def chunks():
         yield "return,volatility,sharpe\n"
-        # one % operation renders a block of rows; "%.12g" gives format(x,
-        # ".12g")'s bytes.  Blocks keep the temporaries' size independent of
-        # the sample count.
+        # one % operation renders a block of rows to csv_line's bytes, a nan
+        # Sharpe ratio given as None.  Blocks keep the temporaries' size
+        # independent of the sample count.
         for start in range(0, len(columns[0]), _FRONTIER_BLOCK_ROWS):
             values = np.column_stack([c[start:start + _FRONTIER_BLOCK_ROWS] for c in columns])
             body = ("%.12g,%.12g,%.12g\n" * len(values)) % tuple(values.ravel().tolist())

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from portopt._io import write_json
+from portopt._io import csv_line, write_json
 from portopt.market_data import DataError, as_dates, iso_texts
 from portopt.riskstats import (
     DEFAULT_ANNUALIZATION_DAYS,
@@ -134,20 +134,13 @@ def summarize(metrics_by_sector, method_order=DEFAULT_METHOD_ORDER):
     return SummaryTable(sectors, methods, rows, winners, overall)
 
 
-def _fmt(value):
-    return "" if value is None else format(value, ".12g")
-
-
 def summary_to_csv(table):
     """Render a SummaryTable as CSV: sector rows, method-metric columns, and a
     final Overall row of win counts per method per metric."""
     columns = [(method, name) for method in table.methods for name in METRIC_NAMES]
-    lines = [",".join(["sector"] + [f"{m}_{n.removeprefix('annual_')}" for m, n in columns])]
-    for sector in table.sectors:
-        row = table.rows[sector]
-        lines.append(",".join([sector] + [_fmt(getattr(row[m], n)) for m, n in columns]))
-    lines.append(",".join(["Overall"] + [str(table.overall[m][n]) for m, n in columns]))
-    return "\n".join(lines) + "\n"
+    rows = [["sector"] + [f"{m}_{n.removeprefix('annual_')}" for m, n in columns]]
+    rows += [[s] + [getattr(table.rows[s][m], n) for m, n in columns] for s in table.sectors]
+    return "".join(map(csv_line, rows + [["Overall"] + [table.overall[m][n] for m, n in columns]]))
 
 
 def summary_winners_dict(table):

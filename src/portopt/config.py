@@ -8,9 +8,9 @@ Schema (all dates ISO YYYY-MM-DD):
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers in each a command fits hrp or herc on
                                     # names, tickers: strings (quote 0700, null,
-                                    # true), one path component, no NUL, ',', '"'
-                                    # or line break; no name of a file run writes
-                                    # at the output root; names <= 240 bytes
+                                    # true), one path component, no NUL, ',', '"',
+                                    # line break or lone surrogate; no name of a file
+                                    # run writes at the output root; names <= 240 bytes
     methods:
       mvp:  {n_samples: 10000 (<= 10**7), seed: 0}
       hrp:  {}
@@ -22,8 +22,8 @@ Schema (all dates ISO YYYY-MM-DD):
     annualization_days: 252     # optional, int in 1..366
     risk_free_rate: 0.0         # optional, finite number
     linkage_rule: ward | single # optional
-    close_column: Close         # optional
-    date_column: Date           # optional; no ',' or line break, and no ticker
+    close_column: Close         # optional; no lone surrogate
+    date_column: Date           # optional; no ',', line break, lone surrogate or ticker
     align: intersect | ffill    # optional
 
 The keys and the defaults of the optional ones are RunConfig's fields.  An
@@ -121,6 +121,12 @@ def check_name_bytes(name, key, suffix):
         raise ConfigError(f"{key}: {_show(name)} is {size} bytes; at most {most} fit before {suffix!r}")
 
 
+def _check_utf8(text, key):
+    """Reject text holding a lone surrogate ("\\ud800" from PyYAML's pure-Python loader)."""
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        raise ConfigError(f"{key}: {_show(text)} holds a lone surrogate, which UTF-8 cannot encode")
+
+
 def _reject_unknown(mapping, known, prefix=""):
     """Reject, by name, the first key of mapping that is not in known."""
     for key in mapping:
@@ -178,6 +184,7 @@ class RunConfig:
                         f"{key}: {_show(part)} is not one path component "
                         "(no '/', NUL, ',', '\"' or line break, not '.' or '..')"
                     )
+                _check_utf8(part, key)
             if name.removesuffix(TMP_SUFFIX) in ROOT_FILES:  # the run's own files
                 raise ConfigError(f"{key}: {_show(name)} names a file run writes in output_dir")
             check_name_bytes(name, key, PRICES_SUFFIX + TMP_SUFFIX)
@@ -217,6 +224,8 @@ class RunConfig:
             raise ConfigError(f"linkage_rule: expected one of {LINKAGE_RULES}")
         if self.align not in ALIGN_POLICIES:
             raise ConfigError(f"align: expected one of {ALIGN_POLICIES}")
+        for key in ("close_column", "date_column"):  # CSV header cells
+            _check_utf8(getattr(self, key), key)
         if any(c in self.date_column for c in ",\r\n"):  # ingest's first header cell
             raise ConfigError(f"date_column: {_show(self.date_column)} holds a ',' or line break")
         if self.close_column == self.date_column:

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from portopt._io import write_text
+from portopt._io import csv_line, write_text
 
 
 ALIGN_POLICIES = ("intersect", "ffill")
@@ -342,12 +342,8 @@ def load_price_table(
 
 def write_wide_csv(table, path, *, date_column="Date"):
     """Export a PriceTable as a wide CSV; output is bit-identical across runs."""
-    header = ",".join([date_column, *table.tickers]) + "\n"
-    rows = (
-        ",".join([date, *(format(x, ".12g") for x in row)]) + "\n"
-        for date, row in zip(iso_texts(table.dates), table.closes)
-    )
-    write_text(path, itertools.chain([header], rows))
+    rows = ((date, *row) for date, row in zip(iso_texts(table.dates), table.closes.tolist()))
+    write_text(path, map(csv_line, itertools.chain([(date_column, *table.tickers)], rows)))
 
 
 def split_train_test(table, boundary):

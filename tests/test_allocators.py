@@ -499,6 +499,20 @@ class TestWeightsCsv:
         assert got.tickers == want.tickers == ("A", "B")
         np.testing.assert_array_equal(got.weights, want.weights)
 
+    @pytest.mark.parametrize(
+        "boundary",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["x0b", "x0c", "x1c", "x1d", "x1e", "x85", "u2028", "u2029"],
+    )
+    def test_a_ticker_holding_a_unicode_line_boundary_round_trips(self, tmp_path, boundary):
+        # only \n, \r\n and \r end a line: str.splitlines() would also split here
+        w = WeightVector(("AAA", f"A{boundary}B", boundary + "C"), np.array([0.25, 0.5, 0.25]))
+        path = tmp_path / "w.csv"
+        write_weights_csv(w, path)
+        loaded = read_weights_csv(path)
+        assert loaded.tickers == w.tickers
+        np.testing.assert_array_equal(loaded.weights, w.weights)
+
     def test_blank_line_skipped(self, tmp_path):
         path = tmp_path / "w.csv"
         path.write_bytes(b"ticker,weight\nA,0.25\n\nB,0.75\n")

@@ -787,6 +787,34 @@ class TestExitCodes:
         assert err.startswith(f"configuration error: {named}")
         assert err.count("\n") == 1 and "\0" not in err and "\t" not in err
 
+    @pytest.mark.parametrize(
+        "command, old, new, named",
+        [
+            (["run"], "  beta:", '  "\\udc80":', "sectors.'\\udc80': '\\udc80' holds a lone surrogate"),
+            (["run"], "AAB, AAC]", 'AAB, "\\ud800"]', "sectors.alpha: '\\ud800' holds a lone surrogate"),
+            (["optimize", "--method", "hrp"], "AAB, AAC]", 'AAB, "\\udc80"]', "sectors.alpha: '\\udc80' holds"),
+            (["ingest"], "AAB, AAC]", 'AAB, "\\udc80"]', "sectors.alpha: '\\udc80' holds a lone surrogate"),
+            (["dendrogram"], "  beta:", '  "\\ud800":', "sectors.'\\ud800': '\\ud800' holds a lone surrogate"),
+            (["ingest"], "test_end:", 'date_column: "\\ud800"\ntest_end:', "date_column: '\\ud800' holds"),
+            (["run"], "test_end:", 'close_column: "\\udc80"\ntest_end:', "close_column: '\\udc80' holds"),
+        ],
+        ids=["sector_summary", "ticker_path", "ticker_weights", "ticker_wide", "sector_dendrogram",
+             "date_column", "close_column"],
+    )
+    def test_a_lone_surrogate_exits_1_before_anything_is_written(
+        self, fixture_copy, tmp_path, capsys, monkeypatch, command, old, new, named
+    ):
+        # only PyYAML's pure-Python loader reads the escape; libyaml rejects it
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        data = fixture_copy / "data"
+        shutil.copy(data / "AAC.csv", data / "\udc80.csv")  # a "\udc80" ticker's CSV: fsencode gives b"\x80"
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace(old, new, 1), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command[0], *_cfg(fixture_copy), "--out", str(out), *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: {named}")
+        assert not out.exists()
+
     def test_a_nul_in_output_dir_exits_1_without_out(self, fixture_copy, capsys):
         config = fixture_copy / "config.yaml"
         config.write_text(config.read_text().replace("output_dir: out", 'output_dir: "o\\0ut"'))
@@ -1232,6 +1260,20 @@ class TestBacktest:
             payload = json.loads((out / f"demo_{period}_report.json").read_text())
             assert payload["period"] == period
             assert "annual_volatility" in payload["metrics"]
+
+    @pytest.mark.parametrize("boundary", ["\\x0b", "\\x1c", "\\x85", "\\u2028"], ids=["x0b", "x1c", "x85", "u2028"])
+    def test_a_ticker_holding_a_unicode_line_boundary_round_trips(self, fixture_copy, tmp_path, boundary):
+        ticker = "A" + boundary.encode().decode("unicode_escape") + "C"
+        (fixture_copy / "data" / "AAC.csv").rename(fixture_copy / "data" / f"{ticker}.csv")
+        config = fixture_copy / "config.yaml"
+        config.write_text(config.read_text().replace("AAC]", f'"A{boundary}C"]', 1), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["optimize", *_cfg(fixture_copy), "--out", str(out), "--method", "hrp"]) == 0
+        weights = out / "alpha" / "hrp_weights.csv"
+        assert read_weights_csv(weights).tickers == ("AAA", "AAB", ticker)
+        argv = ["backtest", *_cfg(fixture_copy), "--out", str(out), "--weights", str(weights)]
+        assert main(argv) == 0
+        assert (out / "portfolio_test_report.json").is_file()
 
     def test_bom_and_crlf_weights_give_the_same_reports(self, synthetic_fixture, tmp_path):
         plain = tmp_path / "plain.csv"

@@ -379,6 +379,29 @@ class TestLoadConfig:
         assert load_config(_write(tmp_path, merged)).methods == {"mvp": {"n_samples": 500, "seed": 3}}
 
     @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("alpha:", '"\\ud800":', "sectors.'\\ud800': '\\ud800'"),
+            ("alpha:", '"a\\udc80":', "sectors.'a\\udc80': 'a\\udc80'"),
+            ("AAB]", '"\\ud800"]', "sectors.alpha: '\\ud800'"),
+            ("AAB]", '"A\\udfffB"]', "sectors.alpha: 'A\\udfffB'"),
+            ("test_end", 'date_column: "\\ud800"\ntest_end', "date_column: '\\ud800'"),
+            ("test_end", 'close_column: "C\\udc80"\ntest_end', "close_column: 'C\\udc80'"),
+        ],
+        ids=["sector", "sector_low", "ticker", "ticker_low", "date_column", "close_column"],
+    )
+    def test_a_lone_surrogate_is_rejected_by_name(self, tmp_path, monkeypatch, loader, old, new, named):
+        # PyYAML's pure-Python loader reads the escape; libyaml rejects it as YAML
+        if loader == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+        match = re.escape(f"{named} holds a lone surrogate") if loader == "python" else "invalid YAML"
+        with pytest.raises(ConfigError, match=match):
+            load_config(_write(tmp_path, MINIMAL.replace(old, new, 1)))
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
     def test_a_25000_deep_value_exits_1_under_both_loaders(self, tmp_path, loader):
         # in a fresh interpreter: libyaml's composer, recursing in C, would crash this one
         if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
@@ -528,6 +551,20 @@ class TestHandBuiltConfig:
     )
     def test_bad_type_raises_config_error_naming_the_key(self, swap, key):
         with pytest.raises(ConfigError, match=f"^{key}"):
+            RunConfig(**{**HAND_BUILT, **swap}).validate()
+
+    @pytest.mark.parametrize(
+        "swap, key",
+        [
+            ({"sectors": {"\ud800": ["AAA", "AAB"]}}, "sectors.'\\ud800'"),
+            ({"sectors": {"alpha": ["AAA", "A\udc80"]}}, "sectors.alpha"),
+            ({"date_column": "D\udfff"}, "date_column"),
+            ({"close_column": "\udc80"}, "close_column"),
+        ],
+        ids=["sector", "ticker", "date_column", "close_column"],
+    )
+    def test_a_lone_surrogate_raises_config_error_naming_the_key(self, swap, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .* holds a lone surrogate"):
             RunConfig(**{**HAND_BUILT, **swap}).validate()
 
     def test_normalised_as_yaml_does(self, tmp_path):

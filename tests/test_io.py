@@ -1,12 +1,19 @@
+import ast
 import json
 import math
 import random
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from portopt._io import render_json, write_json, write_text
+import test_allocators
+from portopt._io import csv_line, render_json, write_json, write_text
+from portopt.allocators import write_frontier_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "portopt"
 
 
 def test_chunks_are_written_in_order(tmp_path):
@@ -102,3 +109,52 @@ class TestFailedWrite:
         with pytest.raises(UnicodeEncodeError):
             write_text(path, ["a\n", "\udfff\n"])
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCsvLine:
+    EDGES = test_allocators.TestFrontierCsvBytes.EDGES + [math.nan, 0.1, -1e16, 123456789.123456789]
+
+    def test_a_str_cell_is_written_as_it_is(self):
+        assert csv_line(["nan", "inf", "a b", "", "é\u2028"]) == "nan,inf,a b,,é\u2028\n"
+
+    def test_none_is_an_empty_cell(self):
+        assert csv_line([None]) == "\n"
+        assert csv_line(["x", None, 0.5, None]) == "x,,0.5,\n"
+
+    def test_an_int_count_is_written_like_str(self):
+        for n in (*range(1000), 10**12 - 1):
+            assert csv_line(["Overall", n]) == f"Overall,{n}\n"
+
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_a_float_is_its_12_significant_digits(self, kind):
+        for x in self.EDGES:
+            assert csv_line([kind(x)]) == format(x, ".12g") + "\n"
+        assert csv_line(map(kind, self.EDGES)) == ",".join(format(x, ".12g") for x in self.EDGES) + "\n"
+
+    def test_a_frontier_row_is_csv_lines_with_an_undefined_sharpe_as_none(self, tmp_path):
+        edges = np.array(self.EDGES)
+        for shift in range(3):
+            ret, vol, sharpe = (np.roll(edges, shift + i) for i in range(3))
+            path = tmp_path / "frontier.csv"
+            write_frontier_csv(SimpleNamespace(annual_return=ret, annual_volatility=vol, sharpe=sharpe), path)
+            rows = zip(ret, vol, (None if math.isnan(s) else s for s in sharpe))
+            assert path.read_text(encoding="utf-8") == "return,volatility,sharpe\n" + "".join(map(csv_line, rows))
+
+
+def _function_lines(path, name):
+    """The line numbers of the top-level function `name` in path."""
+    node = next(n for n in ast.parse(path.read_text(encoding="utf-8")).body if getattr(n, "name", None) == name)
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def test_the_csv_cell_format_has_one_home():
+    # csv_line, and write_frontier_csv's block renderer, which gives its bytes
+    homes = {"_io.py": _function_lines(SRC / "_io.py", "csv_line"),
+             "allocators.py": _function_lines(SRC / "allocators.py", "write_frontier_csv")}
+    elsewhere = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if "12g" in line and i not in homes.get(path.name, ())
+    ]
+    assert elsewhere == []
