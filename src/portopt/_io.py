@@ -1,6 +1,6 @@
 """Atomic artifact writes and the JSON and CSV formats: every output file goes
 through write_text, every JSON artifact is render_json's text, and every CSV line
-is csv_line's.  A name in a file path must pass is_path_component."""
+is csv_line's.  A name in a path must pass is_path_component, a given path is_os_path."""
 
 from __future__ import annotations
 
@@ -18,6 +18,15 @@ NAME_MAX, TMP_SUFFIX = 255, ".tmp"
 def is_path_component(name):
     """Whether name is one path component: no '/' or NUL, not empty, '.' or '..'."""
     return name not in ("", ".", "..") and not any(c in name for c in ("/", os.sep, "\0"))
+
+
+def is_os_path(text):
+    """Whether open() takes text as a path: no NUL, and os.fsencode encodes it."""
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
+    return "\0" not in text
 
 
 def write_text(path, text):

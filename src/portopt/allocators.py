@@ -96,8 +96,8 @@ class HercParams:
 
     cluster_weighting='inverse' gives the lower-risk subtree the larger
     weight (W1 = 1 - R1/(R1+R2)); 'paper_literal' uses W1 = R1/(R1+R2).
-    k='auto' selects the cluster count with the gap statistic, clustering
-    under linkage_rule (the rule the HERC tree was built with).
+    k='auto' selects the cluster count with the gap statistic, seeded by seed
+    and clustering under linkage_rule (the rule the HERC tree was built with).
     """
 
     k: int | str = "auto"
@@ -105,7 +105,7 @@ class HercParams:
     cluster_weighting: str = "inverse"
     gap_k_max: int | None = None
     gap_b_refs: int = 100
-    gap_seed: int = 0
+    seed: int = 0
     linkage_rule: str = "ward"
 
     def __post_init__(self):
@@ -197,7 +197,7 @@ def herc_allocate(cov, tree, params=None, returns=None):
             returns,
             k_max=params.gap_k_max,
             b_refs=params.gap_b_refs,
-            seed=params.gap_seed,
+            seed=params.seed,
             linkage_rule=params.linkage_rule,
         )
     else:

@@ -23,7 +23,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from portopt._io import TMP_SUFFIX, is_path_component
+from portopt._io import TMP_SUFFIX, is_os_path, is_path_component
 from portopt._version import __version__
 from portopt.allocators import MVP_SAMPLES, read_weights_csv
 from portopt.backtest import BacktestError, read_report_metrics
@@ -131,6 +131,10 @@ def _load_config(args):
     fits (their defaults unless listed); with --out, and --seed for each method with a seed."""
     if not args.config:
         raise ConfigError("no configuration given (use --config or $PORTOPT_CONFIG)")
+    for option in ("config", "weights"):
+        value = getattr(args, option, None)
+        if value is not None and not is_os_path(value):
+            raise ConfigError(f"--{option}: expected a file path, got {value!r}")
     cfg = load_config(args.config, args.sector, args.methods(args))
     cfg.output_dir = _directory(args.out, "--out", cfg.output_dir)
     if args.seed is not None:
@@ -143,8 +147,8 @@ def _load_config(args):
 
 def _directory(value, option, default):
     """A directory option's Path, default when it is not given; '' (an unset
-    shell variable, most likely) or a NUL is a configuration error."""
-    if value is not None and (not value or "\0" in value):
+    shell variable, most likely) or a path open() cannot take is a configuration error."""
+    if value is not None and (not value or not is_os_path(value)):
         raise ConfigError(f"{option}: expected a directory path, got {value!r}")
     return Path(default if value is None else value)
 
@@ -188,7 +192,7 @@ def _cmd_optimize(cfg, args):
 def _cmd_backtest(cfg, args):
     # the label names the report files, so it must stay one path component
     label = args.label
-    if not is_path_component(label):
+    if not (is_path_component(label) and is_os_path(label)):
         raise ConfigError(f"--label: expected a file name part without '/', got {label!r}")
     check_name_bytes(label, "--label", report_path("", "", max(PERIODS, key=len)).name + TMP_SUFFIX)
     weights = read_weights_csv(args.weights)

@@ -5,6 +5,7 @@ Schema (all dates ISO YYYY-MM-DD):
 
     data_dir: path to per-ticker CSVs (<ticker>.csv)
     output_dir: where weights/reports/summaries are written
+                # neither holds a NUL or a lone surrogate outside \udc80-\udcff
     train_start / train_end / test_end: study boundaries
     sectors: {name: [tickers...]}   # >= 2 tickers in each a command fits hrp or herc on
                                     # names, tickers: strings (quote 0700, null,
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import yaml
 
-from portopt._io import NAME_MAX, TMP_SUFFIX, is_path_component
+from portopt._io import NAME_MAX, TMP_SUFFIX, is_os_path, is_path_component
 from portopt.allocators import CLUSTER_WEIGHTINGS, RISK_MEASURES
 from portopt.hierclust import LINKAGE_RULES
 from portopt.market_data import ALIGN_POLICIES, iso_date
@@ -156,8 +157,9 @@ class RunConfig:
         what runs: `sector` and `methods` (None: all; (): none, the names kept); return self."""
         for key in ("data_dir", "output_dir"):
             path = getattr(self, key)
-            if not isinstance(path, (str, Path)) or "\0" in str(path):  # open() refuses a NUL
-                raise ConfigError(f"{key}: expected a path string without NUL, got {_show(path)}")
+            if not isinstance(path, (str, Path)) or not is_os_path(str(path)):
+                raise ConfigError(f"{key}: expected a path string without NUL or lone surrogate, "
+                                  f"got {_show(path)}")
         for key in ("linkage_rule", "close_column", "date_column", "align"):
             if not isinstance(getattr(self, key), str):
                 raise ConfigError(f"{key}: expected a string, got {_show(getattr(self, key))}")

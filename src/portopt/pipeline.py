@@ -139,18 +139,16 @@ def fit_method(cfg, method, data):
 
     Returns (weights, mvp_result) where mvp_result is None for hrp/herc.
     """
-    # the config's keys but the seed, checked by RunConfig.validate; the
-    # allocator owns the defaults
-    params = {k: v for k, v in cfg.methods.get(method, {}).items() if k != "seed"}
-    seed = cfg.seeds().get(method, 0)
+    # the config's keys, checked by RunConfig.validate; the allocator owns the defaults
+    params = cfg.methods.get(method, {})
     if method == "mvp":
         mu = expected_returns(data.train_returns, cfg.annualization_days)
-        result = mvp_optimize(mu, data.cov, **params, risk_free_rate=cfg.risk_free_rate, seed=seed)
+        result = mvp_optimize(mu, data.cov, **params, risk_free_rate=cfg.risk_free_rate)
         return result.max_sharpe.weights, result
     if method == "hrp":
         return hrp_allocate(data.cov, data.tree), None
     if method == "herc":
-        herc = HercParams(**params, gap_seed=seed, linkage_rule=cfg.linkage_rule)
+        herc = HercParams(**params, linkage_rule=cfg.linkage_rule)
         return herc_allocate(data.cov, data.tree, herc, data.train_returns), None
     raise AllocationError(f"unknown method {method!r}")
 

@@ -42,25 +42,23 @@ def _as_symmetric(matrix, what):
 
 @dataclass(frozen=True)
 class ExpectedReturns:
-    """Per-asset mean daily return and its annualized counterpart."""
+    """Per-asset mean daily return; mu_annual is its annualized counterpart."""
 
     tickers: tuple
     mu_daily: np.ndarray
-    mu_annual: np.ndarray
     annualization_days: int = DEFAULT_ANNUALIZATION_DAYS
 
     def __post_init__(self):
         mu_daily = np.asarray(self.mu_daily, dtype=float)
-        mu_annual = np.asarray(self.mu_annual, dtype=float)
-        if mu_daily.shape != (len(self.tickers),) or mu_annual.shape != mu_daily.shape:
-            raise StatsError("expected-return vectors do not match ticker count")
-        if np.max(np.abs(mu_annual - mu_daily * self.annualization_days), initial=0.0) > 1e-9:
-            raise StatsError("mu_annual must equal mu_daily * annualization_days")
+        if mu_daily.shape != (len(self.tickers),):
+            raise StatsError("expected-return vector does not match ticker count")
         mu_daily.setflags(write=False)
-        mu_annual.setflags(write=False)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         object.__setattr__(self, "mu_daily", mu_daily)
-        object.__setattr__(self, "mu_annual", mu_annual)
+
+    @property
+    def mu_annual(self):
+        return self.mu_daily * self.annualization_days
 
 
 @dataclass(frozen=True)
@@ -138,10 +136,7 @@ def expected_returns(r, annualization_days=DEFAULT_ANNUALIZATION_DAYS):
     """Mean daily returns and their annualized values R_i."""
     if r.returns.shape[0] < 1:
         raise StatsError("need at least 1 return row")
-    mu_daily = r.returns.mean(axis=0)
-    return ExpectedReturns(
-        r.tickers, mu_daily, mu_daily * annualization_days, annualization_days
-    )
+    return ExpectedReturns(r.tickers, r.returns.mean(axis=0), annualization_days)
 
 
 def covariance(r):

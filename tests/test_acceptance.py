@@ -182,7 +182,7 @@ def test_criterion_04_all_allocators_return_simplex_weights():
         cov = random_psd_cov(rng, n)
         tree = _tree_from_cov(cov)
         mu_daily = rng.normal(0.0, 0.001, size=n)
-        mu = ExpectedReturns(cov.tickers, mu_daily, mu_daily * 252)
+        mu = ExpectedReturns(cov.tickers, mu_daily)
         k = int(rng.integers(1, n + 1))
         results = [
             ivp_weights(cov),

@@ -246,7 +246,7 @@ class TestMvpOptimize:
         assert res.frontier.tolist() == list(range(50))
 
     def test_zero_variance_pair_has_undefined_sharpe(self, tmp_path):
-        mu = ExpectedReturns(("A", "B"), np.array([1e-4, 2e-4]), np.array([0.0252, 0.0504]))
+        mu = ExpectedReturns(("A", "B"), np.array([1e-4, 2e-4]))
         res = mvp_optimize(mu, _cov(np.zeros((2, 2)), ("A", "B")), n_samples=40, seed=8)
         assert res.max_sharpe.sharpe is None
         assert np.isnan(res.sharpe).all()
@@ -291,7 +291,7 @@ class TestMvpOptimize:
         assert peak <= 70 * n_samples
 
     def test_ticker_mismatch_rejected(self):
-        mu = ExpectedReturns(("A", "B"), np.array([0.0, 0.0]), np.array([0.0, 0.0]))
+        mu = ExpectedReturns(("A", "B"), np.array([0.0, 0.0]))
         with pytest.raises(AllocationError, match="do not match"):
             mvp_optimize(mu, _cov(np.eye(2) * 1e-4, ("A", "C")))
 
@@ -330,12 +330,12 @@ class TestMvpBlocks:
     TIES = {
         # every Sharpe ratio undefined and every volatility 0: sample 0 wins both
         "zero_cov": (
-            ExpectedReturns(("A", "B", "C"), np.array([1e-4, 2e-4, 0.0]), np.array([0.0252, 0.0504, 0.0])),
+            ExpectedReturns(("A", "B", "C"), np.array([1e-4, 2e-4, 0.0])),
             _cov(np.zeros((3, 3)), ("A", "B", "C")),
         ),
         # every Sharpe ratio 0.0 (0/0 with a zero risk-free rate)
         "zero_cov_zero_mean": (
-            ExpectedReturns(("A", "B", "C"), np.zeros(3), np.zeros(3)),
+            ExpectedReturns(("A", "B", "C"), np.zeros(3)),
             _cov(np.zeros((3, 3)), ("A", "B", "C")),
         ),
         # one ticker: every sample has the same volatility

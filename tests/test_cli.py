@@ -857,6 +857,39 @@ class TestExitCodes:
         assert err == f"configuration error: {option}: expected a directory path, got ''\n"
         assert not (fixture_copy / "out").exists() and not out.exists()
 
+    @pytest.mark.parametrize("value", ["x\0y", "x\ud800y"], ids=["nul", "lone_surrogate"])
+    @pytest.mark.parametrize(
+        "command, option",
+        [("run", "--config"), ("backtest", "--weights"), ("run", "--out"), ("ingest", "--out"),
+         ("report", "--reports-dir"), ("backtest", "--label")],
+        ids=["config", "weights", "run_out", "ingest_out", "reports_dir", "label"],
+    )
+    def test_a_path_option_open_cannot_take_exits_1(
+        self, synthetic_fixture, tmp_path, capsys, command, option, value
+    ):
+        # in-process: no argv can hold a NUL, nor a "\ud800" outside os.fsdecode's escapes
+        weights = tmp_path / "w.csv"
+        weights.write_text("ticker,weight\nAAA,0.5\nAAB,0.5\n", encoding="utf-8")
+        given = ["--weights", str(weights)] if command == "backtest" else []
+        argv = [command, *_cfg(synthetic_fixture), "--out", str(tmp_path / "out"), *given, option, value]
+        assert main(argv) == 1  # the last of a repeated option wins
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {option}: expected a ")
+        assert err.endswith(f", got {value!r}\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]
+
+    def test_an_out_holding_a_non_utf8_byte_exits_0(self, synthetic_fixture, tmp_path):
+        # argv's byte 0xff reaches main as "\udcff", which os.fsencode gives back;
+        # stdout escapes it as the C locale's does
+        out = os.fsencode(tmp_path / "o") + b"\xffk"
+        argv = [sys.executable, "-m", "portopt.cli", "run", *_cfg(synthetic_fixture), "--out", out]
+        env = {**_child_env(), "PYTHONIOENCODING": "utf-8:surrogateescape"}
+        child = subprocess.run(argv, env=env, capture_output=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == b"manifest: " + out + b"/manifest.json\n"
+        assert os.path.isfile(out + b"/summary_test.csv")
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["run", "--help"]])
     def test_help_and_version_exit_0(self, capsys, monkeypatch, argv):
         outs = []

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import datetime as dt
+import inspect
 import os
 import random
 import re
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from portopt.config import ConfigError, RunConfig, load_config
+from portopt.allocators import HercParams, hrp_allocate, mvp_optimize
+from portopt.config import METHOD_KEYS, ConfigError, RunConfig, load_config
 
 MINIMAL = """\
 data_dir: data
@@ -402,6 +404,25 @@ class TestLoadConfig:
             load_config(_write(tmp_path, MINIMAL.replace(old, new, 1)))
 
     @pytest.mark.parametrize("loader", ["libyaml", "python"])
+    @pytest.mark.parametrize("key", ["data_dir", "output_dir"])
+    def test_a_path_open_cannot_take_is_rejected_by_name(self, tmp_path, monkeypatch, loader, key):
+        # os.fsencode takes "\udc80" to "\udcff", the bytes os.fsdecode escapes,
+        # and no other lone surrogate; libyaml rejects either escape as YAML
+        if loader == "python":
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        elif not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML was built without libyaml")
+
+        def config(value):  # a YAML escape, in place of the key's value
+            return _write(tmp_path, MINIMAL.replace(f"{key}: ", f'{key}: "{value}"  # ', 1))
+
+        named = re.escape(f"{key}: expected a path string without NUL or lone surrogate, got 'a\\ud800'")
+        with pytest.raises(ConfigError, match=f"^{named}$" if loader == "python" else "invalid YAML"):
+            load_config(config("a\\ud800"))
+        if loader == "python":
+            assert getattr(load_config(config("a\\udcff")), key) == tmp_path / "a\udcff"
+
+    @pytest.mark.parametrize("loader", ["libyaml", "python"])
     def test_a_25000_deep_value_exits_1_under_both_loaders(self, tmp_path, loader):
         # in a fresh interpreter: libyaml's composer, recursing in C, would crash this one
         if loader == "libyaml" and not hasattr(yaml, "CSafeLoader"):
@@ -566,6 +587,16 @@ class TestHandBuiltConfig:
     def test_a_lone_surrogate_raises_config_error_naming_the_key(self, swap, key):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: .* holds a lone surrogate"):
             RunConfig(**{**HAND_BUILT, **swap}).validate()
+
+    @pytest.mark.parametrize("method", sorted(METHOD_KEYS))
+    def test_each_method_key_is_a_parameter_of_its_allocator(self, method):
+        # fit_method passes methods.<method> through unchanged: one name per setting
+        takes = {
+            "mvp": inspect.signature(mvp_optimize).parameters,
+            "hrp": inspect.signature(hrp_allocate).parameters,
+            "herc": [f.name for f in dataclasses.fields(HercParams)],
+        }
+        assert set(METHOD_KEYS[method]) <= set(takes[method])
 
     def test_normalised_as_yaml_does(self, tmp_path):
         cfg = RunConfig(**{**HAND_BUILT, "methods": ["mvp"], "train_start": "2020-01-01"}).validate()
